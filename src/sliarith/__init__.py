@@ -2,90 +2,30 @@
 arithmetic, with parametric minifloat baselines and seeded error
 experiments."""
 
-from .arith import (
-    SequenceState,
-    absolute,
-    add,
-    compare,
-    div,
-    li_add_sub,
-    li_mul_div,
-    mul,
-    neg,
-    sub,
-)
-from .core import (
-    BitWord,
-    SliFormat,
-    SliNumber,
-    decode,
-    decode_fields,
-    encode,
-    enumerate_values,
-    log_phi10,
-    magnitude_rank,
-    next_up,
-    pack,
-    phi,
-    psi,
-    round_index,
-    spacing,
-    unpack,
-)
-from .experiments import (
-    ErrorRecord,
-    ExperimentConfig,
-    SLI_COLUMN,
-    cli,
-    emit_dat,
-    matvec_backward_error,
-    read_dat,
-    repr_error_sweep,
-)
-from .minifloat import BFLOAT16, BINARY16, TOY5, FloatFormat, enumerate_floats, fl, fl_op
+from .arith import absolute, add, compare, div, mul, neg, sub
+from .core import BitWord, SliFormat, SliNumber, decode, encode, pack, unpack
+from .experiments import cli
+from .minifloat import FloatFormat, fl, fl_op
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFLOAT16",
-    "BINARY16",
     "BitWord",
-    "ErrorRecord",
-    "ExperimentConfig",
     "FloatFormat",
-    "SLI_COLUMN",
-    "SequenceState",
     "SliFormat",
     "SliNumber",
-    "TOY5",
     "absolute",
     "add",
     "cli",
     "compare",
     "decode",
-    "decode_fields",
     "div",
-    "emit_dat",
     "encode",
-    "enumerate_floats",
-    "enumerate_values",
     "fl",
     "fl_op",
-    "li_add_sub",
-    "li_mul_div",
-    "log_phi10",
-    "magnitude_rank",
-    "matvec_backward_error",
     "mul",
     "neg",
-    "next_up",
     "pack",
-    "phi",
-    "psi",
-    "read_dat",
-    "repr_error_sweep",
-    "round_index",
-    "spacing",
     "sub",
     "unpack",
 ]

@@ -71,11 +71,6 @@ class SequenceState:
     terminated_at: int | None = None
 
 
-def _check_descriptor(name: str, w: float, minimum: float) -> None:
-    if math.isnan(w) or math.isinf(w) or w < minimum:
-        raise ValueError(f"{name} must be a finite descriptor >= {minimum}, got {w}")
-
-
 def li_add_sub(
     zeta_x: float,
     zeta_y: float,
@@ -84,16 +79,14 @@ def li_add_sub(
 ) -> float:
     """Magnitude add/subtract on generalized descriptors.
 
-    Needs zeta_x >= zeta_y >= 0, i.e. the caller puts the larger
+    Needs finite zeta_x >= zeta_y >= 0, i.e. the caller puts the larger
     magnitude first (phi is monotone, so descriptor order is magnitude
     order).  Returns the descriptor of phi(zeta_x) +/- phi(zeta_y);
     exact cancellation returns 0.0.
     """
-    _check_descriptor("zeta_x", zeta_x, 0.0)
-    _check_descriptor("zeta_y", zeta_y, 0.0)
-    if zeta_x < zeta_y:
+    if not 0.0 <= zeta_y <= zeta_x < math.inf:
         raise ValueError(
-            f"operands out of order: zeta_x={zeta_x} < zeta_y={zeta_y}"
+            f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x}, {zeta_y}"
         )
     if subtract and zeta_x == zeta_y:
         # The ladder computes b_0 = 1 only up to roundoff; equal
@@ -179,8 +172,8 @@ def li_mul_div(
     the caller must flip the reciprocal sign.  Equal operands divide to
     exactly (1.0, False).
     """
-    _check_descriptor("zeta_x", zeta_x, 1.0)
-    _check_descriptor("zeta_y", zeta_y, 1.0)
+    if not (1.0 <= zeta_x < math.inf and 1.0 <= zeta_y < math.inf):
+        raise ValueError(f"need finite descriptors >= 1, got {zeta_x}, {zeta_y}")
     flipped = False
     if divide:
         if zeta_x == zeta_y:
@@ -212,20 +205,11 @@ def _zeta_of_recip(w: float) -> float:
     return 1.0 + psi(-math.log(w))
 
 
-def _kadd(z1: float, z2: float, subtract: bool = False) -> float:
-    """li_add_sub with operands ordered by descriptor value."""
-    if z1 >= z2:
-        return li_add_sub(z1, z2, subtract=subtract)
-    return li_add_sub(z2, z1, subtract=subtract)
-
-
 def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> SliNumber:
     """Round an unrounded (sign, r, zeta) magnitude into the format."""
     if zeta <= 0.0:
         return SliNumber.zero(fmt)
     level, k = round_index(zeta, fmt)
-    if reciprocal < 0 and level == 1 and k == 0:
-        reciprocal = 1
     return SliNumber.of(fmt, sign, reciprocal, level, k)
 
 
@@ -250,39 +234,23 @@ def _require_same_format(x: SliNumber, y: SliNumber) -> SliFormat:
     return x.fmt
 
 
-def _mag_add(fmt: SliFormat, sign: int, big: SliNumber, small: SliNumber) -> SliNumber:
-    """|big| + |small| with |big| >= |small|, both nonzero."""
-    if big.reciprocal > 0 and small.reciprocal > 0:
-        return _wrap_mag(fmt, sign, li_add_sub(big.zeta, small.zeta))
+def _mag_add_sub(fmt: SliFormat, big: SliNumber, small: SliNumber, subtract: bool) -> SliNumber:
+    """|big| +/- |small| with the sign of big, |big| >= |small| (> to
+    subtract), both nonzero."""
     if big.reciprocal > 0:
-        # small is below one: feed it as a raw level-0 descriptor.
-        g = _recip_chain(small.zeta)
-        return _wrap_mag(fmt, sign, li_add_sub(big.zeta, g))
-    # Both below one: |x|+|y| = (P_b + P_s)/(P_b P_s) with P = 1/|.|.
-    zs = _kadd(big.zeta, small.zeta)
+        # A small operand below one is fed as a raw level-0 descriptor.
+        zy = small.zeta if small.reciprocal > 0 else _recip_chain(small.zeta)
+        return _wrap_mag(fmt, big.sign, li_add_sub(big.zeta, zy, subtract))
+    # Both below one: |b| +/- |s| = (P_s +/- P_b)/(P_b P_s) with P = 1/|.|,
+    # and P_s >= P_b because big is the larger magnitude.
+    w = li_add_sub(small.zeta, big.zeta, subtract)
     zm = li_mul_div(big.zeta, small.zeta)[0]
-    return _ratio(fmt, sign, zs, zm)
-
-
-def _mag_sub(fmt: SliFormat, sign: int, big: SliNumber, small: SliNumber) -> SliNumber:
-    """|big| - |small| with |big| > |small|, both nonzero."""
-    if big.reciprocal > 0 and small.reciprocal > 0:
-        return _wrap_mag(fmt, sign, li_add_sub(big.zeta, small.zeta, subtract=True))
-    if big.reciprocal > 0:
-        g = _recip_chain(small.zeta)
-        return _wrap_mag(fmt, sign, li_add_sub(big.zeta, g, subtract=True))
-    # Both below one: |x|-|y| = (P_s - P_b)/(P_b P_s), always below one.
-    # Note P_b < P_s because big is the larger magnitude.
-    wd = _kadd(small.zeta, big.zeta, subtract=True)
-    zm = li_mul_div(big.zeta, small.zeta)[0]
-    if wd <= 0.0:
+    if w <= 0.0:
         return SliNumber.zero(fmt)
-    if wd >= 1.0:
-        return _ratio(fmt, sign, wd, zm)
-    # Difference of the P's came out raw: divide through its reciprocal.
-    u = _zeta_of_recip(wd)
-    w = li_mul_div(zm, u)[0]
-    return _materialize(fmt, sign, -1, w)
+    if w >= 1.0:
+        return _ratio(fmt, big.sign, w, zm)
+    # The difference of the P's came out raw: divide through its reciprocal.
+    return _materialize(fmt, big.sign, -1, li_mul_div(zm, _zeta_of_recip(w))[0])
 
 
 def add(x: SliNumber, y: SliNumber) -> SliNumber:
@@ -292,14 +260,12 @@ def add(x: SliNumber, y: SliNumber) -> SliNumber:
         return y
     if y.is_zero:
         return x
-    if x.sign == y.sign:
-        big, small = (x, y) if magnitude_rank(x) >= magnitude_rank(y) else (y, x)
-        return _mag_add(fmt, big.sign, big, small)
     rx, ry = magnitude_rank(x), magnitude_rank(y)
-    if rx == ry:
+    subtract = x.sign != y.sign
+    if subtract and rx == ry:
         return SliNumber.zero(fmt)
-    big, small = (x, y) if rx > ry else (y, x)
-    return _mag_sub(fmt, big.sign, big, small)
+    big, small = (x, y) if rx >= ry else (y, x)
+    return _mag_add_sub(fmt, big, small, subtract)
 
 
 def sub(x: SliNumber, y: SliNumber) -> SliNumber:

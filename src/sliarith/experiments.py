@@ -30,6 +30,7 @@ from .core import (
     encode,
     log_phi10,
     pack,
+    word_fields,
 )
 from .minifloat import FloatFormat, enumerate_floats, fl, fl_op
 
@@ -253,19 +254,10 @@ def _sli_table_rows(fmt: SliFormat, raw: bool) -> list[tuple[BitWord, float, flo
     """(word, value, signed log10 of |value|) for every word of the format."""
     rows = []
     for bits in range(1 << fmt.width):
-        payload = bits
-        sign = 1
-        if fmt.signed and payload >> (fmt.width - 1) & 1:
-            sign = -1
-            payload &= (1 << (fmt.width - 1)) - 1
-        if payload == 0 and not raw:
+        sign, reciprocal, level, index_k = word_fields(bits, fmt)
+        if not raw and (reciprocal, level, index_k) == (-1, 1, 0):
             rows.append((BitWord(bits, fmt.width), 0.0, -math.inf))
             continue
-        reciprocal = 1 if payload >> (fmt.level_bits + fmt.index_bits) & 1 else -1
-        level = (payload >> fmt.index_bits & (fmt.max_level - 1)) + 1
-        index_k = payload & (fmt.index_scale - 1)
-        if not raw and reciprocal < 0 and level == 1 and index_k == 0:
-            reciprocal = 1
         value = decode_fields(fmt, sign, reciprocal, level, index_k)
         lg = log_phi10(level + index_k / fmt.index_scale)
         rows.append((BitWord(bits, fmt.width), value, lg if reciprocal > 0 else -lg))

@@ -109,11 +109,11 @@ class TestSliFormat:
         assert fmt.index_scale == 4096
 
     def test_name_round_trip(self):
-        for name in ("sli2.12", "sli1.3u", "sli2.2u", "sli6.52", "sli3.11"):
+        for name in ("sli2.12", "sli1.3u", "sli2.2u", "sli6.24", "sli3.11"):
             assert SliFormat.from_name(name).name == name
 
     def test_bad_names(self):
-        for bad in ("sli0.3", "sli7.1", "sli2.53", "sli2.12x", "fp16", "sli2", ""):
+        for bad in ("sli0.3", "sli7.1", "sli2.25", "sli2.53", "sli2.12x", "fp16", "sli2", ""):
             with pytest.raises(ValueError):
                 SliFormat.from_name(bad)
 
@@ -124,6 +124,8 @@ class TestSliFormat:
             SliFormat(7, 12)
         with pytest.raises(ValueError):
             SliFormat(2, 0)
+        with pytest.raises(ValueError):
+            SliFormat(2, 25)
         with pytest.raises(ValueError):
             SliFormat(2, 53)
 

@@ -249,6 +249,19 @@ class TestCliCommands:
         assert lines[0] == "bits value log10"
         assert len(lines) == 33
         assert lines[1].startswith("00000 0 ")  # cooked zero row
+        for flags, zero_rows in (([], ("10000 0 -inf",)),
+                                 (["--raw"], ("00000 1 0", "10000 -1 0"))):
+            assert cli(["table", "sli1.2", *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 33
+            for row in zero_rows:
+                assert row in lines
+            rows = [line.split() for line in lines[1:]]
+            # Each sign-bit word negates its positive twin's value.
+            for (bits, value, lg), (nbits, nvalue, nlg) in zip(rows[:16], rows[16:]):
+                assert nbits == "1" + bits[1:]
+                assert float(nvalue) == -float(value)
+                assert nlg == lg
 
     def test_sweep_repr_writes_dat(self, tmp_path, capsys):
         out = tmp_path / "s.dat"
