@@ -34,9 +34,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     SliFormat,
     SliNumber,
+    _Lanes,
+    _lane_map,
+    _psi_lanes,
+    _round_index_lanes,
     magnitude_rank,
     psi,
     round_index,
@@ -83,7 +89,13 @@ def li_add_sub(
     magnitude first (phi is monotone, so descriptor order is magnitude
     order).  Returns the descriptor of phi(zeta_x) +/- phi(zeta_y);
     exact cancellation returns 0.0.
+
+    zeta_x and zeta_y may also be equal-length float64 arrays, with
+    subtract a bool or a bool array; then every element is one kernel
+    run, the same number as the scalar call gives, and trace is unused.
     """
+    if isinstance(zeta_x, np.ndarray):
+        return _li_add_sub_lanes(zeta_x, zeta_y, subtract)
     if not 0.0 <= zeta_y <= zeta_x < math.inf:
         raise ValueError(
             f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x}, {zeta_y}"
@@ -171,7 +183,13 @@ def li_mul_div(
     >= 1; flipped is True when the division came out below one, i.e.
     the caller must flip the reciprocal sign.  Equal operands divide to
     exactly (1.0, False).
+
+    Takes equal-length float64 arrays too, with divide a bool or a bool
+    array, and then returns two arrays, element by element the scalar
+    results.
     """
+    if isinstance(zeta_x, np.ndarray):
+        return _li_mul_div_lanes(zeta_x, zeta_y, divide)
     if not (1.0 <= zeta_x < math.inf and 1.0 <= zeta_y < math.inf):
         raise ValueError(f"need finite descriptors >= 1, got {zeta_x}, {zeta_y}")
     flipped = False
@@ -334,3 +352,193 @@ def compare(x: SliNumber, y: SliNumber) -> int:
 
     kx, ky = key(x), key(y)
     return (kx > ky) - (kx < ky)
+
+
+# ---------------------------------------------------------------------------
+# Lane forms of the kernels and of add/mul, one array element per operation
+# (see the lane section of core).  The kernels are reached through the names
+# li_add_sub and li_mul_div, like the scalar ops reach them.
+
+
+def _exp_neg_ratio(num, den: np.ndarray) -> np.ndarray:
+    """exp(-num/den) where den > 0, else 0.0, with num a float or an
+    array like den.  A quotient past the binary64 range is -inf and its
+    exp 0.0, as with Python floats.
+    """
+    pos = den > 0.0
+    with np.errstate(over="ignore"):
+        q = -num / np.where(pos, den, 1.0)
+    out = np.zeros(den.shape)
+    out[pos] = _lane_map(math.exp, q[pos])
+    return out
+
+
+def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract) -> np.ndarray:
+    """li_add_sub per lane; each lane leaves its ladders where the scalar
+    kernel would return."""
+    ok = (0.0 <= zeta_y) & (zeta_y <= zeta_x) & (zeta_x < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x[i]}, {zeta_y[i]}"
+        )
+    subtract = np.full(zeta_x.shape, subtract)
+    out = np.zeros(zeta_x.shape)  # equal descriptors subtracted stay 0.0
+    live = ~(subtract & (zeta_x == zeta_y))
+
+    raw = live & (zeta_x < 1.0)
+    if raw.any():
+        # Both magnitudes are raw values below one.
+        zx, zy = zeta_x[raw], zeta_y[raw]
+        v = np.where(subtract[raw], zx - zy, zx + zy)
+        out[raw] = np.where(v >= 1.0, _psi_lanes(v), np.maximum(v, 0.0))
+
+    idx = np.flatnonzero(live & (zeta_x >= 1.0))
+    if not idx.size:
+        return out
+    zx, zy, sub = zeta_x[idx], zeta_y[idx], subtract[idx]
+    lev = np.trunc(zx)
+    f = zx - lev
+    lev = lev.astype(np.intp)
+    top = int(lev.max())
+
+    # Reciprocal ladders of X, row j = a_j, each walked down from its
+    # lane's top level.
+    a = np.zeros((top, idx.size))
+    for j in range(top - 1, -1, -1):
+        start = lev - 1 == j
+        a[j, start] = _lane_map(math.exp, -f[start])
+        walk = lev - 1 > j
+        if walk.any():
+            a[j, walk] = _exp_neg_ratio(1.0, a[j + 1, walk])
+
+    # Ratio ladders of Y against X, down to b_0.
+    m = np.trunc(zy)
+    g = zy - m
+    m = m.astype(np.intp)
+    b = a[0] * g  # kept where m == 0
+    for j in range(top - 1, -1, -1):
+        start = m - 1 == j
+        b[start] = a[j, start] * _lane_map(math.exp, g[start])
+        walk = m - 1 > j
+        if walk.any():
+            d = 1.0 - b[walk]
+            step = _exp_neg_ratio(d, np.where(d > 0.0, a[j + 1, walk], 0.0))
+            step[d <= 0.0] = 1.0
+            b[walk] = step
+
+    c = np.where(sub, 1.0 - b, 1.0 + b)
+    res = np.empty(idx.size)
+    ran_out = []
+    act = np.arange(idx.size)
+    j = 0
+    while True:
+        cj, aj = c[act], a[j, act]
+        at_j = cj <= 0.0
+        res[act[at_j]] = float(j)
+        below = ~at_j & (cj < aj)
+        res[act[below]] = j + cj[below] / aj[below]
+        go = ~(at_j | below)
+        last = lev[act] - 1 == j
+        ran_out.append(act[go & last])
+        act = act[go & ~last]
+        if not act.size:
+            break
+        j += 1
+        c[act] = 1.0 + a[j, act] * _lane_map(math.log, c[act])
+
+    done = np.concatenate(ran_out)
+    h = f[done] + _lane_map(math.log, c[done])
+    h[h < 0.0] = 0.0
+    res[done] = lev[done] + _psi_lanes(h)
+    out[idx] = res
+    return out
+
+
+def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
+    """li_mul_div per lane."""
+    ok = (1.0 <= zeta_x) & (zeta_x < math.inf) & (1.0 <= zeta_y) & (zeta_y < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"need finite descriptors >= 1, got {zeta_x[i]}, {zeta_y[i]}")
+    # Equal operands need no short cut here: their descriptors cancel
+    # exactly in the kernel, giving (1.0, False) as the scalar path does.
+    swap = zeta_x < zeta_y
+    hi = np.where(swap, zeta_y, zeta_x)
+    lo = np.where(swap, zeta_x, zeta_y)
+    w = li_add_sub(hi - 1.0, lo - 1.0, divide)
+    return w + 1.0, swap & divide
+
+
+def _recip_chain_lanes(zeta: np.ndarray) -> np.ndarray:
+    """_recip_chain per lane."""
+    lev = np.trunc(zeta)
+    a = _lane_map(math.exp, -(zeta - lev))
+    steps = lev.astype(np.intp) - 1
+    for s in range(int(steps.max(initial=0))):
+        walk = steps > s
+        a[walk] = _exp_neg_ratio(1.0, a[walk])
+    return a
+
+
+def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray) -> _Lanes:
+    """_materialize per lane: zeta <= 0 is zero."""
+    zero = zeta <= 0.0
+    level, k = _round_index_lanes(np.where(zero, 1.0, zeta), fmt)
+    return _Lanes.of(zero, sign, reciprocal, level, k)
+
+
+def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
+    """add per lane.  Zero lanes, whose neutral fields read as one, run
+    through the kernels like the rest and are replaced at the end."""
+    half = 1 << (fmt.level_bits + fmt.index_bits)
+
+    def rank(n: _Lanes) -> np.ndarray:
+        return half - 1 + n.reciprocal * ((n.level - 1) << fmt.index_bits | n.index_k)
+
+    # big is y where swap, else x; small the other one.
+    swap = rank(x) < rank(y)
+    zx, zy = x.zeta(fmt), y.zeta(fmt)
+    bz, sz = np.where(swap, zy, zx), np.where(swap, zx, zy)
+    up = np.where(swap, y.reciprocal, x.reciprocal) > 0
+    # Equal opposites have equal descriptors on both branches, which the
+    # kernel cancels to exactly 0.0.
+    subtract = x.sign != y.sign
+    # Kernel operands: (big, small) when big is at least one; (small, big)
+    # when both are below one, where zeta orders magnitudes the other way.
+    kx, ky = np.where(up, bz, sz), np.where(up, sz, bz)
+    # A small operand below one is fed as a raw level-0 descriptor.
+    chain = up & (np.where(swap, x.reciprocal, y.reciprocal) < 0)
+    ky[chain] = _recip_chain_lanes(sz[chain])
+    w = li_add_sub(kx, ky, subtract)
+
+    raw = (w > 0.0) & (w < 1.0)
+    zeta = w.copy()
+    zeta[raw] = 1.0 + _psi_lanes(-_lane_map(math.log, w[raw]))  # zeta of 1/w
+    reciprocal = np.where(raw, -1, 1)
+    # Both below one: |b| +/- |s| = (P_s +/- P_b)/(P_b P_s) with P = 1/|.|.
+    down = np.flatnonzero(~up & (w > 0.0))
+    if down.size:
+        zm = li_mul_div(bz[down], sz[down])[0]
+        ratio = ~raw[down]
+        zw = zeta[down]
+        # w >= 1 is divided by P_b P_s; a raw w came out as the descriptor
+        # of 1/w, which P_b P_s multiplies, for a result below one.
+        w2, flipped = li_mul_div(np.where(ratio, zw, zm), np.where(ratio, zm, zw), ratio)
+        zeta[down] = w2
+        reciprocal[down] = np.where(ratio & ~flipped, 1, -1)
+    out = _materialize_lanes(fmt, np.where(swap, y.sign, x.sign), reciprocal, zeta)
+    return _Lanes(*(np.where(x.zero, fy, np.where(y.zero, fx, fo))
+                    for fo, fx, fy in zip(out, x, y)))
+
+
+def _mul_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
+    """mul per lane."""
+    zx, zy = x.zeta(fmt), y.zeta(fmt)
+    same = x.reciprocal == y.reciprocal
+    # Mixed reciprocals: the quotient of the operand above one by the other.
+    x_first = same | (x.reciprocal > 0)
+    w, flipped = li_mul_div(np.where(x_first, zx, zy), np.where(x_first, zy, zx), ~same)
+    reciprocal = np.where(same, x.reciprocal, np.where(flipped, -1, 1))
+    zeta = np.where(x.zero | y.zero, 0.0, w)
+    return _materialize_lanes(fmt, x.sign * y.sign, reciprocal, zeta)

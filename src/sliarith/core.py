@@ -30,6 +30,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "SliFormat",
@@ -63,6 +66,11 @@ _PSI_MAX_LEVELS = 64
 # within one rank, missing by one on about 3 in 10 000 sampled ops (half
 # of the sample near-cancellation pairs).
 MAX_INDEX_BITS = 24
+
+# Widest format whose every word may be listed (enumerations and value
+# tables): each row is a few Python objects, and 24 bits is already
+# 16.8 million rows.
+MAX_TABLE_BITS = 24
 
 
 def phi(zeta: float) -> float:
@@ -461,10 +469,10 @@ def enumerate_values(fmt: SliFormat, raw: bool = False) -> list[tuple[BitWord, f
 
     With raw=True the zero convention and canonicalization are ignored
     and every word decodes through its literal fields (the all-zeros
-    word then reads as one).  Capped at 24-bit formats; wider tables
-    have no business being materialized.
+    word then reads as one).  Capped at MAX_TABLE_BITS-wide formats;
+    wider tables have no business being materialized.
     """
-    if fmt.width > 24:
+    if fmt.width > MAX_TABLE_BITS:
         raise ValueError(f"refusing to enumerate {fmt.width}-bit format {fmt.name}")
     out: list[tuple[BitWord, float]] = []
     for bits in range(1 << fmt.width):
@@ -532,6 +540,108 @@ def next_up(num: SliNumber) -> SliNumber:
 def spacing(num: SliNumber) -> float:
     """Gap to the next value up, as a binary64 (inf if decode overflows)."""
     return decode(next_up(num)) - decode(num)
+
+
+# ---------------------------------------------------------------------------
+# Lane forms: many numbers at once, one array element ("lane") each.
+#
+# Every lane goes through the same sequence of binary64 operations as the
+# scalar code above, so each result is the same number.  Basic arithmetic
+# is IEEE in numpy too; exp and log are not (numpy's own versions round
+# differently from libm in a few percent of arguments), so lanes call the
+# math module's functions one element at a time.
+
+
+def _lane_map(fn, values: np.ndarray) -> np.ndarray:
+    """fn (math.exp or math.log) of every lane of a 1-D float64 array."""
+    return np.fromiter(map(fn, memoryview(np.ascontiguousarray(values))),
+                       np.float64, values.size)
+
+
+class _Lanes(NamedTuple):
+    """SLI numbers as struct-of-arrays: the fields of SliNumber, one lane
+    per number.  Zero lanes carry the neutral fields (+1, +1, 1, 0)."""
+
+    zero: np.ndarray
+    sign: np.ndarray
+    reciprocal: np.ndarray
+    level: np.ndarray
+    index_k: np.ndarray
+
+    @classmethod
+    def of(cls, zero, sign, reciprocal, level, index_k) -> "_Lanes":
+        """Lane form of SliNumber.of and SliNumber.zero: folds 1/1 onto the
+        canonical one and gives zero lanes their neutral fields."""
+        one_below = (reciprocal < 0) & (level == 1) & (index_k == 0)
+        return cls(
+            zero,
+            np.where(zero, 1, sign),
+            np.where(zero | one_below, 1, reciprocal),
+            np.where(zero, 1, level),
+            np.where(zero, 0, index_k),
+        )
+
+    def zeta(self, fmt: SliFormat) -> np.ndarray:
+        """level + index_k / 2**index_bits per lane, exact as in SliNumber.zeta."""
+        return self.level + self.index_k / fmt.index_scale
+
+    def take(self, lanes) -> "_Lanes":
+        """The lanes an index, slice or mask selects, in that order."""
+        return _Lanes(*(field[lanes] for field in self))
+
+
+def _psi_lanes(values: np.ndarray) -> np.ndarray:
+    """psi per lane, for finite values >= 0."""
+    v = np.array(values, dtype=np.float64)
+    level = np.zeros(v.shape)
+    live = np.flatnonzero(v >= 1.0)
+    while live.size:
+        v[live] = _lane_map(math.log, v[live])
+        level[live] += 1.0
+        live = live[v[live] >= 1.0]
+    return level + v
+
+
+def _round_index_lanes(zeta: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, np.ndarray]:
+    """round_index per lane, for zeta >= 0 (inf saturates too)."""
+    scale = fmt.index_scale
+    top = ~(zeta < fmt.max_level + 1)
+    z = np.where(top, 0.0, zeta)
+    level = np.trunc(z)
+    frac = z - level
+    low = level < 1.0
+    level[low] = 1.0
+    frac[low] = z[low]
+    t = frac * scale
+    k = np.trunc(t)
+    k += t - k >= 0.5
+    carry = k == scale
+    k[carry] = 0.0
+    level[carry] += 1.0
+    top |= level > fmt.max_level
+    level[top] = fmt.max_level
+    k[top] = scale - 1
+    return level.astype(np.int64), k.astype(np.int64)
+
+
+def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> _Lanes:
+    """encode per lane of a 1-D binary64 array, with the same errors."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"cannot encode non-finite value {values[bad][0]}")
+    negative = values < 0.0
+    if not fmt.signed and negative.any():
+        raise ValueError(f"cannot encode negative value in unsigned {fmt.name}")
+    a = np.abs(values)
+    zero = a == 0.0
+    big = a >= 1.0
+    small = ~big & ~zero
+    zeta = np.ones(a.shape)
+    zeta[big] = _psi_lanes(a[big])
+    # psi(1/a) without forming 1/a, as in encode.
+    zeta[small] = 1.0 + _psi_lanes(-_lane_map(math.log, a[small]))
+    level, k = _round_index_lanes(zeta, fmt)
+    return _Lanes.of(zero, np.where(negative, -1, 1), np.where(big, 1, -1), level, k)
 
 
 from . import arith  # noqa: E402  (arith imports core; bound last for the dunders)

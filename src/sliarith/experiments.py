@@ -22,9 +22,11 @@ import numpy as np
 
 from . import arith
 from .core import (
+    MAX_TABLE_BITS,
     BitWord,
     SliFormat,
     SliNumber,
+    _encode_lanes,
     decode,
     decode_fields,
     encode,
@@ -32,7 +34,7 @@ from .core import (
     pack,
     word_fields,
 )
-from .minifloat import FloatFormat, enumerate_floats, fl, fl_op
+from .minifloat import FloatFormat, _fl_lanes, enumerate_floats, fl, fl_op
 
 __all__ = [
     "ErrorRecord",
@@ -49,9 +51,18 @@ __all__ = [
 # Column label used for the level-index system in emitted data files.
 SLI_COLUMN = "level-index"
 
-# Largest matrix dimension the simulated-arithmetic loops will accept.
-# Beyond this the pure-Python inner loops leave desk scale.
-MAX_DIM = 2000
+# Largest matrix dimension the matvec experiment accepts.  The simulated
+# product keeps one lane per row but still walks the n columns one after
+# another in Python; at n = 4000 the sli2.12 product takes about a
+# minute on a 2-core Xeon VM.  n = 5000 leaves room past binary16's
+# overflow at n ~ 2620 for entries from uniform(0, 100).
+MAX_DIM = 5000
+
+# Products simulated per batch: a block of whole columns of A, as many as
+# fit in this many lanes (at least one column).  On matrices of n = 50
+# to 200, throughput levels off from about 1024 lanes; whole-matrix
+# batches were slower and took 11 MB more peak RSS (2-core Xeon VM).
+_LANE_BUDGET = 2048
 
 
 def resolve_system(name: str) -> SliFormat | FloatFormat:
@@ -150,27 +161,34 @@ def _simulate_matvec(
     fmt: SliFormat | FloatFormat, a: np.ndarray, x: np.ndarray
 ) -> list[float]:
     """y = A x with inputs pre-rounded and every product and running-sum
-    addition performed in the target arithmetic, left to right."""
+    addition performed in the target arithmetic, left to right.
+
+    All rows run at once, one lane each; every lane op gives the number
+    the scalar op (encode, mul, add, decode; fl, fl_op) gives.
+    """
     n = len(x)
-    out: list[float] = []
+    cols = max(1, _LANE_BUDGET // n)
     if isinstance(fmt, SliFormat):
-        xr = [encode(float(v), fmt) for v in x]
-        zero = SliNumber.zero(fmt)
-        for i in range(n):
-            row = a[i]
-            acc = zero
-            for j in range(n):
-                acc = arith.add(acc, arith.mul(encode(float(row[j]), fmt), xr[j]))
-            out.append(decode(acc))
-    else:
-        xf = [fl(float(v), fmt) for v in x]
-        for i in range(n):
-            row = a[i]
-            acc = 0.0
-            for j in range(n):
-                acc = fl_op(acc, fl_op(fl(float(row[j]), fmt), xf[j], "*", fmt), "+", fmt)
-            out.append(acc)
-    return out
+        xr = _encode_lanes(x, fmt)
+        acc = _encode_lanes(np.zeros(n), fmt)
+        for j0 in range(0, n, cols):
+            block = a[:, j0:j0 + cols].T  # lane j * n + i holds a[i, j0 + j]
+            width = len(block)
+            prods = arith._mul_lanes(
+                fmt, _encode_lanes(block.ravel(), fmt),
+                xr.take(np.repeat(np.arange(j0, j0 + width), n)))
+            for j in range(width):
+                acc = arith._add_lanes(fmt, acc, prods.take(slice(j * n, (j + 1) * n)))
+        return [decode(SliNumber(fmt, *fields)) for fields in zip(*(f.tolist() for f in acc))]
+    xf = _fl_lanes(x, fmt)
+    acc = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, n, cols):
+            block = a[:, j0:j0 + cols]
+            prods = _fl_lanes(_fl_lanes(block, fmt) * xf[j0:j0 + cols], fmt)
+            for j in range(block.shape[1]):
+                acc = _fl_lanes(acc + prods[:, j], fmt)
+    return acc.tolist()
 
 
 def matvec_backward_error(cfg: ExperimentConfig) -> list[ErrorRecord]:
@@ -252,6 +270,8 @@ def read_dat(path: str | Path) -> tuple[list[str], list[list[float]]]:
 
 def _sli_table_rows(fmt: SliFormat, raw: bool) -> list[tuple[BitWord, float, float]]:
     """(word, value, signed log10 of |value|) for every word of the format."""
+    if fmt.width > MAX_TABLE_BITS:
+        raise ValueError(f"refusing to tabulate {fmt.width}-bit format {fmt.name}")
     rows = []
     for bits in range(1 << fmt.width):
         sign, reciprocal, level, index_k = word_fields(bits, fmt)
@@ -267,12 +287,14 @@ def _sli_table_rows(fmt: SliFormat, raw: bool) -> list[tuple[BitWord, float, flo
 def _cmd_table(args: argparse.Namespace) -> int:
     fmt = resolve_system(args.format)
     if isinstance(fmt, SliFormat):
+        rows = _sli_table_rows(fmt, args.raw)
         print("bits value log10")
-        for word, value, lg in _sli_table_rows(fmt, args.raw):
+        for word, value, lg in rows:
             print(f"{word} {_field_text(value)} {_field_text(lg)}")
     else:
+        floats = enumerate_floats(fmt)
         print("bits value")
-        for word, value in enumerate_floats(fmt):
+        for word, value in floats:
             print(f"{word} {_field_text(value)}")
     return 0
 

@@ -14,7 +14,9 @@ import math
 import re
 from dataclasses import dataclass
 
-from .core import BitWord
+import numpy as np
+
+from .core import MAX_TABLE_BITS, BitWord
 
 __all__ = [
     "FloatFormat",
@@ -126,6 +128,25 @@ def fl(value: float, fmt: FloatFormat) -> float:
     return math.copysign(math.ldexp(float(k), shift), value)
 
 
+def _fl_lanes(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """fl of every element of an array, the same number fl gives.
+
+    The same steps as fl, with np.rint for round() (both tie to even).
+    """
+    if not fmt.signed and np.any(values < 0.0):
+        raise ValueError(f"cannot round negative value into unsigned {fmt.name}")
+    a = np.abs(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.frexp(a)[1] - 1
+        shift = np.maximum(e, fmt.e_min) - (fmt.precision - 1)
+        out = np.copysign(np.ldexp(np.rint(np.ldexp(a, -shift)), shift), values)
+    big = a >= (2.0 - 2.0 ** -fmt.precision) * 2.0 ** fmt.e_max
+    out[big] = np.copysign(np.inf, values[big])
+    keep = np.isnan(values) | np.isinf(values) | (values == 0.0)
+    out[keep] = values[keep]
+    return out
+
+
 _OP_ALIASES = {
     "+": "+", "add": "+",
     "-": "-", "sub": "-",
@@ -168,11 +189,12 @@ def enumerate_floats(fmt: FloatFormat) -> list[tuple[BitWord, float]]:
 
     Layout MSB first: sign (if signed) | exponent field | trailing
     significand.  All-ones exponent encodes infinity (zero trailing
-    bits) or NaN.  Requires an IEEE-shaped e_max and at most 24 bits.
+    bits) or NaN.  Requires an IEEE-shaped e_max and at most
+    MAX_TABLE_BITS bits.
     """
     w = fmt.exponent_bits
     width = fmt.width
-    if width > 24:
+    if width > MAX_TABLE_BITS:
         raise ValueError(f"refusing to enumerate {width}-bit format {fmt.name}")
     p = fmt.precision
     bias = fmt.e_max

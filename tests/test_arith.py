@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from sliarith.arith import (
     SequenceState,
+    _add_lanes,
+    _mul_lanes,
     absolute,
     add,
     compare,
@@ -29,6 +31,8 @@ from sliarith.core import (
     BitWord,
     SliFormat,
     SliNumber,
+    _from_rank,
+    _Lanes,
     decode,
     encode,
     magnitude_rank,
@@ -408,6 +412,60 @@ class TestOracleEquivalence:
                 continue
             assert isinstance(r, SliNumber)
             assert not math.isnan(decode(r))
+
+
+class TestLaneForms:
+    """The array forms give the scalar results bit for bit."""
+
+    @staticmethod
+    def fields(n: SliNumber) -> tuple:
+        return (n.is_zero, n.sign, n.reciprocal, n.level, n.index_k)
+
+    def lanes(self, nums: list[SliNumber]) -> _Lanes:
+        return _Lanes(*(np.array(f) for f in zip(*map(self.fields, nums))))
+
+    def test_kernels_match_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        # Descriptors from raw (below one) up to level 5, with ties and
+        # equal pairs, whose difference must cancel to exactly 0.0.
+        zx = np.round(rng.uniform(0.0, 6.0, 4000), 3)
+        zy = np.minimum(zx, np.round(rng.uniform(0.0, 6.0, 4000), 3))
+        zy[::7] = zx[::7]
+        subtract = rng.random(4000) < 0.5
+        got = li_add_sub(zx, zy, subtract)
+        want = [li_add_sub(a, b, s) for a, b, s in zip(zx.tolist(), zy.tolist(), subtract.tolist())]
+        assert got.tolist() == want
+        zx, zy = zx + 1.0, zy[::-1] + 1.0  # unordered, descriptors >= 1
+        w, flipped = li_mul_div(zx, zy, subtract)
+        want = [li_mul_div(a, b, s) for a, b, s in zip(zx.tolist(), zy.tolist(), subtract.tolist())]
+        assert list(zip(w.tolist(), flipped.tolist())) == want
+
+    def test_kernel_domain_holds_for_arrays(self):
+        with pytest.raises(ValueError, match="zeta_x >= zeta_y"):
+            li_add_sub(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=">= 1"):
+            li_mul_div(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("fmt", [SliFormat(1, 4), F], ids=["sli1.4", "sli2.12"])
+    def test_add_and_mul_match_scalar_ops(self, fmt):
+        if fmt.width <= 8:  # every word pair
+            nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
+            xs = [x for x in nums for _ in nums]
+            ys = [y for _ in nums for y in nums]
+        else:  # random words, each also against its negated upper neighbour
+            rng = np.random.default_rng(11)
+            top = 2 * ((1 << (fmt.level_bits + fmt.index_bits)) - 1)
+            ranks = rng.integers(0, top, 3000).tolist()
+            signs = rng.choice([-1, 1], 3000).tolist()
+            xs = [_from_rank(fmt, s, r) for s, r in zip(signs, ranks)]
+            ys = [_from_rank(fmt, -s, r + 1) for s, r in zip(signs, ranks)]
+            ys[:1000] = [unpack(BitWord(int(b), fmt.width), fmt)
+                         for b in rng.integers(0, 1 << fmt.width, 1000)]
+            ys[1000:1100] = [neg(x) for x in xs[1000:1100]]  # exact cancellation
+        for lane_op, op in ((_add_lanes, add), (_mul_lanes, mul)):
+            got = lane_op(fmt, self.lanes(xs), self.lanes(ys))
+            want = [self.fields(op(x, y)) for x, y in zip(xs, ys)]
+            assert list(zip(*(f.tolist() for f in got))) == want, lane_op.__name__
 
 
 class TestDunderOps:

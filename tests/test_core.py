@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from sliarith.core import (
     BitWord,
     SliFormat,
     SliNumber,
+    _encode_lanes,
+    _round_index_lanes,
     decode,
     decode_fields,
     encode,
@@ -173,7 +176,37 @@ class TestRoundIndex:
         assert round_index(2.0 + 2047.5 / 4096.0, F212) == (2, 2048)
 
 
+    def test_lane_form_matches(self):
+        fmt = SliFormat(2, 3)
+        ties = [level + (k + 0.5) / 8.0 for level in (1, 2, 4) for k in range(8)]
+        hair = [2.0 + (2047.5 - 2.0**-39) / 4096.0]
+        edges = [0.0, 0.5, 1.0, 4.0 + 7.7 / 8.0, 5.0, 17.25, math.inf]
+        rng = np.random.default_rng(3)
+        zeta = np.array(ties + hair + edges + rng.uniform(0.0, 6.0, 500).tolist())
+        for f in (fmt, F212):
+            level, k = _round_index_lanes(zeta, f)
+            assert list(zip(level.tolist(), k.tolist())) == [round_index(z, f) for z in zeta]
+
+
 class TestEncodeDecode:
+    def test_lane_form_matches_encode(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-320, 308, 2000),
+            [0.0, -0.0, 1.0, -1.0, math.e, 5e-324, 1.7e308, 1.0 - 2.0**-53],
+        ])
+        for fmt in (F212, SliFormat(1, 4), SliFormat(3, 3)):
+            got = _encode_lanes(values, fmt)
+            want = [encode(float(v), fmt) for v in values]
+            assert list(zip(*(f.tolist() for f in got))) == [
+                (n.is_zero, n.sign, n.reciprocal, n.level, n.index_k) for n in want]
+
+    def test_lane_form_errors(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _encode_lanes(np.array([1.0, math.nan]), F212)
+        with pytest.raises(ValueError, match="unsigned"):
+            _encode_lanes(np.array([1.0, -2.0]), F22U)
+
     def test_pi_level_and_index(self):
         n = encode(math.pi, F212)
         assert (n.sign, n.reciprocal, n.level, n.index_k) == (1, 1, 2, 554)

@@ -1,12 +1,15 @@
 """Tests for the experiment harness, .dat serialization, and the CLI."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from sliarith.core import SliFormat, decode, encode
+from sliarith import arith
+from sliarith.core import SliFormat, SliNumber, decode, encode
 from sliarith.experiments import (
+    _LANE_BUDGET,
     MAX_DIM,
     SLI_COLUMN,
     ErrorRecord,
@@ -19,7 +22,7 @@ from sliarith.experiments import (
     repr_error_sweep,
     resolve_system,
 )
-from sliarith.minifloat import BINARY16, TOY5, FloatFormat
+from sliarith.minifloat import BINARY16, TOY5, FloatFormat, fl, fl_op
 
 F = SliFormat(2, 12)
 
@@ -120,7 +123,69 @@ class TestReprSweep:
             assert rec.values["sli2.12"] <= math.e * 2.0**-13 * 1.01
 
 
+def _matvec_by_rows(fmt, a, x) -> list[float]:
+    """Reference for _simulate_matvec: one row at a time through the
+    scalar ops, left to right."""
+    n = len(x)
+    if isinstance(fmt, SliFormat):
+        xr = [encode(float(v), fmt) for v in x]
+        out = []
+        for i in range(n):
+            acc = SliNumber.zero(fmt)
+            for j in range(n):
+                acc = arith.add(acc, arith.mul(encode(float(a[i, j]), fmt), xr[j]))
+            out.append(decode(acc))
+        return out
+    xf = [fl(float(v), fmt) for v in x]
+    out = []
+    for i in range(n):
+        acc = 0.0
+        for j in range(n):
+            acc = fl_op(acc, fl_op(fl(float(a[i, j]), fmt), xf[j], "*", fmt), "+", fmt)
+        out.append(acc)
+    return out
+
+
 class TestSimulateMatvec:
+    @pytest.mark.parametrize(
+        "system", ["sli2.12", "sli1.4", "sli3.3", "binary16", "bfloat16", "toy5"])
+    def test_rows_match_scalar_ops_bit_for_bit(self, system):
+        fmt = resolve_system(system)
+        # n = 60 and 70 run as several column blocks with a partial last one.
+        cases = [(24, 0.0, 100.0), (40, 0.0, 1e4), (12, 0.0, 1e-3), (16, 0.0, 1.0),
+                 (70, 0.0, 100.0)]
+        if fmt.signed:
+            cases += [(20, -100.0, 100.0), (60, -100.0, 100.0)]
+        for n, lo, hi in cases:
+            rng = np.random.default_rng([n, 5])
+            a = rng.uniform(lo, hi, size=(n, n))
+            x = rng.uniform(0.0, 1.0, size=n)
+            a[rng.random((n, n)) < 0.1] = 0.0  # exact zero products
+            if lo < 0.0:
+                x *= rng.choice([-1.0, 1.0], size=n)
+                # Row 2 cancels exactly after two terms, row 3 halfway.
+                x[1] = x[0]
+                a[2, 1], a[2, 2:] = -a[2, 0], 0.0
+                a[3, 1] = -a[3, 0]
+            want = _matvec_by_rows(fmt, a, x)
+            got = _simulate_matvec(fmt, a, x)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (n, lo, hi)
+            if lo < 0.0:
+                assert want[2] == 0.0
+            if fmt == BINARY16 and hi == 1e4:
+                assert math.isinf(max(want))  # row sums past 65504
+
+    def test_multi_block_cases_end_in_a_partial_block(self):
+        for n in (60, 70):
+            cols = _LANE_BUDGET // n
+            assert 1 < cols < n and n % cols != 0
+
+    @pytest.mark.parametrize("system", ["sli2.12u", "toy5"])
+    def test_unsigned_rejects_negative_entries(self, system):
+        a = np.array([[1.0, 2.0], [3.0, -4.0]])
+        with pytest.raises(ValueError, match="unsigned"):
+            _simulate_matvec(resolve_system(system), a, np.array([0.5, 0.25]))
+
     def test_identity_product_is_exact(self):
         a = np.array([[1.0]])
         x = np.array([0.5])
@@ -274,6 +339,15 @@ class TestCliCommands:
         header, rows = read_dat(out)
         assert header == ["x", "binary16", SLI_COLUMN]
         assert [r[0] for r in rows] == [1.0, 1.25, 1.5]
+
+    def test_tables_wider_than_24_bits_are_refused(self, capsys):
+        for name in ("sli2.24", "b17e127"):  # 28 and 25 bits
+            start = time.perf_counter()
+            assert cli(["table", name]) == 1
+            assert time.perf_counter() - start < 5.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "refusing" in captured.err
 
     def test_matvec_writes_dat(self, tmp_path, capsys):
         out = tmp_path / "m.dat"
