@@ -644,4 +644,22 @@ def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> _Lanes:
     return _Lanes.of(zero, np.where(negative, -1, 1), np.where(big, 1, -1), level, k)
 
 
+def _decode_lanes(lanes: _Lanes, fmt: SliFormat) -> np.ndarray:
+    """decode per lane: the binary64 number decode gives."""
+    # phi peels zeta = level + index_k/scale down to the exact index and
+    # exponentiates it once per level, giving up with inf past the guard.
+    # Zero lanes skip that and keep their neutral index 0 as the value.
+    mag = lanes.index_k / fmt.index_scale
+    live = np.flatnonzero(~lanes.zero)
+    for step in range(1, fmt.max_level + 1):
+        live = live[lanes.level[live] >= step]
+        over = mag[live] > _EXP_MAX_ARG
+        mag[live[over]] = math.inf
+        live = live[~over]
+        mag[live] = _lane_map(math.exp, mag[live])
+    below = lanes.reciprocal < 0
+    mag[below] = 1.0 / mag[below]  # 1/inf is 0.0, as in decode_fields
+    return lanes.sign * mag
+
+
 from . import arith  # noqa: E402  (arith imports core; bound last for the dunders)

@@ -26,6 +26,7 @@ from .core import (
     BitWord,
     SliFormat,
     SliNumber,
+    _decode_lanes,
     _encode_lanes,
     decode,
     decode_fields,
@@ -37,7 +38,7 @@ from .core import (
 from .minifloat import FloatFormat, _fl_lanes, enumerate_floats, fl, fl_op
 
 __all__ = [
-    "ErrorRecord",
+    "ErrorTable",
     "ExperimentConfig",
     "SLI_COLUMN",
     "repr_error_sweep",
@@ -64,6 +65,12 @@ MAX_DIM = 5000
 # batches were slower and took 11 MB more peak RSS (2-core Xeon VM).
 _LANE_BUDGET = 2048
 
+# Rows of |A| summed at a time for the matvec's norm, and grid points
+# rounded or rows written at a time by the sweep and emit_dat: bounds on
+# transient memory, not tuning knobs.
+_ROW_BLOCK = 256
+_CHUNK_ROWS = 1 << 16
+
 
 def resolve_system(name: str) -> SliFormat | FloatFormat:
     """Parse a system name into an SLI or float format."""
@@ -77,18 +84,27 @@ def resolve_system(name: str) -> SliFormat | FloatFormat:
         raise ValueError(f"unknown system {name!r} (not an SLI or float format)") from None
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
-    """One x-axis sample: the key (input value or dimension) and one
-    nonnegative error per system, math.inf flagging overflow."""
+class ErrorTable:
+    """An experiment's result as columns: the x-axis key (input value or
+    dimension) and one error column per system, each error nonnegative
+    or math.inf flagging overflow.  len() is the row count."""
 
-    key: float
-    values: dict[str, float]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, key: Sequence[float] | np.ndarray, values: dict[str, Sequence[float] | np.ndarray]
+    ) -> None:
+        self.key = np.asarray(key, dtype=np.float64)
+        self.values = {name: np.asarray(v, dtype=np.float64) for name, v in values.items()}
+        if self.key.ndim != 1:
+            raise ValueError("key must be one column")
         for name, v in self.values.items():
-            if math.isnan(v) or (not math.isinf(v) and v < 0.0):
-                raise ValueError(f"error for {name} must be >= 0 or inf, got {v}")
+            if v.shape != self.key.shape:
+                raise ValueError(f"{name} has {v.size} rows for {self.key.size} keys")
+            bad = ~(v >= 0.0)  # negative or NaN
+            if bad.any():
+                raise ValueError(f"error for {name} must be >= 0 or inf, got {v[bad][0]}")
+
+    def __len__(self) -> int:
+        return self.key.size
 
 
 @dataclass(frozen=True)
@@ -126,35 +142,32 @@ class ExperimentConfig:
             raise ValueError("lo must not exceed hi")
 
 
-def _round_to_system(x: float, fmt: SliFormat | FloatFormat) -> float:
-    if isinstance(fmt, SliFormat):
-        return decode(encode(x, fmt))
-    return fl(x, fmt)
-
-
-def repr_error_sweep(cfg: ExperimentConfig) -> list[ErrorRecord]:
+def repr_error_sweep(cfg: ExperimentConfig) -> ErrorTable:
     """Relative representation error |round(x) - x| / |x| over a grid.
 
     The grid is sweep_min + i*sweep_step and must exclude zero.  SLI
-    systems round through encode/decode, floats through fl; a
-    non-finite rounding (float overflow) records math.inf.
+    systems round through encode/decode, floats through fl, all points
+    at once; a non-finite rounding (float overflow) records math.inf.
     """
     systems = [(name, resolve_system(name)) for name in cfg.systems]
     if cfg.sweep_min <= 0.0 <= cfg.sweep_max:
         raise ValueError("sweep range must exclude zero (relative error)")
     steps = int(math.floor((cfg.sweep_max - cfg.sweep_min) / cfg.sweep_step + 1e-9))
-    records = []
-    for i in range(steps + 1):
-        x = cfg.sweep_min + i * cfg.sweep_step
-        values: dict[str, float] = {}
+    x = cfg.sweep_min + np.arange(steps + 1) * cfg.sweep_step
+    if not x.all():  # the last point may pass sweep_max by 1e-9 steps
+        raise ValueError("sweep grid must exclude zero (relative error)")
+    values = {name: np.empty_like(x) for name, _ in systems}
+    for r0 in range(0, x.size, _CHUNK_ROWS):
+        xs = x[r0:r0 + _CHUNK_ROWS]
         for name, fmt in systems:
-            y = _round_to_system(x, fmt)
-            if math.isinf(y) or math.isnan(y):
-                values[name] = math.inf
+            if isinstance(fmt, SliFormat):
+                y = _decode_lanes(_encode_lanes(xs, fmt), fmt)
             else:
-                values[name] = abs(y - x) / abs(x)
-        records.append(ErrorRecord(x, values))
-    return records
+                y = _fl_lanes(xs, fmt)
+            err = np.abs(y - xs) / np.abs(xs)
+            err[~np.isfinite(y)] = math.inf
+            values[name][r0:r0 + _CHUNK_ROWS] = err
+    return ErrorTable(x, values)
 
 
 def _simulate_matvec(
@@ -179,7 +192,7 @@ def _simulate_matvec(
                 xr.take(np.repeat(np.arange(j0, j0 + width), n)))
             for j in range(width):
                 acc = arith._add_lanes(fmt, acc, prods.take(slice(j * n, (j + 1) * n)))
-        return [decode(SliNumber(fmt, *fields)) for fields in zip(*(f.tolist() for f in acc))]
+        return _decode_lanes(acc, fmt).tolist()
     xf = _fl_lanes(x, fmt)
     acc = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +204,7 @@ def _simulate_matvec(
     return acc.tolist()
 
 
-def matvec_backward_error(cfg: ExperimentConfig) -> list[ErrorRecord]:
+def matvec_backward_error(cfg: ExperimentConfig) -> ErrorTable:
     """Normwise relative backward error of simulated y = A x per dimension.
 
     For each n in cfg.dims: draw A ~ uniform(lo, hi)^(n x n) and
@@ -201,23 +214,26 @@ def matvec_backward_error(cfg: ExperimentConfig) -> list[ErrorRecord]:
     binary64 reference.  Any non-finite component flags inf.
     """
     systems = [(name, resolve_system(name)) for name in cfg.systems]
-    records = []
+    values: dict[str, list[float]] = {name: [] for name, _ in systems}
     for n in cfg.dims:
         rng = np.random.default_rng([cfg.seed, n])
         a = rng.uniform(cfg.lo, cfg.hi, size=(n, n))
         x = rng.uniform(0.0, 1.0, size=n)
         y_ref = a @ x
-        denom = float(np.abs(a).sum(axis=1).max() * np.abs(x).max())
-        values: dict[str, float] = {}
+        # Row sums of |A| a block of rows at a time: each row sums as it
+        # would in one np.abs(a).sum(axis=1), without a second n x n array.
+        norm_a = max(np.abs(a[r0:r0 + _ROW_BLOCK]).sum(axis=1).max()
+                     for r0 in range(0, n, _ROW_BLOCK))
+        denom = float(norm_a * np.abs(x).max())
         for name, fmt in systems:
             y_hat = _simulate_matvec(fmt, a, x)
             if all(math.isfinite(v) for v in y_hat):
                 diff = max(abs(h - float(r)) for h, r in zip(y_hat, y_ref))
-                values[name] = diff / denom if denom > 0.0 else (math.inf if diff else 0.0)
+                err = diff / denom if denom > 0.0 else (math.inf if diff else 0.0)
             else:
-                values[name] = math.inf
-        records.append(ErrorRecord(float(n), values))
-    return records
+                err = math.inf
+            values[name].append(err)
+    return ErrorTable(cfg.dims, values)
 
 
 def _field_text(v: float) -> str:
@@ -230,25 +246,22 @@ def _field_text(v: float) -> str:
     return format(v, ".17g")
 
 
-def emit_dat(records: Sequence[ErrorRecord], columns: Sequence[str], path: str | Path) -> None:
-    """Write records as a space-separated table: one header line of column
+def emit_dat(table: ErrorTable, columns: Sequence[str], path: str | Path) -> None:
+    """Write a table as space-separated text: one header line of column
     names, then key and per-system errors with 17 significant digits,
     non-finite entries as the "inf" sentinel.  Parsing the file back
     reproduces every value bit-exactly."""
-    names: list[str] | None = None
-    lines = [" ".join(columns)]
-    for rec in records:
-        keys = list(rec.values.keys())
-        if names is None:
-            names = keys
-            if len(columns) != 1 + len(names):
-                raise ValueError(
-                    f"{len(columns)} column names for {1 + len(names)} columns"
-                )
-        elif keys != names:
-            raise ValueError("inconsistent record columns")
-        lines.append(" ".join([_field_text(rec.key)] + [_field_text(v) for v in rec.values.values()]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    if len(columns) != 1 + len(table.values):
+        raise ValueError(f"{len(columns)} column names for {1 + len(table.values)} columns")
+    # "%.17g" spells every value as _field_text does once -0.0 is turned
+    # into 0.0, which adding 0.0 does and leaves every other value alone.
+    row = " ".join(["%.17g"] * len(columns)) + "\n"
+    cells = [table.key, *table.values.values()]
+    with open(path, "w", encoding="ascii") as f:
+        f.write(" ".join(columns) + "\n")
+        for r0 in range(0, len(table), _CHUNK_ROWS):
+            block = np.column_stack([c[r0:r0 + _CHUNK_ROWS] for c in cells]) + 0.0
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_dat(path: str | Path) -> tuple[list[str], list[list[float]]]:

@@ -338,9 +338,9 @@ def test_07_representation_error_sweep():
         sweep_max=math.e,
         sweep_step=1e-4,
     )
-    records = repr_error_sweep(cfg)
-    b16 = max(r.values["binary16"] for r in records)
-    sli = max(r.values["sli2.12"] for r in records)
+    table = repr_error_sweep(cfg)
+    b16 = float(table.values["binary16"].max())
+    sli = float(table.values["sli2.12"].max())
     sli_bound = 1.01 * math.e * 2.0**-13
     if not sli <= sli_bound:
         failures.append(f"sli2.12 max relative error {sli:g} above {sli_bound:g}")
@@ -436,10 +436,13 @@ def test_08_matvec_backward_error():
             systems=("binary16", "sli2.12"), dims=dims, lo=0.0, hi=hi, seed=2024
         )
         sli_errs = []
-        for rec in matvec_backward_error(cfg):
-            n = int(rec.key)
-            b16 = rec.values["binary16"]
-            sli = rec.values["sli2.12"]
+        table = matvec_backward_error(cfg)
+        for key, b16, sli in zip(
+            table.key.tolist(),
+            table.values["binary16"].tolist(),
+            table.values["sli2.12"].tolist(),
+        ):
+            n = int(key)
             sli_errs.append(sli)
             a, x = _matvec_inputs(cfg, n)
             rows = a @ x
@@ -492,7 +495,7 @@ def test_08_matvec_backward_error():
     # Unit entries: both systems stay finite with errors that grow
     # with n, across independent seeds.
     for seed in range(2024, 2029):
-        recs = matvec_backward_error(
+        table = matvec_backward_error(
             ExperimentConfig(
                 systems=("binary16", "sli2.12"),
                 dims=(10, 100, 1000),
@@ -502,7 +505,7 @@ def test_08_matvec_backward_error():
             )
         )
         for name in ("binary16", "sli2.12"):
-            errs = [r.values[name] for r in recs]
+            errs = table.values[name].tolist()
             if not all(math.isfinite(e) and e >= 0.0 for e in errs):
                 failures.append(f"seed {seed} {name}: non-finite errors {errs}")
                 continue

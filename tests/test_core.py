@@ -11,7 +11,9 @@ from sliarith.core import (
     BitWord,
     SliFormat,
     SliNumber,
+    _decode_lanes,
     _encode_lanes,
+    _Lanes,
     _round_index_lanes,
     decode,
     decode_fields,
@@ -200,6 +202,22 @@ class TestEncodeDecode:
             want = [encode(float(v), fmt) for v in values]
             assert list(zip(*(f.tolist() for f in got))) == [
                 (n.is_zero, n.sign, n.reciprocal, n.level, n.index_k) for n in want]
+
+    def test_lane_form_matches_decode(self):
+        # Every word, zero and the sign-bit zero word included.  sli3.3
+        # reaches level 8, whose top levels overflow binary64: inf, and
+        # 0.0 (signed) for their reciprocals.
+        for fmt in (SliFormat(1, 4), SliFormat(2, 6), SliFormat(3, 3)):
+            nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
+            lanes = _Lanes(*map(np.array, zip(*(
+                (n.is_zero, n.sign, n.reciprocal, n.level, n.index_k) for n in nums))))
+            got = _decode_lanes(lanes, fmt)
+            want = [decode(n) for n in nums]
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+            assert sum(n.is_zero for n in nums) == 2
+        assert math.inf in want and -math.inf in want
+        assert [v for v in want if v == 0.0 and math.copysign(1.0, v) < 0]
+        assert want.count(0.0) > 2  # reciprocals of overflowed magnitudes
 
     def test_lane_form_errors(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -1,19 +1,21 @@
 """Tests for the experiment harness, .dat serialization, and the CLI."""
 
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
-from sliarith import arith
+from sliarith import arith, experiments
 from sliarith.core import SliFormat, SliNumber, decode, encode
 from sliarith.experiments import (
     _LANE_BUDGET,
     MAX_DIM,
     SLI_COLUMN,
-    ErrorRecord,
+    ErrorTable,
     ExperimentConfig,
+    _field_text,
     _simulate_matvec,
     cli,
     emit_dat,
@@ -25,6 +27,11 @@ from sliarith.experiments import (
 from sliarith.minifloat import BINARY16, TOY5, FloatFormat, fl, fl_op
 
 F = SliFormat(2, 12)
+
+
+def _rows(table: ErrorTable) -> list[tuple[float, ...]]:
+    """(key, error per system) for every row of a table."""
+    return list(zip(table.key.tolist(), *(v.tolist() for v in table.values.values())))
 
 
 class TestResolveSystem:
@@ -40,16 +47,19 @@ class TestResolveSystem:
             resolve_system("float128")
 
 
-class TestErrorRecord:
+class TestErrorTable:
     def test_accepts_inf(self):
-        r = ErrorRecord(3.0, {"a": 0.0, "b": math.inf})
-        assert r.values["b"] == math.inf
+        t = ErrorTable([3.0, 4.0], {"a": [0.0, 1.0], "b": [math.inf, 0.5]})
+        assert len(t) == 2
+        assert t.values["b"][0] == math.inf
 
     def test_rejects_negative_and_nan(self):
         with pytest.raises(ValueError):
-            ErrorRecord(1.0, {"a": -1e-9})
+            ErrorTable([1.0, 2.0], {"a": [0.0, -1e-9]})
         with pytest.raises(ValueError):
-            ErrorRecord(1.0, {"a": math.nan})
+            ErrorTable([1.0], {"a": [math.nan]})
+        with pytest.raises(ValueError):
+            ErrorTable([1.0], {"a": [-math.inf]})
 
 
 class TestExperimentConfig:
@@ -80,27 +90,34 @@ class TestReprSweep:
         cfg = ExperimentConfig(
             systems=("binary16", "sli2.12"), sweep_min=1.0, sweep_max=1.0, sweep_step=1.0
         )
-        (rec,) = repr_error_sweep(cfg)
-        assert rec.values == {"binary16": 0.0, "sli2.12": 0.0}
+        t = repr_error_sweep(cfg)
+        assert len(t) == 1
+        assert {k: v.tolist() for k, v in t.values.items()} == {
+            "binary16": [0.0], "sli2.12": [0.0]}
 
     def test_e_is_exact_in_sli(self):
         # psi(e) = 2 exactly, a grid point of every SLI format
         cfg = ExperimentConfig(
             systems=("sli2.12",), sweep_min=math.e, sweep_max=math.e, sweep_step=1.0
         )
-        (rec,) = repr_error_sweep(cfg)
-        assert rec.values["sli2.12"] == 0.0
+        t = repr_error_sweep(cfg)
+        assert t.values["sli2.12"].tolist() == [0.0]
 
     def test_grid_walk(self):
         cfg = ExperimentConfig(
             systems=("binary16",), sweep_min=1.0, sweep_max=2.0, sweep_step=0.5
         )
-        recs = repr_error_sweep(cfg)
-        assert [r.key for r in recs] == [1.0, 1.5, 2.0]
+        t = repr_error_sweep(cfg)
+        assert t.key.tolist() == [1.0, 1.5, 2.0]
 
     def test_zero_in_range_rejected(self):
         cfg = ExperimentConfig(systems=("binary16",), sweep_min=-1.0, sweep_max=1.0)
         with pytest.raises(ValueError):
+            repr_error_sweep(cfg)
+        # The grid's last point may pass sweep_max by 1e-9 steps, here onto 0.
+        cfg = ExperimentConfig(
+            systems=("binary16",), sweep_min=-1.0, sweep_max=-1e-12, sweep_step=1.0)
+        with pytest.raises(ValueError, match="exclude zero"):
             repr_error_sweep(cfg)
 
     def test_float_overflow_flags_inf(self):
@@ -110,17 +127,46 @@ class TestReprSweep:
             sweep_max=16.0,
             sweep_step=0.5,
         )
-        recs = repr_error_sweep(cfg)
-        flags = [math.isinf(r.values["toy5"]) for r in recs]
+        t = repr_error_sweep(cfg)
+        flags = np.isinf(t.values["toy5"]).tolist()
         assert flags == [False, True, True, True]  # overflow starts at 15.0
-        assert all(math.isfinite(r.values["sli2.12u"]) for r in recs)
+        assert np.isfinite(t.values["sli2.12u"]).all()
+
+    @pytest.mark.parametrize("systems, lo, hi, step", [
+        # Down into binary16 subnormals (below 2**-14).
+        (("binary16", "sli2.12"), 1e-8, 1e-4, 1e-7),
+        # toy5 overflows from 15 on, sli1.4 saturates above 12.85.
+        (("toy5", "sli1.4"), 0.001, 50.0, 0.05),
+        (("bfloat16", "sli2.12u"), 1e-30, 1e30, 1e27),
+        (("binary16", "sli2.12", "b4e7", "sli3.3"), -8.0, -0.01, 1e-2),
+    ])
+    def test_matches_scalar_rounding_bit_for_bit(self, systems, lo, hi, step, monkeypatch):
+        # Several chunks of 300 points, the last one partial.
+        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 300)
+        cfg = ExperimentConfig(systems=systems, sweep_min=lo, sweep_max=hi, sweep_step=step)
+        t = repr_error_sweep(cfg)
+        steps = int(math.floor((hi - lo) / step + 1e-9))
+        x = [lo + i * step for i in range(steps + 1)]
+        assert t.key.tolist() == x
+        assert len(x) > 600 and len(x) % 300
+        for name in systems:
+            fmt = resolve_system(name)
+            want = []
+            for xi in x:
+                y = decode(encode(xi, fmt)) if isinstance(fmt, SliFormat) else fl(xi, fmt)
+                want.append(abs(y - xi) / abs(xi) if math.isfinite(y) else math.inf)
+            assert list(map(float.hex, t.values[name].tolist())) == list(map(float.hex, want))
+        if "toy5" in systems:
+            assert np.isinf(t.values["toy5"]).any()
+            assert max(x) > resolve_system("sli1.4").max_value
+            assert np.isfinite(t.values["sli1.4"]).all()
 
     def test_sli_error_bounded_by_index_quantum(self):
         cfg = ExperimentConfig(
             systems=("sli2.12",), sweep_min=0.5, sweep_max=4.0, sweep_step=0.01
         )
-        for rec in repr_error_sweep(cfg):
-            assert rec.values["sli2.12"] <= math.e * 2.0**-13 * 1.01
+        for err in repr_error_sweep(cfg).values["sli2.12"]:
+            assert err <= math.e * 2.0**-13 * 1.01
 
 
 def _matvec_by_rows(fmt, a, x) -> list[float]:
@@ -206,7 +252,7 @@ class TestMatvecBackwardError:
         cfg = ExperimentConfig(systems=("binary16", "sli2.12"), dims=(3, 7))
         a = matvec_backward_error(cfg)
         b = matvec_backward_error(cfg)
-        assert [(r.key, r.values) for r in a] == [(r.key, r.values) for r in b]
+        assert _rows(a) == _rows(b)
 
     def test_substreams_are_per_dimension(self):
         solo = matvec_backward_error(
@@ -215,13 +261,12 @@ class TestMatvecBackwardError:
         pair = matvec_backward_error(
             ExperimentConfig(systems=("binary16",), dims=(2, 4))
         )
-        assert pair[1].key == 4.0
-        assert pair[1].values == solo[0].values
+        assert _rows(pair)[1] == _rows(solo)[0]
 
     def test_errors_are_small_at_toy_size(self):
         cfg = ExperimentConfig(systems=("binary16", "sli2.12"), dims=(5,))
-        (rec,) = matvec_backward_error(cfg)
-        for v in rec.values.values():
+        ((_, *errs),) = _rows(matvec_backward_error(cfg))
+        for v in errs:
             assert 0.0 <= v < 1e-2
 
     def test_seed_changes_data(self):
@@ -231,17 +276,15 @@ class TestMatvecBackwardError:
         b = matvec_backward_error(
             ExperimentConfig(systems=("binary16",), dims=(6,), seed=2)
         )
-        assert a[0].values != b[0].values
+        assert _rows(a) != _rows(b)
 
 
 class TestDatFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "t.dat"
-        records = [
-            ErrorRecord(1.0, {"a": 0.1234567890123456789, "b": 0.0}),
-            ErrorRecord(2.5, {"a": math.inf, "b": 2.0**-53}),
-        ]
-        emit_dat(records, ["x", "a", "b"], path)
+        table = ErrorTable(
+            [1.0, 2.5], {"a": [0.1234567890123456789, math.inf], "b": [0.0, 2.0**-53]})
+        emit_dat(table, ["x", "a", "b"], path)
         header, rows = read_dat(path)
         assert header == ["x", "a", "b"]
         assert rows[0] == [1.0, 0.1234567890123456789, 0.0]
@@ -249,13 +292,13 @@ class TestDatFiles:
 
     def test_header_text_verbatim(self, tmp_path):
         path = tmp_path / "t.dat"
-        emit_dat([ErrorRecord(1.0, {"m": 0.5})], ["n", "level-index"], path)
+        emit_dat(ErrorTable([1.0], {"m": [0.5]}), ["n", "level-index"], path)
         first = path.read_text().splitlines()[0]
         assert first == "n level-index"
 
     def test_empty_records_write_header_only(self, tmp_path):
         path = tmp_path / "t.dat"
-        emit_dat([], ["x", "a"], path)
+        emit_dat(ErrorTable([], {"a": []}), ["x", "a"], path)
         assert path.read_text() == "x a\n"
         header, rows = read_dat(path)
         assert header == ["x", "a"] and rows == []
@@ -263,16 +306,32 @@ class TestDatFiles:
     def test_column_count_must_match(self, tmp_path):
         path = tmp_path / "t.dat"
         with pytest.raises(ValueError):
-            emit_dat([ErrorRecord(1.0, {"a": 0.0})], ["x", "a", "b"], path)
-
-    def test_inconsistent_records_rejected(self, tmp_path):
-        path = tmp_path / "t.dat"
-        records = [
-            ErrorRecord(1.0, {"a": 0.0}),
-            ErrorRecord(2.0, {"b": 0.0}),
-        ]
+            emit_dat(ErrorTable([1.0], {"a": [0.0]}), ["x", "a", "b"], path)
         with pytest.raises(ValueError):
-            emit_dat(records, ["x", "a"], path)
+            emit_dat(ErrorTable([], {"a": []}), ["x"], path)
+        assert not path.exists()
+
+    def test_inconsistent_records_rejected(self):
+        # A column that does not have one entry per key.
+        with pytest.raises(ValueError, match="rows"):
+            ErrorTable([1.0, 2.0], {"a": [0.0, 0.0], "b": [0.0]})
+        with pytest.raises(ValueError):
+            ErrorTable([[1.0]], {"a": [[0.0]]})
+
+    def test_rows_spelled_as_field_text(self, tmp_path, monkeypatch):
+        # Several write chunks, the last one partial, and every special
+        # value a key or an error can take.
+        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 3)
+        key = [1.0, -0.0, 0.0, -2.5, math.inf, -math.inf, math.nan, 5e-324,
+               0.1, 1e300, -1e-300, 65504.0]
+        errs = [0.0, -0.0, math.inf, 2.0**-53, 1.0 / 3.0, 5e-324, 0.1, 1e22,
+                1e-7, 1e16, 123456789.0, 7.0]
+        path = tmp_path / "t.dat"
+        emit_dat(ErrorTable(key, {"a": errs}), ["x", "a"], path)
+        want = "x a\n" + "".join(
+            f"{_field_text(k)} {_field_text(e)}\n" for k, e in zip(key, errs))
+        assert path.read_text() == want
+        assert "-0" not in path.read_text().split()
 
     def test_read_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.dat"
@@ -356,6 +415,29 @@ class TestCliCommands:
         header, rows = read_dat(out)
         assert header == ["n", "binary16", SLI_COLUMN]
         assert [r[0] for r in rows] == [2.0, 3.0]
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["sweep-repr", "--step", "1e-3"],
+         "1fd8656735a44eb67358c85699c432d3a24bfaf125bca5a8364c7539dc532f8c"),
+        (["sweep-repr", "--sli", "sli1.4", "--float", "toy5", "--min", "0.001",
+          "--max", "50", "--step", "1e-2"],
+         "5f0f64174d6c2f089d5ff9775f6507d01debcde0656bb1a5e1934cc3bb3b0c89"),
+        (["matvec", "--dims", "10,50", "--hi", "100", "--seed", "2024"],
+         "18cef508c8f5578ac67a40f49dae9338b51d853a4538b1eec4b82e4943e9dec6"),
+    ])
+    def test_dat_bytes_are_pinned(self, tmp_path, capsys, argv, sha256):
+        """The .dat bytes of three runs, pinned by SHA-256.
+
+        The SLI columns go through the C library's exp and log, so the
+        hashes hold for the libm they were taken with (glibc, Python
+        3.11, numpy 2.4, x86-64); another libm may round a few
+        intermediates differently and fail this test without any change
+        to sliarith.
+        """
+        out = tmp_path / "run.dat"
+        assert cli([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_runs_are_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.dat"
