@@ -39,10 +39,15 @@ import numpy as np
 from .core import (
     SliFormat,
     SliNumber,
+    _EXP_GONE,
+    _TINY,
+    _TRANS,
+    _U,
     _Lanes,
-    _lane_map,
+    _log,
     _psi_lanes,
     _round_index_lanes,
+    _unsettled,
     magnitude_rank,
     psi,
     round_index,
@@ -82,6 +87,8 @@ def li_add_sub(
     zeta_y: float,
     subtract: bool = False,
     trace: SequenceState | None = None,
+    *,
+    err=(0.0, 0.0),
 ) -> float:
     """Magnitude add/subtract on generalized descriptors.
 
@@ -91,11 +98,16 @@ def li_add_sub(
     exact cancellation returns 0.0.
 
     zeta_x and zeta_y may also be equal-length float64 arrays, with
-    subtract a bool or a bool array; then every element is one kernel
-    run, the same number as the scalar call gives, and trace is unused.
+    subtract a bool or a bool array.  Then every element is one kernel
+    run on numpy's exp and log, which may differ from the scalar call's
+    libm result in the last bits, and the call returns two arrays: the
+    descriptors, and per element a bound on the distance from the
+    scalar call's descriptor (inf where the kernel has none).  err
+    bounds the inputs' own distances from the scalar path's inputs, as
+    a bound returned by an earlier array call does; trace is unused.
     """
     if isinstance(zeta_x, np.ndarray):
-        return _li_add_sub_lanes(zeta_x, zeta_y, subtract)
+        return _li_add_sub_lanes(zeta_x, zeta_y, subtract, err)
     if not 0.0 <= zeta_y <= zeta_x < math.inf:
         raise ValueError(
             f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x}, {zeta_y}"
@@ -172,7 +184,7 @@ def li_add_sub(
 
 
 def li_mul_div(
-    zeta_x: float, zeta_y: float, divide: bool = False
+    zeta_x: float, zeta_y: float, divide: bool = False, *, err=(0.0, 0.0)
 ) -> tuple[float, bool]:
     """Magnitude multiply/divide on descriptors with zeta >= 1.
 
@@ -185,11 +197,12 @@ def li_mul_div(
     exactly (1.0, False).
 
     Takes equal-length float64 arrays too, with divide a bool or a bool
-    array, and then returns two arrays, element by element the scalar
-    results.
+    array and err as in li_add_sub, and then returns three arrays: the
+    descriptors, the flipped flags (the scalar results' own), and the
+    bounds li_add_sub gives for the descriptors.
     """
     if isinstance(zeta_x, np.ndarray):
-        return _li_mul_div_lanes(zeta_x, zeta_y, divide)
+        return _li_mul_div_lanes(zeta_x, zeta_y, divide, err)
     if not (1.0 <= zeta_x < math.inf and 1.0 <= zeta_y < math.inf):
         raise ValueError(f"need finite descriptors >= 1, got {zeta_x}, {zeta_y}")
     flipped = False
@@ -355,108 +368,185 @@ def compare(x: SliNumber, y: SliNumber) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Lane forms of the kernels and of add/mul, one array element per operation
-# (see the lane section of core).  The kernels are reached through the names
-# li_add_sub and li_mul_div, like the scalar ops reach them.
+# Lane forms of the kernels and of add/mul, one array element per operation.
+# They run on numpy's exp and log, carry the bounds described in the lane
+# section of core, and hand lanes those bounds cannot settle to the scalar op.
+# The kernels are reached through the names li_add_sub and li_mul_div, like
+# the scalar ops reach them.
 
 
-def _exp_neg_ratio(num, den: np.ndarray) -> np.ndarray:
-    """exp(-num/den) where den > 0, else 0.0, with num a float or an
-    array like den.  A quotient past the binary64 range is -inf and its
-    exp 0.0, as with Python floats.
-    """
-    pos = den > 0.0
-    with np.errstate(over="ignore"):
-        q = -num / np.where(pos, den, 1.0)
-    out = np.zeros(den.shape)
-    out[pos] = _lane_map(math.exp, q[pos])
-    return out
-
-
-def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract) -> np.ndarray:
-    """li_add_sub per lane; each lane leaves its ladders where the scalar
-    kernel would return."""
+def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
+                      err=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """li_add_sub per lane, and per lane a bound on the distance from the
+    scalar kernel's result, given bounds err on the inputs' distances."""
     ok = (0.0 <= zeta_y) & (zeta_y <= zeta_x) & (zeta_x < math.inf)
     if not ok.all():
         i = int(np.argmin(ok))
         raise ValueError(
             f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x[i]}, {zeta_y[i]}"
         )
-    subtract = np.full(zeta_x.shape, subtract)
-    out = np.zeros(zeta_x.shape)  # equal descriptors subtracted stay 0.0
-    live = ~(subtract & (zeta_x == zeta_y))
+    subtract = np.asarray(subtract)
+    ex, ey = err
+    lad = zeta_x >= 1.0
+    with np.errstate(all="ignore"):  # dead lanes divide by zero, log 0, ...
+        if np.count_nonzero(lad) == lad.size:  # the usual case: all climb ladders
+            out, bound = _ladders(zeta_x, zeta_y, subtract, ex, ey)
+        else:
+            out, bound = np.empty(zeta_x.shape), np.empty(zeta_x.shape)
+            subtract, ex, ey = (np.broadcast_to(v, zeta_x.shape) for v in (subtract, ex, ey))
+            if lad.any():
+                out[lad], bound[lad] = _ladders(
+                    zeta_x[lad], zeta_y[lad], subtract[lad], ex[lad], ey[lad])
+            # Both magnitudes are raw values below one.
+            raw = ~lad
+            zx, zy = zeta_x[raw], zeta_y[raw]
+            v = np.where(subtract[raw], zx - zy, zx + zy)
+            out[raw], bound[raw] = _psi_lanes(v, ex[raw] + ey[raw] + 2 * _U * v)
+        # Equal descriptors subtracted cancel to exactly 0.0; from inexact
+        # inputs the scalar path may not see them equal.
+        same = subtract & (zeta_x == zeta_y)
+        if np.count_nonzero(same):
+            out[same] = 0.0
+            bound[same] = np.where((ex + ey > 0.0) & same, math.inf, 0.0)[same]
+    np.copyto(bound, math.inf, where=np.isnan(bound))
+    return out, bound
 
-    raw = live & (zeta_x < 1.0)
-    if raw.any():
-        # Both magnitudes are raw values below one.
-        zx, zy = zeta_x[raw], zeta_y[raw]
-        v = np.where(subtract[raw], zx - zy, zx + zy)
-        out[raw] = np.where(v >= 1.0, _psi_lanes(v), np.maximum(v, 0.0))
 
-    idx = np.flatnonzero(live & (zeta_x >= 1.0))
-    if not idx.size:
-        return out
-    zx, zy, sub = zeta_x[idx], zeta_y[idx], subtract[idx]
+def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
+    """The ladders of li_add_sub for lanes with zx >= 1, every lane at
+    every level, each lane left where the scalar kernel would return.
+    Bounds named r* are relative, e* absolute; a lane with a rung that
+    has no relative bound gets inf (or NaN)."""
+    n = zx.size
     lev = np.trunc(zx)
     f = zx - lev
-    lev = lev.astype(np.intp)
     top = int(lev.max())
 
-    # Reciprocal ladders of X, row j = a_j, each walked down from its
-    # lane's top level.
-    a = np.zeros((top, idx.size))
+    # Reciprocal ladders of X: row j holds a_j and its bound ra, and
+    # ia = 1/a_j with ria bounding the other path's 1/a_j relative to ia:
+    # ra/(1 - ra) <= 2 ra while ra <= 1/2 (other lanes get inf at the
+    # end), plus the division's 2u.  Each lane starts at its top level;
+    # rows above it restart there.
+    a, ra = np.empty((top, n)), np.empty((top, n))
+    ia, ria = np.empty((top, n)), np.empty((top, n))
+    a_top, ra_top = np.exp(-f), np.expm1(ex + _TRANS)
+    a[top - 1], ra[top - 1] = a_top, ra_top
     for j in range(top - 1, -1, -1):
-        start = lev - 1 == j
-        a[j, start] = _lane_map(math.exp, -f[start])
-        walk = lev - 1 > j
-        if walk.any():
-            a[j, walk] = _exp_neg_ratio(1.0, a[j + 1, walk])
+        np.divide(1.0, a[j], out=ia[j])
+        np.multiply(ra[j] + _U, 2.0, out=ria[j])
+        if j:
+            # a_{j-1} = exp(-1/a_j); a rung that underflows past
+            # _EXP_GONE on both paths is exactly +0, with bound 0.
+            np.exp(-ia[j], out=a[j - 1])
+            np.expm1(ia[j] * ria[j] + _TRANS, out=ra[j - 1])
+            if np.count_nonzero(a[j - 1] == 0.0):
+                np.copyto(ra[j - 1], 0.0, where=ia[j] * (1.0 - ria[j]) > _EXP_GONE)
+            start = lev <= j
+            if np.count_nonzero(start):
+                np.copyto(a[j - 1], a_top, where=start)
+                np.copyto(ra[j - 1], ra_top, where=start)
+    # Other rungs below the normal range have no relative bound.
+    deep = (((a < _TINY) & (ra != 0.0)) | (ra > 0.5)).any(axis=0)
+    ia_hi = ia * (1.0 + ria)  # bounds 1/a_j on either path
+    ria += 4 * _U  # and the rounding of a product with ia
+    ra_hi = 1.0 + ra
 
-    # Ratio ladders of Y against X, down to b_0.
+    # Ratio ladders of Y against X down to b_0, bounds eb; a raw Y (m = 0)
+    # keeps b_0 = a_0 g.  _TINY covers results below the normal range.
     m = np.trunc(zy)
     g = zy - m
-    m = m.astype(np.intp)
-    b = a[0] * g  # kept where m == 0
-    for j in range(top - 1, -1, -1):
-        start = m - 1 == j
-        b[start] = a[j, start] * _lane_map(math.exp, g[start])
-        walk = m - 1 > j
-        if walk.any():
-            d = 1.0 - b[walk]
-            step = _exp_neg_ratio(d, np.where(d > 0.0, a[j + 1, walk], 0.0))
-            step[d <= 0.0] = 1.0
-            b[walk] = step
+    b = a[0] * g
+    eb = b * (ra[0] + 2 * _U) + a[0] * ra_hi[0] * ey + _TINY
+    m_top = int(m.max())
+    if m_top:
+        exp_g = np.exp(g)
+        rb_start = ra + np.expm1(ey + _TRANS) * ra_hi + 2 * _U
+    for j in range(m_top - 1, -1, -1):
+        if j < m_top - 1:
+            # b_j = exp(-(1 - b_{j+1}) / a_{j+1}), 1 once that difference
+            # is <= 0.
+            walk = m > j + 1
+            d = np.maximum(1.0 - b, 0.0)
+            q = d * ia[j + 1]
+            eq = (eb + 2 * _U) * ia_hi[j + 1] + q * ria[j + 1]
+            step = np.exp(-q)
+            # The other path's b is within e**eq of exp(-q), which itself
+            # is at most step plus the least subnormal; both b lie in [0, 1].
+            eb_step = np.minimum((step + 5e-324) * np.expm1(eq + _TRANS), 1.0) + _TINY
+            far = eq > 1.0
+            if np.count_nonzero(far):
+                # or the other b is below exp(eq - q), and this one is step
+                np.copyto(eb_step, np.maximum(step, np.exp(eq - q + _TRANS)) + _TINY,
+                          where=far & (eq < q))
+            zero_rung = ra[j + 1] == 0.0
+            if np.count_nonzero(zero_rung):
+                # Below a rung that is +0 on both paths b_j is 1 where the
+                # difference is 0, else 0: settled unless its sign is not.
+                np.copyto(step, d == 0.0, where=zero_rung)
+                np.copyto(eb_step, np.where(d > eb + 2 * _U, _TINY, 1.0), where=zero_rung)
+            np.copyto(eb, eb_step, where=walk)
+            np.copyto(b, step, where=walk)
+        start = m == j + 1
+        if np.count_nonzero(start):
+            b_start = a[j] * exp_g
+            np.copyto(eb, b_start * rb_start[j], where=start)
+            np.copyto(b, b_start, where=start)
 
+    # Result against X, c_0 = 1 -/+ b_0, up the levels of X until c_j < a_j,
+    # which an addition (c_j >= 1) never meets.
     c = np.where(sub, 1.0 - b, 1.0 + b)
-    res = np.empty(idx.size)
-    ran_out = []
-    act = np.arange(idx.size)
-    j = 0
-    while True:
-        cj, aj = c[act], a[j, act]
-        at_j = cj <= 0.0
-        res[act[at_j]] = float(j)
-        below = ~at_j & (cj < aj)
-        res[act[below]] = j + cj[below] / aj[below]
-        go = ~(at_j | below)
-        last = lev[act] - 1 == j
-        ran_out.append(act[go & last])
-        act = act[go & ~last]
-        if not act.size:
+    ec = eb + 4 * _U
+    terminate = np.count_nonzero(sub)
+    if terminate:
+        res, eres = np.zeros(n), np.zeros(n)
+        running = np.ones(n, dtype=bool)
+        ran_out = np.zeros(n, dtype=bool)
+    ra += 2 * _U  # and the rounding of a product with a
+    for j in range(top):
+        if terminate:
+            # c <= 0: the result is j on the nose, where the other path
+            # may still hold c up to ec.  c < a_j: phi(zeta_z - j) = c/a_j.
+            hit = running & (c <= 0.0)
+            below = running & ~hit & (c < a[j])
+            r = c * ia[j]
+            np.copyto(res, j, where=hit)
+            np.copyto(res, j + r, where=below)
+            np.copyto(eres, ec * ia_hi[j], where=hit)
+            np.copyto(eres, ec * ia_hi[j] + np.abs(r) * ria[j] + 2 * _U * (j + r), where=below)
+            running &= ~(hit | below)
+            climb = running & (lev > j + 1)
+            ran_out |= running & ~climb
+            running = climb
+        else:
+            climb = lev > j + 1
+        if not np.count_nonzero(climb):
             break
-        j += 1
-        c[act] = 1.0 + a[j, act] * _lane_map(math.log, c[act])
+        # c_{j+1} = 1 + a_{j+1} ln c_j; a zero rung on both paths keeps
+        # c = 1 exactly.
+        log_c, elog = _log(c, ec)
+        p = a[j + 1] * log_c
+        ep = (np.abs(log_c) * ra[j + 1] + ra_hi[j + 1] * elog) * a[j + 1] + 4 * _U
+        np.copyto(c, 1.0 + p, where=climb)
+        np.copyto(ec, ep, where=climb)
 
-    done = np.concatenate(ran_out)
-    h = f[done] + _lane_map(math.log, c[done])
-    h[h < 0.0] = 0.0
-    res[done] = lev[done] + _psi_lanes(h)
-    out[idx] = res
-    return out
+    # Ran through every level: h = f + ln c_{l-1} = phi(zeta_z - l), below
+    # 1 + ln 2, so psi(h) takes at most one more log.
+    log_c, elog = _log(c, ec)
+    h = np.maximum(f + log_c, 0.0)  # roundoff below the a_{l-1} <= c guarantee
+    eh = ex + elog + 2 * _U * h
+    log_h, elog_h = _log(h, eh)
+    up = h >= 1.0
+    zeta = lev + np.where(up, 1.0 + log_h, h)
+    err = np.where(up, elog_h, eh) + 4 * _U * zeta
+    if terminate:
+        zeta = np.where(ran_out, zeta, res)
+        err = np.where(ran_out, err, eres)
+    err[deep] = math.inf
+    return zeta, err
 
 
-def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
-    """li_mul_div per lane."""
+def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide, err=(0.0, 0.0)):
+    """li_mul_div per lane, with the bound li_add_sub gives."""
     ok = (1.0 <= zeta_x) & (zeta_x < math.inf) & (1.0 <= zeta_y) & (zeta_y < math.inf)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -466,39 +556,45 @@ def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
     swap = zeta_x < zeta_y
     hi = np.where(swap, zeta_y, zeta_x)
     lo = np.where(swap, zeta_x, zeta_y)
-    w = li_add_sub(hi - 1.0, lo - 1.0, divide)
-    return w + 1.0, swap & divide
+    ex, ey = err
+    w, bound = li_add_sub(hi - 1.0, lo - 1.0, divide,
+                          err=(np.where(swap, ey, ex), np.where(swap, ex, ey)))
+    w += 1.0
+    return w, swap & divide, bound + 2 * _U * w
 
 
-def _recip_chain_lanes(zeta: np.ndarray) -> np.ndarray:
-    """_recip_chain per lane."""
+def _recip_chain_lanes(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_recip_chain per lane, with its absolute bound."""
     lev = np.trunc(zeta)
-    a = _lane_map(math.exp, -(zeta - lev))
-    steps = lev.astype(np.intp) - 1
-    for s in range(int(steps.max(initial=0))):
-        walk = steps > s
-        a[walk] = _exp_neg_ratio(1.0, a[walk])
-    return a
+    a, rel = np.exp(-(zeta - lev)), np.full(zeta.shape, np.expm1(_TRANS))
+    for s in range(int(lev.max(initial=1)) - 1):
+        walk = lev > s + 1
+        q = 1.0 / a
+        q_rel = rel / np.maximum(1.0 - rel, 0.0) + 2 * _U
+        step_rel = np.expm1(q * q_rel + _TRANS)
+        step_rel[q * (1.0 - q_rel) > _EXP_GONE] = 0.0  # +0 on both paths
+        np.copyto(rel, step_rel, where=walk)
+        np.copyto(a, np.exp(-q), where=walk)
+    # Below the normal range an exp result is off by a few 2**-1074 at most.
+    return a, a * rel + _TINY
 
 
-def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray) -> _Lanes:
-    """_materialize per lane: zeta <= 0 is zero."""
+def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray):
+    """_materialize per lane (zeta <= 0 is zero), and the lanes whose
+    rounding err cannot settle; a zero lane is settled only by err 0."""
     zero = zeta <= 0.0
-    level, k = _round_index_lanes(np.where(zero, 1.0, zeta), fmt)
-    return _Lanes.of(zero, sign, reciprocal, level, k)
+    unsettled = np.where(zero, err != 0.0, _unsettled(zeta, err, fmt))
+    level, k = _round_index_lanes(np.where(zero | unsettled, 1.0, zeta), fmt)
+    return _Lanes.of(zero, sign, reciprocal, level, k), unsettled
 
 
 def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
     """add per lane.  Zero lanes, whose neutral fields read as one, run
     through the kernels like the rest and are replaced at the end."""
-    half = 1 << (fmt.level_bits + fmt.index_bits)
-
-    def rank(n: _Lanes) -> np.ndarray:
-        return half - 1 + n.reciprocal * ((n.level - 1) << fmt.index_bits | n.index_k)
-
-    # big is y where swap, else x; small the other one.
-    swap = rank(x) < rank(y)
     zx, zy = x.zeta(fmt), y.zeta(fmt)
+    # r (zeta - 1) orders magnitudes exactly as magnitude_rank does; big
+    # is y where swap, else x, and small the other one.
+    swap = x.reciprocal * (zx - 1.0) < y.reciprocal * (zy - 1.0)
     bz, sz = np.where(swap, zy, zx), np.where(swap, zx, zy)
     up = np.where(swap, y.reciprocal, x.reciprocal) > 0
     # Equal opposites have equal descriptors on both branches, which the
@@ -507,29 +603,45 @@ def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
     # Kernel operands: (big, small) when big is at least one; (small, big)
     # when both are below one, where zeta orders magnitudes the other way.
     kx, ky = np.where(up, bz, sz), np.where(up, sz, bz)
-    # A small operand below one is fed as a raw level-0 descriptor.
-    chain = up & (np.where(swap, x.reciprocal, y.reciprocal) < 0)
-    ky[chain] = _recip_chain_lanes(sz[chain])
-    w = li_add_sub(kx, ky, subtract)
+    err_y = 0.0
+    with np.errstate(all="ignore"):  # log 0 and 1/0 on dead lanes
+        # A small operand below one is fed as a raw level-0 descriptor.
+        chain = up & (np.where(swap, x.reciprocal, y.reciprocal) < 0)
+        if np.count_nonzero(chain):
+            err_y = np.zeros(ky.shape)
+            ky[chain], err_y[chain] = _recip_chain_lanes(sz[chain])
+        zeta, err = li_add_sub(kx, ky, subtract, err=(0.0, err_y))
 
-    raw = (w > 0.0) & (w < 1.0)
-    zeta = w.copy()
-    zeta[raw] = 1.0 + _psi_lanes(-_lane_map(math.log, w[raw]))  # zeta of 1/w
-    reciprocal = np.where(raw, -1, 1)
-    # Both below one: |b| +/- |s| = (P_s +/- P_b)/(P_b P_s) with P = 1/|.|.
-    down = np.flatnonzero(~up & (w > 0.0))
-    if down.size:
-        zm = li_mul_div(bz[down], sz[down])[0]
-        ratio = ~raw[down]
-        zw = zeta[down]
-        # w >= 1 is divided by P_b P_s; a raw w came out as the descriptor
-        # of 1/w, which P_b P_s multiplies, for a result below one.
-        w2, flipped = li_mul_div(np.where(ratio, zw, zm), np.where(ratio, zm, zw), ratio)
-        zeta[down] = w2
-        reciprocal[down] = np.where(ratio & ~flipped, 1, -1)
-    out = _materialize_lanes(fmt, np.where(swap, y.sign, x.sign), reciprocal, zeta)
-    return _Lanes(*(np.where(x.zero, fy, np.where(y.zero, fx, fo))
-                    for fo, fx, fy in zip(out, x, y)))
+        # A raw w is wrapped as the descriptor 1 + psi(-ln w) of 1/w.
+        raw = (zeta > 0.0) & (zeta < 1.0)
+        if np.count_nonzero(raw):
+            log_w, elog = _log(zeta[raw], err[raw])
+            z, ez = _psi_lanes(-log_w, elog)
+            zeta[raw] = 1.0 + z
+            err[raw] = ez + 2 * _U * zeta[raw]
+        reciprocal = np.where(raw, -1, 1)
+        # Both below one: |b| +/- |s| = (P_s +/- P_b)/(P_b P_s) with P = 1/|.|.
+        down = ~up & (zeta > 0.0)
+        if np.count_nonzero(down):
+            down = np.flatnonzero(down)
+            zm, _, ezm = li_mul_div(bz[down], sz[down])
+            ratio = ~raw[down]
+            zw, ezw = zeta[down], err[down]
+            # w >= 1 is divided by P_b P_s; a raw w came out as the
+            # descriptor of 1/w, which P_b P_s multiplies, for a result
+            # below one.
+            zeta[down], flipped, err[down] = li_mul_div(
+                np.where(ratio, zw, zm), np.where(ratio, zm, zw), ratio,
+                err=(np.where(ratio, ezw, ezm), np.where(ratio, ezm, ezw)))
+            reciprocal[down] = np.where(ratio & ~flipped, 1, -1)
+    out, redo = _materialize_lanes(
+        fmt, np.where(swap, y.sign, x.sign), reciprocal, zeta, err)
+    zero = x.zero | y.zero
+    if np.count_nonzero(zero):
+        out = _Lanes(*(np.where(x.zero, fy, np.where(y.zero, fx, fo))
+                       for fo, fx, fy in zip(out, x, y)))
+        redo &= ~zero
+    return out.redo(redo, lambda i: add(x.number(i, fmt), y.number(i, fmt)))
 
 
 def _mul_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
@@ -538,7 +650,9 @@ def _mul_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
     same = x.reciprocal == y.reciprocal
     # Mixed reciprocals: the quotient of the operand above one by the other.
     x_first = same | (x.reciprocal > 0)
-    w, flipped = li_mul_div(np.where(x_first, zx, zy), np.where(x_first, zy, zx), ~same)
+    w, flipped, err = li_mul_div(np.where(x_first, zx, zy), np.where(x_first, zy, zx), ~same)
     reciprocal = np.where(same, x.reciprocal, np.where(flipped, -1, 1))
-    zeta = np.where(x.zero | y.zero, 0.0, w)
-    return _materialize_lanes(fmt, x.sign * y.sign, reciprocal, zeta)
+    zero = x.zero | y.zero
+    out, redo = _materialize_lanes(fmt, x.sign * y.sign, reciprocal,
+                                   np.where(zero, 0.0, w), np.where(zero, 0.0, err))
+    return out.redo(redo, lambda i: mul(x.number(i, fmt), y.number(i, fmt)))

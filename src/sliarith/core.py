@@ -545,17 +545,59 @@ def spacing(num: SliNumber) -> float:
 # ---------------------------------------------------------------------------
 # Lane forms: many numbers at once, one array element ("lane") each.
 #
-# Every lane goes through the same sequence of binary64 operations as the
-# scalar code above, so each result is the same number.  Basic arithmetic
-# is IEEE in numpy too; exp and log are not (numpy's own versions round
-# differently from libm in a few percent of arguments), so lanes call the
-# math module's functions one element at a time.
+# Lanes follow the scalar code above step by step, but take exp and log
+# from numpy, whose float64 versions may round differently from libm's
+# (on AVX512 CPUs numpy runs its own SIMD code; elsewhere it calls libm).
+# So an unrounded lane result may differ from the scalar one by a few
+# ulps, and every rounding lane op carries a per-lane bound on that
+# difference.  A lane whose result lies within its bound of a rounding
+# tie, or whose bound is not finite, is redone by the scalar op (Ziv's
+# rounding test, ACM TOMS 17(3), 1991).  Rounded lane results are thus
+# the scalar op's, bit for bit.  The lane decode keeps libm, one element
+# at a time: it does no rounding into a format, and its binary64 output
+# is what gets printed.
+#
+# The bound is a running error bound (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 3) on |lane - scalar| for the same inputs,
+# carried beside every intermediate value:
+# - numpy's and glibc's float64 exp and log are each within one ulp of
+#   the correctly rounded value: numpy's accuracy tests hold them to
+#   ulperror 1 (umath-validation-set-exp.csv and -log.csv), and glibc
+#   documents 0.511 and 0.519 ulp.  Two implementations then differ by
+#   at most two ulps; _TRANS allows four (one ulp is at most 2**-52 of
+#   the value), which leaves room for the product terms the bounds
+#   below drop.
+# - Given a bound e on the argument, exp's relative bound is
+#   expm1(e + _TRANS) and log's absolute bound -log1p(-e/x) + _TRANS |ln x|,
+#   exact forms rather than first-order ones; past their domain they
+#   give inf or NaN, and a lane with such a bound is never settled.
+# - + - * / are IEEE in both; an op whose inputs may differ adds 2u of
+#   its result (each side rounds by at most u = 2**-53).
+# - Relative bounds fail below the normal range (2**-1022), where an exp
+#   result is instead off by a few 2**-1074 at most.  exp of an argument
+#   below -_EXP_GONE is +0 on both paths (the exact value is under
+#   e**-750, far below half the least subnormal, 2**-1075 ~ e**-745.1).
+_U = 2.0 ** -53
+_TRANS = 2.0 ** -50
+_TINY = 2.0 ** -1022
+_EXP_GONE = 750.0
 
 
 def _lane_map(fn, values: np.ndarray) -> np.ndarray:
-    """fn (math.exp or math.log) of every lane of a 1-D float64 array."""
+    """fn (math.exp) of every lane of a 1-D float64 array, through libm.
+
+    Only the lane decode uses it: its binary64 results are printed as
+    they are, so they must be libm's.
+    """
     return np.fromiter(map(fn, memoryview(np.ascontiguousarray(values))),
                        np.float64, values.size)
+
+
+def _log(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
+    """log per lane, for values > 0, and the bound on its difference
+    between paths, given err bounding the values'."""
+    out = np.log(values)
+    return out, _TRANS * np.abs(out) - np.log1p(-err / values)
 
 
 class _Lanes(NamedTuple):
@@ -573,6 +615,8 @@ class _Lanes(NamedTuple):
         """Lane form of SliNumber.of and SliNumber.zero: folds 1/1 onto the
         canonical one and gives zero lanes their neutral fields."""
         one_below = (reciprocal < 0) & (level == 1) & (index_k == 0)
+        if not np.count_nonzero(zero):
+            return cls(zero, sign, np.where(one_below, 1, reciprocal), level, index_k)
         return cls(
             zero,
             np.where(zero, 1, sign),
@@ -589,39 +633,63 @@ class _Lanes(NamedTuple):
         """The lanes an index, slice or mask selects, in that order."""
         return _Lanes(*(field[lanes] for field in self))
 
+    def number(self, i: int, fmt: SliFormat) -> SliNumber:
+        """Lane i as a SliNumber."""
+        return SliNumber(fmt, *(field[i].item() for field in self))
 
-def _psi_lanes(values: np.ndarray) -> np.ndarray:
-    """psi per lane, for finite values >= 0."""
-    v = np.array(values, dtype=np.float64)
+    def redo(self, lanes: np.ndarray, op) -> "_Lanes":
+        """Overwrite every lane the mask selects with op(i), the scalar op's
+        SliNumber for lane i; the fields must be arrays of their own."""
+        for i in np.flatnonzero(lanes).tolist() if np.count_nonzero(lanes) else ():
+            num = op(i)
+            for field, value in zip(self, (num.is_zero, num.sign, num.reciprocal,
+                                           num.level, num.index_k)):
+                field[i] = value
+        return self
+
+
+def _psi_lanes(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
+    """psi per lane, for finite values >= 0, and the bound on its
+    difference between paths, given err bounding the values'.  psi is
+    1-Lipschitz, so each log step carries the bound through _log."""
+    v = np.asarray(values, dtype=np.float64)
+    e = np.broadcast_to(err, v.shape)
     level = np.zeros(v.shape)
-    live = np.flatnonzero(v >= 1.0)
-    while live.size:
-        v[live] = _lane_map(math.log, v[live])
-        level[live] += 1.0
-        live = live[v[live] >= 1.0]
-    return level + v
+    up = v >= 1.0
+    while up.any():
+        lv, le = _log(v, e)
+        v, e = np.where(up, lv, v), np.where(up, le, e)
+        level += up
+        up = v >= 1.0
+    out = level + v
+    return out, e + 2 * _U * out
 
 
 def _round_index_lanes(zeta: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, np.ndarray]:
-    """round_index per lane, for zeta >= 0 (inf saturates too)."""
+    """round_index per lane, for zeta >= 0 (inf saturates too).
+
+    Works on t = zeta * 2**index_bits, exact like round_index's scaled
+    fraction, whose integer part carries the level: the rounded t splits
+    into level and index, and a carry past the last index moves up a
+    level by itself.  zeta below 1 counts as level 1, as in round_index.
+    """
     scale = fmt.index_scale
-    top = ~(zeta < fmt.max_level + 1)
-    z = np.where(top, 0.0, zeta)
-    level = np.trunc(z)
-    frac = z - level
-    low = level < 1.0
-    level[low] = 1.0
-    frac[low] = z[low]
-    t = frac * scale
-    k = np.trunc(t)
-    k += t - k >= 0.5
-    carry = k == scale
-    k[carry] = 0.0
-    level[carry] += 1.0
-    top |= level > fmt.max_level
-    level[top] = fmt.max_level
-    k[top] = scale - 1
-    return level.astype(np.int64), k.astype(np.int64)
+    t = np.minimum(zeta, fmt.max_level + 1) * scale
+    r = np.floor(t)
+    r += t - r >= 0.5
+    r += np.where(zeta < 1.0, scale, 0)
+    r = np.minimum(r, (fmt.max_level + 1) * scale - 1).astype(np.int64)  # saturate
+    return r >> fmt.index_bits, r & (scale - 1)
+
+
+def _unsettled(zeta: np.ndarray, err: np.ndarray, fmt: SliFormat) -> np.ndarray:
+    """Lanes whose rounding err cannot settle: zeta within err of a tie
+    (level + (k + 1/2)/2**index_bits) of round_index, or err not a number.
+    Past the last tie everything saturates, so no tie is left there."""
+    scale = fmt.index_scale
+    t = zeta * scale  # exact: a power-of-two scaling
+    clear = np.abs(t - np.floor(t) - 0.5) > err * scale
+    return ~(clear | (zeta - err > fmt.max_level + (scale - 0.5) / scale))
 
 
 def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> _Lanes:
@@ -634,14 +702,17 @@ def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> _Lanes:
         raise ValueError(f"cannot encode negative value in unsigned {fmt.name}")
     a = np.abs(values)
     zero = a == 0.0
-    big = a >= 1.0
-    small = ~big & ~zero
-    zeta = np.ones(a.shape)
-    zeta[big] = _psi_lanes(a[big])
-    # psi(1/a) without forming 1/a, as in encode.
-    zeta[small] = 1.0 + _psi_lanes(-_lane_map(math.log, a[small]))
+    # |x| >= 1 has zeta psi(|x|) = 1 + psi(ln |x|), and |x| < 1 has
+    # 1 + psi(-ln |x|), psi(1/|x|) without forming 1/|x|, as in encode.
+    with np.errstate(all="ignore"):  # log 0, and logs of finished lanes
+        v = np.abs(np.log(a))
+        v[zero] = 0.0
+        z, err = _psi_lanes(v, _TRANS * v)
+    zeta = 1.0 + z
     level, k = _round_index_lanes(zeta, fmt)
-    return _Lanes.of(zero, np.where(negative, -1, 1), np.where(big, 1, -1), level, k)
+    out = _Lanes.of(zero, np.where(negative, -1, 1), np.where(a >= 1.0, 1, -1), level, k)
+    redo = ~zero & _unsettled(zeta, err + 2 * _U * zeta, fmt)
+    return out.redo(redo, lambda i: encode(values[i].item(), fmt))
 
 
 def _decode_lanes(lanes: _Lanes, fmt: SliFormat) -> np.ndarray:

@@ -54,9 +54,9 @@ SLI_COLUMN = "level-index"
 
 # Largest matrix dimension the matvec experiment accepts.  The simulated
 # product keeps one lane per row but still walks the n columns one after
-# another in Python; at n = 4000 the sli2.12 product takes about a
-# minute on a 2-core Xeon VM.  n = 5000 leaves room past binary16's
-# overflow at n ~ 2620 for entries from uniform(0, 100).
+# another in Python; at n = 4000 the sli2.12 product takes 17-19 s on
+# a 2-core Xeon VM.  n = 5000 leaves room past binary16's overflow
+# at n ~ 2620 for entries from uniform(0, 100).
 MAX_DIM = 5000
 
 # Products simulated per batch: a block of whole columns of A, as many as

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliarith import arith, core
 from sliarith.arith import (
     SequenceState,
     _add_lanes,
@@ -32,6 +33,7 @@ from sliarith.core import (
     SliFormat,
     SliNumber,
     _from_rank,
+    _encode_lanes,
     _Lanes,
     decode,
     encode,
@@ -415,7 +417,8 @@ class TestOracleEquivalence:
 
 
 class TestLaneForms:
-    """The array forms give the scalar results bit for bit."""
+    """The array forms give the scalar ops' rounded results bit for bit;
+    the array kernels stay within their bounds of the scalar kernels."""
 
     @staticmethod
     def fields(n: SliNumber) -> tuple:
@@ -424,7 +427,7 @@ class TestLaneForms:
     def lanes(self, nums: list[SliNumber]) -> _Lanes:
         return _Lanes(*(np.array(f) for f in zip(*map(self.fields, nums))))
 
-    def test_kernels_match_scalar_calls(self):
+    def test_kernels_stay_within_their_bounds(self):
         rng = np.random.default_rng(7)
         # Descriptors from raw (below one) up to level 5, with ties and
         # equal pairs, whose difference must cancel to exactly 0.0.
@@ -432,13 +435,38 @@ class TestLaneForms:
         zy = np.minimum(zx, np.round(rng.uniform(0.0, 6.0, 4000), 3))
         zy[::7] = zx[::7]
         subtract = rng.random(4000) < 0.5
-        got = li_add_sub(zx, zy, subtract)
-        want = [li_add_sub(a, b, s) for a, b, s in zip(zx.tolist(), zy.tolist(), subtract.tolist())]
-        assert got.tolist() == want
+        got, bound = li_add_sub(zx, zy, subtract)
+        want = np.array([li_add_sub(a, b, s)
+                         for a, b, s in zip(zx.tolist(), zy.tolist(), subtract.tolist())])
+        cancel = subtract & (zx == zy)
+        assert cancel.sum() > 200
+        assert not (got[cancel].any() or want[cancel].any() or bound[cancel].any())
+        assert np.all(np.abs(got - want) <= bound)
+        # A bound is given up only where phi(zeta_x) leaves binary64
+        # (zeta_x above about 4.64), and the others are a few ulps.
+        assert np.all(zx[np.isinf(bound)] > 4.6)
+        assert bound[np.isfinite(bound)].max() < 1e-12
+        # phi(4.633) is about e**720, so its reciprocal rung is subnormal,
+        # where no relative bound holds.
+        assert np.isinf(li_add_sub(np.array([4.633]), np.array([2.5]))[1]).all()
         zx, zy = zx + 1.0, zy[::-1] + 1.0  # unordered, descriptors >= 1
-        w, flipped = li_mul_div(zx, zy, subtract)
+        zy[::9] = zx[::9]
+        w, flipped, bound = li_mul_div(zx, zy, subtract)
         want = [li_mul_div(a, b, s) for a, b, s in zip(zx.tolist(), zy.tolist(), subtract.tolist())]
-        assert list(zip(w.tolist(), flipped.tolist())) == want
+        assert flipped.tolist() == [f for _, f in want]
+        assert np.all(np.abs(w - [v for v, _ in want]) <= bound)
+        equal = subtract & (zx == zy)
+        assert equal.any() and np.all(w[equal] == 1.0)
+
+    def test_h_clamp_on_a_pinned_pair(self):
+        # phi(zx) - phi(zy) = e**0.903... - e**0.383... is one, phi(1), up
+        # to rounding: the ladder stops at c_0 = exp(-f) computed, where
+        # f + ln c_0 comes out -2**-53 in libm and in numpy alike.  Both
+        # kernels clamp that h to 0 and return 1.0 on the nose.
+        zx, zy = 1.9032958721069146, 1.3837122354075024
+        assert li_add_sub(zx, zy, subtract=True) == 1.0
+        got, bound = li_add_sub(np.array([zx]), np.array([zy]), True)
+        assert got.tolist() == [1.0] and bound[0] < 1e-13
 
     def test_kernel_domain_holds_for_arrays(self):
         with pytest.raises(ValueError, match="zeta_x >= zeta_y"):
@@ -466,6 +494,43 @@ class TestLaneForms:
             got = lane_op(fmt, self.lanes(xs), self.lanes(ys))
             want = [self.fields(op(x, y)) for x, y in zip(xs, ys)]
             assert list(zip(*(f.tolist() for f in got))) == want, lane_op.__name__
+
+    def test_fallback_gives_the_scalar_ops(self, monkeypatch):
+        # Widen the tie band to everything: every lane that rounds is
+        # redone by the scalar op and written back into its lane.
+        redone = []
+        redo = _Lanes.redo
+
+        def counting(lanes, mask, op):
+            redone.append(int(np.count_nonzero(mask)))
+            return redo(lanes, mask, op)
+
+        def everything(zeta, err, fmt):
+            return np.ones(zeta.shape, dtype=bool)
+
+        monkeypatch.setattr(_Lanes, "redo", counting)
+        monkeypatch.setattr(arith, "_unsettled", everything)
+        monkeypatch.setattr(core, "_unsettled", everything)
+        fmt = SliFormat(1, 4)
+        nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
+        xs = [x for x in nums for _ in nums]
+        ys = [y for _ in nums for y in nums]
+        for lane_op, op in ((_add_lanes, add), (_mul_lanes, mul)):
+            got = lane_op(fmt, self.lanes(xs), self.lanes(ys))
+            want = [op(x, y) for x, y in zip(xs, ys)]
+            assert list(zip(*(f.tolist() for f in got))) == list(map(self.fields, want))
+            # Zero operands and exact cancellations are settled without
+            # rounding; every other lane went to the scalar op.
+            cancel = sum(x == neg(y) for x, y in zip(xs, ys) if not x.is_zero)
+            assert cancel > 0
+            rounded = sum(not (x.is_zero or y.is_zero) for x, y in zip(xs, ys))
+            assert redone.pop() == rounded - (cancel if op is add else 0)
+        values = [decode(n) for n in nums]
+        values += [(u + v) / 2 for u, v in zip(values, values[1:])]  # ties, too
+        got = _encode_lanes(np.array(values), fmt)
+        assert list(zip(*(f.tolist() for f in got))) == [
+            self.fields(encode(v, fmt)) for v in values]
+        assert redone == [sum(v != 0.0 for v in values)]
 
 
 class TestDunderOps:

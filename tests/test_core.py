@@ -15,6 +15,7 @@ from sliarith.core import (
     _encode_lanes,
     _Lanes,
     _round_index_lanes,
+    _unsettled,
     decode,
     decode_fields,
     encode,
@@ -188,6 +189,16 @@ class TestRoundIndex:
         for f in (fmt, F212):
             level, k = _round_index_lanes(zeta, f)
             assert list(zip(level.tolist(), k.tolist())) == [round_index(z, f) for z in zeta]
+
+    def test_unsettled_lanes_are_those_near_ties(self):
+        tie = 2.0 + 2047.5 / 4096.0  # level 2, index (2047 + 1/2)/4096
+        zeta = np.array([tie, tie + 3e-12, tie - 3e-12, tie + 1e-9, 2.0 + 7.0 / 4096.0,
+                         3.0, 2.5, 2.5, 5.5])
+        err = np.array([0.0, 1e-11, 1e-11, 1e-11, 1e-11, math.inf, math.nan, 1e-11, 0.25])
+        # Past the last tie of sli2.12 (4 + 4095.5/4096) every lane
+        # saturates, so even a wide bound settles it.
+        assert _unsettled(zeta, err, F212).tolist() == [
+            True, True, True, False, False, True, True, False, False]
 
 
 class TestEncodeDecode:

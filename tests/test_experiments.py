@@ -3,12 +3,13 @@
 import hashlib
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from sliarith import arith, experiments
-from sliarith.core import SliFormat, SliNumber, decode, encode
+from sliarith.core import SliFormat, SliNumber, _Lanes, decode, encode
 from sliarith.experiments import (
     _LANE_BUDGET,
     MAX_DIM,
@@ -220,6 +221,23 @@ class TestSimulateMatvec:
                 assert want[2] == 0.0
             if fmt == BINARY16 and hi == 1e4:
                 assert math.isinf(max(want))  # row sums past 65504
+
+    def test_few_sli_roundings_fall_back(self, monkeypatch):
+        # Lanes near a tie are redone by the scalar op; on the seeded
+        # n = 200 wide-entry inputs fewer than 0.1% of roundings may be,
+        # which keeps the tie band from growing wide unnoticed.
+        masks = []
+        redo = _Lanes.redo
+
+        def counting(lanes, mask, op):
+            masks.append(mask)
+            return redo(lanes, mask, op)
+
+        monkeypatch.setattr(_Lanes, "redo", counting)
+        matvec_backward_error(ExperimentConfig(systems=("sli2.12",), dims=(200,), hi=100.0))
+        roundings = sum(m.size for m in masks)
+        assert roundings > 3 * 200 * 200  # x, A, the products and the sums
+        assert sum(map(np.count_nonzero, masks)) < 1e-3 * roundings
 
     def test_multi_block_cases_end_in_a_partial_block(self):
         for n in (60, 70):
@@ -438,6 +456,22 @@ class TestCliCommands:
         assert cli([*argv, "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_no_floating_point_warnings(self, tmp_path, capsys):
+        # The lanes run exp, log and divisions on every lane, dead ones
+        # (zero operands, finished ladders) included; none of that may
+        # surface as a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli(["matvec", "--dims", "10,50", "--hi", "100", "--seed", "3",
+                        "--out", str(tmp_path / "m.dat")]) == 0
+            assert cli(["matvec", "--dims", "20", "--lo=-1e4", "--hi", "1e4", "--sli", "sli3.3",
+                        "--float", "bfloat16", "--out", str(tmp_path / "n.dat")]) == 0
+            assert cli(["sweep-repr", "--min", "1e-30", "--max", "1e30", "--step", "1e27",
+                        "--out", str(tmp_path / "s.dat")]) == 0
+            assert cli(["sweep-repr", "--min=-8", "--max=-0.01", "--step", "1e-3",
+                        "--out", str(tmp_path / "t.dat")]) == 0
+        capsys.readouterr()
 
     def test_runs_are_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.dat"
