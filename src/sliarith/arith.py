@@ -260,7 +260,7 @@ def _ratio(fmt: SliFormat, sign: int, num_zeta: float, den_zeta: float) -> SliNu
 
 
 def _require_same_format(x: SliNumber, y: SliNumber) -> SliFormat:
-    if x.fmt != y.fmt:
+    if x.fmt is not y.fmt and x.fmt != y.fmt:
         raise ValueError(f"mixed formats: {x.fmt.name} vs {y.fmt.name}")
     return x.fmt
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -154,6 +154,12 @@ class SliFormat:
     level_bits: int = 2
     index_bits: int = 12
     signed: bool = True
+    # Derived once, since the scalar codec reads them for every value:
+    # total bits in a packed word, 2**level_bits, and the denominator of
+    # representable indices, 2**index_bits.
+    width: int = field(init=False, repr=False, compare=False)
+    max_level: int = field(init=False, repr=False, compare=False)
+    index_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.level_bits <= 6:
@@ -162,6 +168,10 @@ class SliFormat:
             raise ValueError(
                 f"index_bits must be in 1..{MAX_INDEX_BITS}, got {self.index_bits}"
             )
+        width = (1 if self.signed else 0) + 1 + self.level_bits + self.index_bits
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "max_level", 1 << self.level_bits)
+        object.__setattr__(self, "index_scale", 1 << self.index_bits)
 
     @classmethod
     def from_name(cls, name: str) -> "SliFormat":
@@ -174,20 +184,6 @@ class SliFormat:
     def name(self) -> str:
         suffix = "" if self.signed else "u"
         return f"sli{self.level_bits}.{self.index_bits}{suffix}"
-
-    @property
-    def width(self) -> int:
-        """Total bits in a packed word."""
-        return (1 if self.signed else 0) + 1 + self.level_bits + self.index_bits
-
-    @property
-    def max_level(self) -> int:
-        return 1 << self.level_bits
-
-    @property
-    def index_scale(self) -> int:
-        """Denominator of representable indices, 2**index_bits."""
-        return 1 << self.index_bits
 
     @property
     def max_zeta(self) -> float:
@@ -209,18 +205,45 @@ class SliFormat:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class SliNumber:
-    """One representable SLI value: sign, reciprocal flag, level, index.
+class _Value(tuple):
+    """Tuple base of the immutable value types, without tuple semantics.
 
-    index_k is the integer numerator of the index, so the index proper is
-    index_k / fmt.index_scale and zeta = level + index.  Zero is carried
-    as an explicit flag with neutral fields (+1, +1, level 1, k 0).
-    Construction validates ranges; the non-canonical spelling of one
-    (r = -1, level 1, index 0) is rejected, use SliNumber.of() to build
-    values from raw fields with canonicalization applied.
+    Values compare equal, and hash alike, field by field and only within
+    their own class: a value never equals a plain tuple.  They have no
+    order (use arith.compare) and no tuple concatenation or repetition.
+    _make and _replace build through the validating constructor.
     """
 
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def _no_tuple_op(self, other):
+        # Returning NotImplemented would let tuple concatenate or repeat.
+        raise TypeError(f"{type(self).__name__} values do not concatenate or repeat")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_op
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SliFields(NamedTuple):
     fmt: SliFormat
     is_zero: bool
     sign: int
@@ -228,27 +251,56 @@ class SliNumber:
     level: int
     index_k: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1) or self.reciprocal not in (1, -1):
+
+class SliNumber(_Value, _SliFields):
+    """One representable SLI value: sign, reciprocal flag, level, index.
+
+    index_k is the integer numerator of the index, so the index proper is
+    index_k / fmt.index_scale and zeta = level + index.  Zero is carried
+    as an explicit flag with neutral fields (+1, +1, level 1, k 0).
+    Construction validates ranges; the non-canonical spelling of one
+    (r = -1, level 1, index 0) is rejected, use SliNumber.of() to build
+    values from raw fields with canonicalization applied.  Values are
+    immutable and compare by field.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, fmt: SliFormat, is_zero: bool, sign: int, reciprocal: int, level: int,
+        index_k: int,
+    ) -> "SliNumber":
+        # Every valid nonzero value passes this one test; anything else
+        # (zero included) goes through the checks one by one below.
+        if (
+            not is_zero
+            and (sign == 1 or (sign == -1 and fmt.signed))
+            and (reciprocal == 1 or (reciprocal == -1 and (level != 1 or index_k != 0)))
+            and 1 <= level <= fmt.max_level
+            and 0 <= index_k < fmt.index_scale
+        ):
+            return tuple.__new__(cls, (fmt, is_zero, sign, reciprocal, level, index_k))
+        if sign not in (1, -1) or reciprocal not in (1, -1):
             raise ValueError("sign and reciprocal must be +1 or -1")
-        if not self.fmt.signed and self.sign < 0:
-            raise ValueError(f"{self.fmt.name} is unsigned, sign must be +1")
-        if self.is_zero:
-            if (self.sign, self.reciprocal, self.level, self.index_k) != (1, 1, 1, 0):
+        if not fmt.signed and sign < 0:
+            raise ValueError(f"{fmt.name} is unsigned, sign must be +1")
+        if is_zero:
+            if (sign, reciprocal, level, index_k) != (1, 1, 1, 0):
                 raise ValueError("zero must carry neutral fields")
-            return
-        if not 1 <= self.level <= self.fmt.max_level:
-            raise ValueError(
-                f"level {self.level} outside 1..{self.fmt.max_level} for {self.fmt.name}"
-            )
-        if not 0 <= self.index_k < self.fmt.index_scale:
-            raise ValueError(
-                f"index numerator {self.index_k} outside 0..{self.fmt.index_scale - 1}"
-            )
-        if self.reciprocal < 0 and self.level == 1 and self.index_k == 0:
-            raise ValueError(
-                "non-canonical spelling of one (r=-1, zeta=1); use SliNumber.of"
-            )
+        else:
+            if not 1 <= level <= fmt.max_level:
+                raise ValueError(
+                    f"level {level} outside 1..{fmt.max_level} for {fmt.name}"
+                )
+            if not 0 <= index_k < fmt.index_scale:
+                raise ValueError(
+                    f"index numerator {index_k} outside 0..{fmt.index_scale - 1}"
+                )
+            if reciprocal < 0 and level == 1 and index_k == 0:
+                raise ValueError(
+                    "non-canonical spelling of one (r=-1, zeta=1); use SliNumber.of"
+                )
+        return tuple.__new__(cls, (fmt, is_zero, sign, reciprocal, level, index_k))
 
     @classmethod
     def zero(cls, fmt: SliFormat) -> "SliNumber":
@@ -309,18 +361,25 @@ class SliNumber:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class BitWord:
-    """A fixed-width little bundle of bits, MSB first in the string form."""
-
+class _BitWordFields(NamedTuple):
     bits: int
     width: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= 64:
-            raise ValueError(f"width must be in 1..64, got {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
-            raise ValueError(f"bits 0x{self.bits:x} do not fit in {self.width} bits")
+
+class BitWord(_Value, _BitWordFields):
+    """A fixed-width little bundle of bits, MSB first in the string form.
+
+    Immutable and compared by field, like SliNumber.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, width: int) -> "BitWord":
+        if 1 <= width <= 64 and 0 <= bits < (1 << width):
+            return tuple.__new__(cls, (bits, width))
+        if not 1 <= width <= 64:
+            raise ValueError(f"width must be in 1..64, got {width}")
+        raise ValueError(f"bits 0x{bits:x} do not fit in {width} bits")
 
     @classmethod
     def from_string(cls, text: str) -> "BitWord":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,12 @@ __all__ = [
 _NAME_RE = re.compile(r"^b([1-9][0-9]*)e([1-9][0-9]*)(u?)$")
 
 
+def _scaled(m: float, e: int) -> float:
+    """m * 2**e for m in [1, 2], inf when that passes binary64 (2.0 ** e
+    raises OverflowError from e = 1024 on)."""
+    return math.inf if e >= 1024 else m * 2.0 ** e
+
+
 @dataclass(frozen=True, slots=True)
 class FloatFormat:
     """Binary floating-point format with p significand bits and |e| <= e_max."""
@@ -38,12 +44,18 @@ class FloatFormat:
     precision: int
     e_max: int
     signed: bool = True
+    # Magnitudes from here up round to infinity, (2 - 2**-p) * 2**e_max;
+    # inf once that passes binary64 (e_max >= 1024), where no finite
+    # binary64 overflows.  Derived once, since fl reads it on every call.
+    overflow_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.precision <= 53:
             raise ValueError(f"precision must be in 1..53, got {self.precision}")
         if not 1 <= self.e_max <= 4096:
             raise ValueError(f"e_max must be in 1..4096, got {self.e_max}")
+        object.__setattr__(self, "overflow_threshold",
+                           _scaled(2.0 - 2.0 ** -self.precision, self.e_max))
 
     @classmethod
     def from_name(cls, name: str) -> "FloatFormat":
@@ -76,7 +88,8 @@ class FloatFormat:
 
     @property
     def max_finite(self) -> float:
-        return (2.0 - 2.0 ** (1 - self.precision)) * 2.0 ** self.e_max
+        """Largest finite value, inf when it lies past binary64."""
+        return _scaled(2.0 - 2.0 ** (1 - self.precision), self.e_max)
 
     @property
     def min_normal(self) -> float:
@@ -107,7 +120,9 @@ def fl(value: float, fmt: FloatFormat) -> float:
     Overflows to a signed infinity at the usual IEEE boundary
     (2 - 2**-p) * 2**e_max; underflows through the subnormal range to
     zero.  NaN and infinity pass through.  Negative values need a
-    signed format.
+    signed format.  With e_max >= 1024 the format outranges binary64:
+    no finite input overflows, but one that rounds up to 2**1024 (p < 53)
+    returns inf, a limit of the binary64 result, not of the format.
     """
     if math.isnan(value):
         return value
@@ -116,7 +131,7 @@ def fl(value: float, fmt: FloatFormat) -> float:
     if math.isinf(value) or value == 0.0:
         return value
     a = abs(value)
-    if a >= (2.0 - 2.0 ** -fmt.precision) * 2.0 ** fmt.e_max:
+    if a >= fmt.overflow_threshold:
         return math.copysign(math.inf, value)
     # a = m * 2**e with m in [1, 2); quantize at 2**(e - p + 1), or at the
     # fixed subnormal quantum once e drops below e_min.  The scaled value
@@ -125,7 +140,10 @@ def fl(value: float, fmt: FloatFormat) -> float:
     e = math.frexp(a)[1] - 1
     shift = max(e, fmt.e_min) - (fmt.precision - 1)
     k = round(math.ldexp(a, -shift))
-    return math.copysign(math.ldexp(float(k), shift), value)
+    try:
+        return math.copysign(math.ldexp(float(k), shift), value)
+    except OverflowError:  # rounded up to 2**1024, past binary64, as in _fl_lanes
+        return math.copysign(math.inf, value)
 
 
 def _fl_lanes(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
@@ -140,7 +158,7 @@ def _fl_lanes(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
         e = np.frexp(a)[1] - 1
         shift = np.maximum(e, fmt.e_min) - (fmt.precision - 1)
         out = np.copysign(np.ldexp(np.rint(np.ldexp(a, -shift)), shift), values)
-    big = a >= (2.0 - 2.0 ** -fmt.precision) * 2.0 ** fmt.e_max
+    big = a >= fmt.overflow_threshold
     out[big] = np.copysign(np.inf, values[big])
     keep = np.isnan(values) | np.isinf(values) | (values == 0.0)
     out[keep] = values[keep]

@@ -6,6 +6,7 @@ Agreement within one position on the magnitude ladder is the
 correctness bar wherever the kernel result is not forced exactly.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from sliarith.core import (
     decode,
     encode,
     magnitude_rank,
+    pack,
     phi,
     psi,
     unpack,
@@ -414,6 +416,37 @@ class TestOracleEquivalence:
                 continue
             assert isinstance(r, SliNumber)
             assert not math.isnan(decode(r))
+
+
+class TestExhaustiveSmallFormats:
+    """Every word pair of two 6-bit formats through the four scalar ops.
+
+    The sha256 of the packed result words (two bytes each, b"Z" for
+    ZeroDivisionError, b"N" for the ValueError of negating in an
+    unsigned format) pins the rounded results bit for bit: they were
+    recorded before SliNumber and BitWord became tuple-backed.
+    """
+
+    DIGESTS = {
+        "sli1.3": "8e88db746189abe762071095174bd329083449b2b545b6a5147cb4babb32ef1d",
+        "sli2.3u": "78f8200bbcbb356367316149e5460910f37e881f73367933e818e4ea4746c02e",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_packed_results_are_pinned(self, name):
+        fmt = SliFormat.from_name(name)
+        nums = [unpack(BitWord(bits, fmt.width), fmt) for bits in range(1 << fmt.width)]
+        h = hashlib.sha256()
+        for op in (add, sub, mul, div):
+            for x in nums:
+                for y in nums:
+                    try:
+                        h.update(pack(op(x, y)).bits.to_bytes(2, "big"))
+                    except ZeroDivisionError:
+                        h.update(b"Z")
+                    except ValueError:
+                        h.update(b"N")
+        assert h.hexdigest() == self.DIGESTS[name]
 
 
 class TestLaneForms:

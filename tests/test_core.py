@@ -1,6 +1,8 @@
 """Codec, conversion, and rounding tests for the core module."""
 
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -351,6 +353,132 @@ class TestSliNumber:
     def test_str_forms(self):
         assert "sli2.12" in str(SliNumber.zero(F212))
         assert "phi" in str(SliNumber.one(F212))
+
+
+def _pi_number(fmt=None):
+    return SliNumber(fmt or SliFormat(2, 12), False, 1, 1, 2, 554)
+
+
+# (build a value, its repr, values differing from it in one field each).
+VALUE_TYPES = {
+    "SliNumber": (
+        _pi_number,
+        "SliNumber(fmt=SliFormat(level_bits=2, index_bits=12, signed=True),"
+        " is_zero=False, sign=1, reciprocal=1, level=2, index_k=554)",
+        [
+            _pi_number(SliFormat(3, 12)),
+            _pi_number(SliFormat(2, 12, signed=False)),
+            SliNumber(F212, False, -1, 1, 2, 554),
+            SliNumber(F212, False, 1, -1, 2, 554),
+            SliNumber(F212, False, 1, 1, 3, 554),
+            SliNumber(F212, False, 1, 1, 2, 555),
+            SliNumber.zero(F212),
+        ],
+    ),
+    "BitWord": (
+        lambda: BitWord(21034, 16),
+        "BitWord(bits=21034, width=16)",
+        [BitWord(21035, 16), BitWord(21034, 17)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_TYPES))
+class TestValueTypes:
+    """Immutable values, validated on construction, compared by field."""
+
+    def test_equality_and_hash_go_by_field(self, kind):
+        build, _, others = VALUE_TYPES[kind]
+        a, b = build(), build()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        for other in others:
+            assert a != other and not a == other, other
+        assert len({a, b, *others}) == 1 + len(others)
+
+    def test_not_equal_to_a_plain_tuple(self, kind):
+        a = VALUE_TYPES[kind][0]()
+        fields = tuple(getattr(a, name) for name in a.__match_args__)
+        assert not a == fields and a != fields
+        assert not fields == a and fields != a
+
+    def test_no_order_and_no_repetition(self, kind):
+        a = VALUE_TYPES[kind][0]()
+        fields = tuple(getattr(a, name) for name in a.__match_args__)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            for left, right in ((a, a), (a, fields), (fields, a)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+        with pytest.raises(TypeError):
+            2 * a
+
+    def test_fields_cannot_be_assigned(self, kind):
+        a = VALUE_TYPES[kind][0]()
+        for name in a.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(a, name, 1)
+
+    def test_repr_text(self, kind):
+        build, text, _ = VALUE_TYPES[kind]
+        assert repr(build()) == text
+
+
+class TestConstructionChecks:
+    """Every check of the value and format constructors, with its message."""
+
+    @pytest.mark.parametrize("args, message", [
+        ((F212, False, 0, 1, 2, 5), "sign and reciprocal must be +1 or -1"),
+        ((F212, False, 1, 0, 2, 5), "sign and reciprocal must be +1 or -1"),
+        ((F212, False, 1, 2, 2, 5), "sign and reciprocal must be +1 or -1"),
+        ((F212, True, 0, 1, 1, 0), "sign and reciprocal must be +1 or -1"),
+        ((F22U, False, -1, 1, 2, 1), "sli2.2u is unsigned, sign must be +1"),
+        ((F212, True, 1, 1, 2, 7), "zero must carry neutral fields"),
+        ((F212, True, -1, 1, 1, 0), "zero must carry neutral fields"),
+        ((F212, False, 1, 1, 5, 0), "level 5 outside 1..4 for sli2.12"),
+        ((F212, False, 1, 1, 0, 0), "level 0 outside 1..4 for sli2.12"),
+        ((F212, False, 1, 1, 2, 4096), "index numerator 4096 outside 0..4095"),
+        ((F212, False, 1, 1, 2, -1), "index numerator -1 outside 0..4095"),
+        ((F212, False, 1, -1, 1, 0),
+         "non-canonical spelling of one (r=-1, zeta=1); use SliNumber.of"),
+    ])
+    def test_sli_number(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SliNumber(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0), "width must be in 1..64, got 0"),
+        ((0, 65), "width must be in 1..64, got 65"),
+        ((16, 4), "bits 0x10 do not fit in 4 bits"),
+        ((1 << 64, 64), "bits 0x10000000000000000 do not fit in 64 bits"),
+        ((-1, 4), "bits 0x-1 do not fit in 4 bits"),
+    ])
+    def test_bit_word(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BitWord(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 12), "level_bits must be in 1..6, got 0"),
+        ((7, 12), "level_bits must be in 1..6, got 7"),
+        ((2, 0), "index_bits must be in 1..24, got 0"),
+        ((2, 25), "index_bits must be in 1..24, got 25"),
+    ])
+    def test_sli_format(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SliFormat(*args)
+
+    def test_tuple_helpers_validate(self):
+        # _make and _replace come with the NamedTuple base; they must not
+        # be a way around the checks.
+        with pytest.raises(ValueError, match="sign and reciprocal"):
+            _pi_number()._replace(sign=0)
+        with pytest.raises(ValueError, match="do not fit"):
+            BitWord._make((16, 4))
+        assert _pi_number()._replace(index_k=555) == SliNumber(F212, False, 1, 1, 2, 555)
+
+    def test_valid_edges_are_accepted(self):
+        assert SliNumber(F212, False, -1, -1, 4, 4095).level == 4
+        assert SliNumber(F22U, True, 1, 1, 1, 0).is_zero
+        assert SliNumber(F212, False, 1, -1, 1, 1).index_k == 1
+        assert BitWord((1 << 64) - 1, 64).width == 64
 
 
 class TestCodec:

@@ -381,6 +381,19 @@ class TestCliCommands:
         assert "level: 2" in out
         assert "value: 6.283548393727487" in out
 
+    def test_float_formats_wider_than_binary64(self, tmp_path, capsys):
+        assert cli(["op", "add", "b53e2000", "1", "2"]) == 0
+        assert "value: 3.0" in capsys.readouterr().out
+        assert cli(["op", "mul", "b11e1024", "1e300", "1e-300"]) == 0
+        assert "value: 1.0" in capsys.readouterr().out
+        out = tmp_path / "s.dat"
+        code = cli(["sweep-repr", "--float", "b53e2000", "--min", "1.0", "--max", "1.5",
+                    "--step", "0.25", "--out", str(out)])
+        assert code == 0
+        header, rows = read_dat(out)
+        assert header[1] == "b53e2000"
+        assert [r[1] for r in rows] == [0.0, 0.0, 0.0]  # binary64 is exact there
+
     def test_table_shapes(self, capsys):
         assert cli(["table", "toy5"]) == 0
         lines = capsys.readouterr().out.splitlines()

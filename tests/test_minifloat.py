@@ -2,7 +2,9 @@
 
 import math
 import struct
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from sliarith.minifloat import (
     BINARY16,
     TOY5,
     FloatFormat,
+    _fl_lanes,
     enumerate_floats,
     fl,
     fl_op,
@@ -124,6 +127,43 @@ class TestRounding:
         if x > y:
             x, y = y, x
         assert fl(x, TOY5) <= fl(y, TOY5)
+
+
+class TestWiderThanBinary64:
+    """Formats with e_max >= 1024, where 2.0**e_max is past binary64."""
+
+    BIG = sys.float_info.max
+    PROBE = [BIG, -BIG, 1e308, 1.7966e308, 1e-300, 5e-324, -2.5, 1 / 3, 0.0,
+             math.pi * 2.0**1000]
+
+    def test_derived_limits_are_inf(self):
+        for name in ("b53e2000", "b11e1024", "b24e4096"):
+            fmt = FloatFormat.from_name(name)
+            assert fmt.overflow_threshold == fmt.max_finite == math.inf
+        # The last exponent inside binary64 keeps finite limits.
+        assert FloatFormat(11, 1023).max_finite == (2.0 - 2.0**-10) * 2.0**1023
+
+    def test_binary64_is_exact_in_b53e2000(self):
+        fmt = FloatFormat.from_name("b53e2000")
+        got = [fl(v, fmt) for v in self.PROBE]
+        assert got == self.PROBE
+        assert _fl_lanes(np.array(self.PROBE), fmt).tolist() == got
+        assert fl_op(self.BIG, self.BIG, "-", fmt) == 0.0
+
+    def test_b11e1024_rounds_without_overflow(self):
+        fmt = FloatFormat.from_name("b11e1024")
+        got = [fl(v, fmt) for v in self.PROBE]
+        assert _fl_lanes(np.array(self.PROBE), fmt).tolist() == got
+        for v, r in zip(self.PROBE[2:], got[2:]):
+            assert math.isfinite(r), v
+            if abs(v) >= fmt.min_normal:
+                assert abs(r - v) <= 2.0**-11 * abs(v), v
+        assert fl(5e-324, fmt) == 0.0  # below half the 2**-1033 quantum
+        # Below the top binade the 11-bit rounding is binary16's, scaled.
+        assert fl(1e308, fmt) == fl(1e308 * 2.0**-1016, BINARY16) * 2.0**1016
+        # Rounding max_double up gives 2**1024: finite in the format, but
+        # not a binary64, so both forms return inf.
+        assert got[:2] == [math.inf, -math.inf]
 
 
 class TestFlOp:
