@@ -32,7 +32,6 @@ unrounded descriptors and rounded once at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +53,6 @@ from .core import (
 )
 
 __all__ = [
-    "SequenceState",
     "li_add_sub",
     "li_mul_div",
     "add",
@@ -67,28 +65,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class SequenceState:
-    """Trace of one kernel run, for inspection and property checks.
-
-    a, b, c hold the sequences indexed by subscript (a[0] = 1/phi(X)).
-    terminated_at is the step j where c_j < a_j ended the recursion
-    early, or None when the kernel ran through all levels of X.
-    """
-
-    a: list[float] = field(default_factory=list)
-    b: list[float] = field(default_factory=list)
-    c: list[float] = field(default_factory=list)
-    terminated_at: int | None = None
-
-
 def li_add_sub(
-    zeta_x: float,
-    zeta_y: float,
-    subtract: bool = False,
-    trace: SequenceState | None = None,
-    *,
-    err=(0.0, 0.0),
+    zeta_x: float, zeta_y: float, subtract: bool = False, *, err=(0.0, 0.0)
 ) -> float:
     """Magnitude add/subtract on generalized descriptors.
 
@@ -104,7 +82,7 @@ def li_add_sub(
     descriptors, and per element a bound on the distance from the
     scalar call's descriptor (inf where the kernel has none).  err
     bounds the inputs' own distances from the scalar path's inputs, as
-    a bound returned by an earlier array call does; trace is unused.
+    a bound returned by an earlier array call does.
     """
     if isinstance(zeta_x, np.ndarray):
         return _li_add_sub_lanes(zeta_x, zeta_y, subtract, err)
@@ -135,10 +113,8 @@ def li_add_sub(
     g = zeta_y - m
     if m == 0:
         b = a[0] * g
-        b_hist = [b]
     else:
         b = a[m - 1] * math.exp(g)
-        b_hist = [b]
         for j in range(m - 1, 0, -1):
             d = 1.0 - b
             if d <= 0.0:
@@ -147,30 +123,16 @@ def li_add_sub(
                 b = 0.0
             else:
                 b = math.exp(-d / a[j])
-            b_hist.append(b)
-        b_hist.reverse()
-
-    if trace is not None:
-        trace.a = list(a)
-        trace.b = b_hist
-        trace.c = []
-        trace.terminated_at = None
 
     c = 1.0 - b if subtract else 1.0 + b
     j = 0
     while True:
-        if trace is not None:
-            trace.c.append(c)
         if c <= 0.0:
             # The result magnitude is phi(j) on the nose (or full
             # cancellation at j = 0); roundoff cannot sit below this.
-            if trace is not None:
-                trace.terminated_at = j
             return float(j)
         if c < a[j]:
             # phi(zeta_z - j) = c/a_j < 1: result level is j.
-            if trace is not None:
-                trace.terminated_at = j
             return j + c / a[j]
         if j == lev - 1:
             break
@@ -265,13 +227,14 @@ def _require_same_format(x: SliNumber, y: SliNumber) -> SliFormat:
     return x.fmt
 
 
-def _mag_add_sub(fmt: SliFormat, big: SliNumber, small: SliNumber, subtract: bool) -> SliNumber:
-    """|big| +/- |small| with the sign of big, |big| >= |small| (> to
-    subtract), both nonzero."""
+def _mag_add_sub(fmt: SliFormat, big: SliNumber, small: SliNumber, subtract: bool,
+                 sign: int) -> SliNumber:
+    """sign * (|big| +/- |small|) for |big| >= |small| (> to subtract),
+    both nonzero."""
     if big.reciprocal > 0:
         # A small operand below one is fed as a raw level-0 descriptor.
         zy = small.zeta if small.reciprocal > 0 else _recip_chain(small.zeta)
-        return _wrap_mag(fmt, big.sign, li_add_sub(big.zeta, zy, subtract))
+        return _wrap_mag(fmt, sign, li_add_sub(big.zeta, zy, subtract))
     # Both below one: |b| +/- |s| = (P_s +/- P_b)/(P_b P_s) with P = 1/|.|,
     # and P_s >= P_b because big is the larger magnitude.
     w = li_add_sub(small.zeta, big.zeta, subtract)
@@ -279,29 +242,39 @@ def _mag_add_sub(fmt: SliFormat, big: SliNumber, small: SliNumber, subtract: boo
     if w <= 0.0:
         return SliNumber.zero(fmt)
     if w >= 1.0:
-        return _ratio(fmt, big.sign, w, zm)
+        return _ratio(fmt, sign, w, zm)
     # The difference of the P's came out raw: divide through its reciprocal.
-    return _materialize(fmt, big.sign, -1, li_mul_div(zm, _zeta_of_recip(w))[0])
+    return _materialize(fmt, sign, -1, li_mul_div(zm, _zeta_of_recip(w))[0])
+
+
+def _add_signed(x: SliNumber, y: SliNumber, y_sign: int) -> SliNumber:
+    """Rounded x + y, with y's sign taken as y_sign (add passes y.sign,
+    sub -y.sign), so that no negated y is ever built."""
+    fmt = _require_same_format(x, y)
+    if x.is_zero:
+        return y if y_sign == y.sign else neg(y)
+    if y.is_zero:
+        return x
+    rx, ry = magnitude_rank(x), magnitude_rank(y)
+    subtract = x.sign != y_sign
+    if subtract and rx == ry:
+        return SliNumber.zero(fmt)
+    if rx >= ry:
+        return _mag_add_sub(fmt, x, y, subtract, x.sign)
+    if y_sign < 0 and not fmt.signed:
+        raise ValueError(f"negative difference in unsigned {fmt.name}")
+    return _mag_add_sub(fmt, y, x, subtract, y_sign)
 
 
 def add(x: SliNumber, y: SliNumber) -> SliNumber:
     """Rounded sum.  Exact cancellation of equal opposites gives zero."""
-    fmt = _require_same_format(x, y)
-    if x.is_zero:
-        return y
-    if y.is_zero:
-        return x
-    rx, ry = magnitude_rank(x), magnitude_rank(y)
-    subtract = x.sign != y.sign
-    if subtract and rx == ry:
-        return SliNumber.zero(fmt)
-    big, small = (x, y) if rx >= ry else (y, x)
-    return _mag_add_sub(fmt, big, small, subtract)
+    return _add_signed(x, y, y.sign)
 
 
 def sub(x: SliNumber, y: SliNumber) -> SliNumber:
-    """Rounded difference, evaluated as x + (-y)."""
-    return add(x, neg(y))
+    """Rounded difference x + (-y).  In an unsigned format it raises
+    ValueError only where y > x, when the difference is negative."""
+    return _add_signed(x, y, -y.sign)
 
 
 def mul(x: SliNumber, y: SliNumber) -> SliNumber:

@@ -523,23 +523,29 @@ def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
     return SliNumber.of(fmt, sign, reciprocal, level, index_k)
 
 
-def enumerate_values(fmt: SliFormat, raw: bool = False) -> list[tuple[BitWord, float]]:
-    """All 2**width words with decoded values, in raw word order.
+def enumerate_values(fmt: SliFormat, raw: bool = False) -> list[tuple[BitWord, float, float]]:
+    """All 2**width words in raw word order, each with its decoded value
+    and the base-10 logarithm of that magnitude (log_phi10 of zeta,
+    negated below one), which stays finite past binary64's range.
 
     With raw=True the zero convention and canonicalization are ignored
     and every word decodes through its literal fields (the all-zeros
-    word then reads as one).  Capped at MAX_TABLE_BITS-wide formats;
-    wider tables have no business being materialized.
+    word then reads as one); otherwise zero payloads give 0.0 and -inf.
+    Capped at MAX_TABLE_BITS-wide formats; wider tables have no
+    business being materialized.
     """
     if fmt.width > MAX_TABLE_BITS:
         raise ValueError(f"refusing to enumerate {fmt.width}-bit format {fmt.name}")
-    out: list[tuple[BitWord, float]] = []
+    out: list[tuple[BitWord, float, float]] = []
     for bits in range(1 << fmt.width):
         word = BitWord(bits, fmt.width)
-        if raw:
-            out.append((word, decode_fields(fmt, *word_fields(bits, fmt))))
-        else:
-            out.append((word, decode(unpack(word, fmt))))
+        sign, reciprocal, level, index_k = word_fields(bits, fmt)
+        if not raw and (reciprocal, level, index_k) == (-1, 1, 0):
+            out.append((word, 0.0, -math.inf))
+            continue
+        lg = log_phi10(level + index_k / fmt.index_scale)
+        out.append((word, decode_fields(fmt, sign, reciprocal, level, index_k),
+                    lg if reciprocal > 0 else -lg))
     return out
 
 

@@ -22,18 +22,14 @@ import numpy as np
 
 from . import arith
 from .core import (
-    MAX_TABLE_BITS,
-    BitWord,
     SliFormat,
     SliNumber,
     _decode_lanes,
     _encode_lanes,
     decode,
-    decode_fields,
     encode,
-    log_phi10,
+    enumerate_values,
     pack,
-    word_fields,
 )
 from .minifloat import FloatFormat, _fl_lanes, enumerate_floats, fl, fl_op
 
@@ -172,7 +168,7 @@ def repr_error_sweep(cfg: ExperimentConfig) -> ErrorTable:
 
 def _simulate_matvec(
     fmt: SliFormat | FloatFormat, a: np.ndarray, x: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """y = A x with inputs pre-rounded and every product and running-sum
     addition performed in the target arithmetic, left to right.
 
@@ -192,7 +188,7 @@ def _simulate_matvec(
                 xr.take(np.repeat(np.arange(j0, j0 + width), n)))
             for j in range(width):
                 acc = arith._add_lanes(fmt, acc, prods.take(slice(j * n, (j + 1) * n)))
-        return _decode_lanes(acc, fmt).tolist()
+        return _decode_lanes(acc, fmt)
     xf = _fl_lanes(x, fmt)
     acc = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,7 +197,7 @@ def _simulate_matvec(
             prods = _fl_lanes(_fl_lanes(block, fmt) * xf[j0:j0 + cols], fmt)
             for j in range(block.shape[1]):
                 acc = _fl_lanes(acc + prods[:, j], fmt)
-    return acc.tolist()
+    return acc
 
 
 def matvec_backward_error(cfg: ExperimentConfig) -> ErrorTable:
@@ -227,8 +223,8 @@ def matvec_backward_error(cfg: ExperimentConfig) -> ErrorTable:
         denom = float(norm_a * np.abs(x).max())
         for name, fmt in systems:
             y_hat = _simulate_matvec(fmt, a, x)
-            if all(math.isfinite(v) for v in y_hat):
-                diff = max(abs(h - float(r)) for h, r in zip(y_hat, y_ref))
+            if np.isfinite(y_hat).all():
+                diff = float(np.max(np.abs(y_hat - y_ref)))
                 err = diff / denom if denom > 0.0 else (math.inf if diff else 0.0)
             else:
                 err = math.inf
@@ -281,26 +277,10 @@ def read_dat(path: str | Path) -> tuple[list[str], list[list[float]]]:
 # CLI
 
 
-def _sli_table_rows(fmt: SliFormat, raw: bool) -> list[tuple[BitWord, float, float]]:
-    """(word, value, signed log10 of |value|) for every word of the format."""
-    if fmt.width > MAX_TABLE_BITS:
-        raise ValueError(f"refusing to tabulate {fmt.width}-bit format {fmt.name}")
-    rows = []
-    for bits in range(1 << fmt.width):
-        sign, reciprocal, level, index_k = word_fields(bits, fmt)
-        if not raw and (reciprocal, level, index_k) == (-1, 1, 0):
-            rows.append((BitWord(bits, fmt.width), 0.0, -math.inf))
-            continue
-        value = decode_fields(fmt, sign, reciprocal, level, index_k)
-        lg = log_phi10(level + index_k / fmt.index_scale)
-        rows.append((BitWord(bits, fmt.width), value, lg if reciprocal > 0 else -lg))
-    return rows
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     fmt = resolve_system(args.format)
     if isinstance(fmt, SliFormat):
-        rows = _sli_table_rows(fmt, args.raw)
+        rows = enumerate_values(fmt, args.raw)
         print("bits value log10")
         for word, value, lg in rows:
             print(f"{word} {_field_text(value)} {_field_text(lg)}")
@@ -379,26 +359,22 @@ def _cmd_matvec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sli_name(text: str) -> str:
-    try:
-        return SliFormat.from_name(text).name
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _format_name(resolve: Callable[[str], SliFormat | FloatFormat]) -> Callable[[str], str]:
+    """An argparse type: the canonical name of the format resolve gives,
+    with its ValueError turned into a usage error."""
+
+    def convert(text: str) -> str:
+        try:
+            return resolve(text).name
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return convert
 
 
-def _float_name(text: str) -> str:
-    try:
-        return FloatFormat.from_name(text).name
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-
-
-def _any_system(text: str) -> str:
-    try:
-        resolve_system(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-    return text
+_sli_name = _format_name(SliFormat.from_name)
+_float_name = _format_name(FloatFormat.from_name)
+_any_system = _format_name(resolve_system)
 
 
 def _dims(text: str) -> tuple[int, ...]:
@@ -408,33 +384,26 @@ def _dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from None
 
 
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
-
-
-# Converters for config-file overrides, per subcommand and flag name.
-_CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
+# The flags of the experiment commands, flag -> (type, default).  The
+# parser declares them from here, and a --config file may set any of
+# them by the same name, converted by the same type.
+_FLAGS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "sweep-repr": {
-        "sli": _sli_name,
-        "float": _float_name,
-        "min": float,
-        "max": float,
-        "step": float,
-        "out": str,
+        "sli": (_sli_name, "sli2.12"),
+        "float": (_float_name, "binary16"),
+        "min": (float, 1e-2),
+        "max": (float, 8.0),
+        "step": (float, 1e-5),
+        "out": (str, "sweep-repr.dat"),
     },
     "matvec": {
-        "sli": _sli_name,
-        "float": _float_name,
-        "dims": _dims,
-        "lo": float,
-        "hi": float,
-        "seed": int,
-        "out": str,
+        "sli": (_sli_name, "sli2.12"),
+        "float": (_float_name, "binary16"),
+        "dims": (_dims, (10, 100, 1000)),
+        "lo": (float, 0.0),
+        "hi": (float, 1.0),
+        "seed": (int, 2024),
+        "out": (str, "matvec.dat"),
     },
 }
 
@@ -444,7 +413,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     path = getattr(args, "config", None)
     if path is None:
         return
-    converters = _CONFIG_KEYS[args.command]
+    flags = _FLAGS[args.command]
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -453,11 +422,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip()
-        conv = converters.get(key)
-        if conv is None:
+        if key not in flags:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {args.command}")
         try:
-            setattr(args, key, conv(value.strip()))
+            setattr(args, key, flags[key][0](value.strip()))
         except (argparse.ArgumentTypeError, ValueError) as e:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {e}") from None
 
@@ -487,28 +455,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("y", type=float)
     p.set_defaults(func=_cmd_op)
 
-    p = sub.add_parser("sweep-repr", help="representation-error sweep to a .dat file")
-    p.add_argument("--sli", type=_sli_name, default="sli2.12")
-    p.add_argument("--float", type=_float_name, default="binary16")
-    p.add_argument("--min", type=float, default=1e-2)
-    p.add_argument("--max", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--out", type=str, default="sweep-repr.dat")
-    p.add_argument("--config", type=str, default=None,
-                   help="key=value file overriding the flags above")
-    p.set_defaults(func=_cmd_sweep_repr)
-
-    p = sub.add_parser("matvec", help="matrix-vector backward error to a .dat file")
-    p.add_argument("--sli", type=_sli_name, default="sli2.12")
-    p.add_argument("--float", type=_float_name, default="binary16")
-    p.add_argument("--dims", type=_dims, default=(10, 100, 1000))
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out", type=str, default="matvec.dat")
-    p.add_argument("--config", type=str, default=None,
-                   help="key=value file overriding the flags above")
-    p.set_defaults(func=_cmd_matvec)
+    for command, func, text in (
+        ("sweep-repr", _cmd_sweep_repr, "representation-error sweep to a .dat file"),
+        ("matvec", _cmd_matvec, "matrix-vector backward error to a .dat file"),
+    ):
+        p = sub.add_parser(command, help=text)
+        for flag, (kind, default) in _FLAGS[command].items():
+            p.add_argument(f"--{flag}", type=kind, default=default)
+        p.add_argument("--config", type=str, default=None,
+                       help="key=value file overriding the flags above")
+        p.set_defaults(func=func)
 
     return parser
 

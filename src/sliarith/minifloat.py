@@ -30,6 +30,10 @@ __all__ = [
 
 _NAME_RE = re.compile(r"^b([1-9][0-9]*)e([1-9][0-9]*)(u?)$")
 
+# Formats known by name, name -> (precision, e_max, signed), and back.
+_NAMED = {"binary16": (11, 15, True), "bfloat16": (8, 127, True), "toy5": (3, 3, False)}
+_NAME_OF = {fields: name for name, fields in _NAMED.items()}
+
 
 def _scaled(m: float, e: int) -> float:
     """m * 2**e for m in [1, 2], inf when that passes binary64 (2.0 ** e
@@ -60,12 +64,8 @@ class FloatFormat:
     @classmethod
     def from_name(cls, name: str) -> "FloatFormat":
         key = name.strip()
-        if key == "binary16":
-            return cls(11, 15)
-        if key == "bfloat16":
-            return cls(8, 127)
-        if key == "toy5":
-            return cls(3, 3, signed=False)
+        if key in _NAMED:
+            return cls(*_NAMED[key])
         m = _NAME_RE.match(key)
         if m is None:
             raise ValueError(f"not a float format name: {name!r}")
@@ -73,12 +73,9 @@ class FloatFormat:
 
     @property
     def name(self) -> str:
-        if self == FloatFormat(11, 15):
-            return "binary16"
-        if self == FloatFormat(8, 127):
-            return "bfloat16"
-        if self == FloatFormat(3, 3, signed=False):
-            return "toy5"
+        named = _NAME_OF.get((self.precision, self.e_max, self.signed))
+        if named is not None:
+            return named
         suffix = "" if self.signed else "u"
         return f"b{self.precision}e{self.e_max}{suffix}"
 
@@ -236,6 +233,6 @@ def enumerate_floats(fmt: FloatFormat) -> list[tuple[BitWord, float]]:
     return out
 
 
-TOY5 = FloatFormat(3, 3, signed=False)
-BINARY16 = FloatFormat(11, 15)
-BFLOAT16 = FloatFormat(8, 127)
+TOY5 = FloatFormat.from_name("toy5")
+BINARY16 = FloatFormat.from_name("binary16")
+BFLOAT16 = FloatFormat.from_name("bfloat16")

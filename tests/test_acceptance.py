@@ -544,7 +544,7 @@ def test_09_exhaustive_small_formats():
                 if len(seen) != count:
                     failures.append(f"{fmt.name}: {len(seen)} values, expected {count}")
                 if not signed:
-                    values = [v for _, v in enumerate_values(fmt, raw=True)]
+                    values = [v for _, v, _ in enumerate_values(fmt, raw=True)]
                     half = 1 << (fmt.width - 1)
                     for a, b in zip(values[:half], values[1:half]):
                         if not (a > b or (a == 0.0 and b == 0.0)):

@@ -298,7 +298,7 @@ class TestEncodeDecode:
 
     def test_round_trip_every_value(self):
         for fmt in (SliFormat(2, 3), F13U, SliFormat(3, 2, signed=False)):
-            for _, value in enumerate_values(fmt):
+            for _, value, _ in enumerate_values(fmt):
                 if value == 0.0 or math.isinf(value):
                     continue
                 n = encode(value, fmt)
@@ -508,9 +508,23 @@ class TestCodec:
         raw = enumerate_values(F22U, raw=True)
         assert cooked[0][1] == 0.0
         assert raw[0][1] == 1.0
+        assert (cooked[0][2], raw[0][2]) == (-math.inf, 0.0)
         # words otherwise agree
-        for (w1, v1), (w2, v2) in zip(cooked[1:], raw[1:]):
+        for (w1, v1, lg1), (w2, v2, lg2) in zip(cooked[1:], raw[1:]):
             assert w1 == w2 and (v1 == v2 or (math.isnan(v1) and math.isnan(v2)))
+            assert lg1 == lg2
+
+    def test_log10_column(self):
+        # The signed log10 column is log10 |value| wherever binary64 holds
+        # the value, and stays finite past binary64's range both ways.
+        rows = enumerate_values(SliFormat(2, 3, signed=False))
+        for _, value, lg in rows:
+            if 0.0 < value < math.inf:
+                assert lg == pytest.approx(math.log10(value), rel=1e-12, abs=1e-15)
+        values = [value for _, value, _ in rows]
+        lgs = [lg for _, _, lg in rows]
+        assert math.inf in values and 0.0 in values[1:]
+        assert max(lgs) > 308 and min(lgs[1:]) < -308 and all(map(math.isfinite, lgs[1:]))
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import time
 import warnings
 
@@ -253,16 +254,16 @@ class TestSimulateMatvec:
     def test_identity_product_is_exact(self):
         a = np.array([[1.0]])
         x = np.array([0.5])
-        assert _simulate_matvec(TOY5, a, x) == [0.5]
-        assert _simulate_matvec(BINARY16, a, x) == [0.5]
+        assert _simulate_matvec(TOY5, a, x).tolist() == [0.5]
+        assert _simulate_matvec(BINARY16, a, x).tolist() == [0.5]
         got = _simulate_matvec(F, a, x)
-        assert got == [decode(encode(0.5, F))]
+        assert got.tolist() == [decode(encode(0.5, F))]
 
     def test_row_sum_in_binary64_exact_case(self):
         # all entries exactly representable: the float path is exact
         a = np.array([[0.5, 0.25], [1.0, 2.0]])
         x = np.array([2.0, 4.0])
-        assert _simulate_matvec(BINARY16, a, x) == [2.0, 10.0]
+        assert _simulate_matvec(BINARY16, a, x).tolist() == [2.0, 10.0]
 
 
 class TestMatvecBackwardError:
@@ -380,6 +381,16 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "level: 2" in out
         assert "value: 6.283548393727487" in out
+
+    def test_op_sub_unsigned(self, capsys):
+        assert cli(["op", "sub", "sli2.12u", "3", "1"]) == 0
+        unsigned = capsys.readouterr().out.splitlines()
+        assert cli(["op", "sub", "sli2.12", "3", "1"]) == 0
+        signed = capsys.readouterr().out.splitlines()
+        # The signed format's number, in a word without the sign bit.
+        assert unsigned[1] == "bits: " + signed[1][len("bits: 0"):]
+        assert unsigned[2:] == signed[2:]
+        assert "value: 1.9999361086506573" in unsigned
 
     def test_float_formats_wider_than_binary64(self, tmp_path, capsys):
         assert cli(["op", "add", "b53e2000", "1", "2"]) == 0
@@ -544,6 +555,93 @@ class TestCliConfig:
         assert header == ["x", "bfloat16", SLI_COLUMN]
 
 
+class TestCliSurface:
+    """Every flag of the experiment commands, set on the command line and
+    as a --config key, and the commands' --help text."""
+
+    FLAG_VALUES = [
+        ("sweep-repr", "sli", "sli3.8", "sli3.8"),
+        ("sweep-repr", "float", "bfloat16", "bfloat16"),
+        ("sweep-repr", "min", "0.5", 0.5),
+        ("sweep-repr", "max", "2.5", 2.5),
+        ("sweep-repr", "step", "0.125", 0.125),
+        ("sweep-repr", "out", "x.dat", "x.dat"),
+        ("matvec", "sli", "sli1.4u", "sli1.4u"),
+        ("matvec", "float", "b5e7u", "b5e7u"),
+        ("matvec", "dims", "3,5", (3, 5)),
+        ("matvec", "lo", "-2", -2.0),
+        ("matvec", "hi", "7.5", 7.5),
+        ("matvec", "seed", "11", 11),
+        ("matvec", "out", "y.dat", "y.dat"),
+    ]
+
+    # argparse's text on Python 3.11; other versions may lay it out differently.
+    HELP = {
+        "sweep-repr": """\
+usage: sliarith sweep-repr [-h] [--sli SLI] [--float FLOAT] [--min MIN]
+                           [--max MAX] [--step STEP] [--out OUT]
+                           [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --sli SLI
+  --float FLOAT
+  --min MIN
+  --max MAX
+  --step STEP
+  --out OUT
+  --config CONFIG  key=value file overriding the flags above
+""",
+        "matvec": """\
+usage: sliarith matvec [-h] [--sli SLI] [--float FLOAT] [--dims DIMS]
+                       [--lo LO] [--hi HI] [--seed SEED] [--out OUT]
+                       [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --sli SLI
+  --float FLOAT
+  --dims DIMS
+  --lo LO
+  --hi HI
+  --seed SEED
+  --out OUT
+  --config CONFIG  key=value file overriding the flags above
+""",
+    }
+
+    @pytest.mark.parametrize("command, flag, text, value", FLAG_VALUES)
+    def test_flag_and_config_key_set_the_same_value(
+        self, command, flag, text, value, tmp_path, monkeypatch
+    ):
+        seen = []
+        monkeypatch.setattr(experiments, "_cmd_" + command.replace("-", "_"),
+                            lambda args: seen.append(args) or 0)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{flag} = {text}\n")
+        assert cli([command]) == 0
+        assert cli([command, f"--{flag}", text]) == 0
+        assert cli([command, "--config", str(conf)]) == 0
+        default, from_flag, from_config = (getattr(args, flag) for args in seen)
+        assert from_flag == from_config == value != default
+
+    def test_every_flag_is_covered(self, capsys):
+        covered = {(command, flag) for command, flag, _, _ in self.FLAG_VALUES}
+        declared = set()
+        for command in self.HELP:
+            assert cli([command, "--help"]) == 0
+            usage = capsys.readouterr().out.split("\n\n")[0]
+            declared |= {(command, flag) for flag in re.findall(r"--(\w+)", usage)}
+        assert declared - covered == {("sweep-repr", "config"), ("matvec", "config")}
+        assert covered <= declared
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli([command, "--help"]) == 0
+        assert capsys.readouterr().out == self.HELP[command]
+
+
 class TestCliErrors:
     def test_no_arguments_is_usage(self, capsys):
         assert cli([]) == 2
@@ -559,6 +657,10 @@ class TestCliErrors:
 
     def test_negative_into_unsigned_is_domain_error(self, capsys):
         assert cli(["encode", "sli2.12u", "-1"]) == 1
+
+    def test_negative_unsigned_difference_is_domain_error(self, capsys):
+        assert cli(["op", "sub", "sli2.12u", "1", "3"]) == 1
+        assert "negative difference in unsigned sli2.12u" in capsys.readouterr().err
 
     def test_non_finite_encode_is_domain_error(self, capsys):
         assert cli(["encode", "sli2.12", "inf"]) == 1
