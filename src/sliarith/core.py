@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -523,7 +523,7 @@ def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
     return SliNumber.of(fmt, sign, reciprocal, level, index_k)
 
 
-def enumerate_values(fmt: SliFormat, raw: bool = False) -> list[tuple[BitWord, float, float]]:
+def enumerate_values(fmt: SliFormat, raw: bool = False) -> Iterator[tuple[BitWord, float, float]]:
     """All 2**width words in raw word order, each with its decoded value
     and the base-10 logarithm of that magnitude (log_phi10 of zeta,
     negated below one), which stays finite past binary64's range.
@@ -531,22 +531,24 @@ def enumerate_values(fmt: SliFormat, raw: bool = False) -> list[tuple[BitWord, f
     With raw=True the zero convention and canonicalization are ignored
     and every word decodes through its literal fields (the all-zeros
     word then reads as one); otherwise zero payloads give 0.0 and -inf.
-    Capped at MAX_TABLE_BITS-wide formats; wider tables have no
-    business being materialized.
+    The rows are made one at a time as they are iterated.  Formats wider
+    than MAX_TABLE_BITS are refused by the call itself, before any row.
     """
     if fmt.width > MAX_TABLE_BITS:
         raise ValueError(f"refusing to enumerate {fmt.width}-bit format {fmt.name}")
-    out: list[tuple[BitWord, float, float]] = []
+    return _value_rows(fmt, raw)
+
+
+def _value_rows(fmt: SliFormat, raw: bool) -> Iterator[tuple[BitWord, float, float]]:
     for bits in range(1 << fmt.width):
         word = BitWord(bits, fmt.width)
         sign, reciprocal, level, index_k = word_fields(bits, fmt)
         if not raw and (reciprocal, level, index_k) == (-1, 1, 0):
-            out.append((word, 0.0, -math.inf))
+            yield word, 0.0, -math.inf
             continue
         lg = log_phi10(level + index_k / fmt.index_scale)
-        out.append((word, decode_fields(fmt, sign, reciprocal, level, index_k),
-                    lg if reciprocal > 0 else -lg))
-    return out
+        yield (word, decode_fields(fmt, sign, reciprocal, level, index_k),
+               lg if reciprocal > 0 else -lg)
 
 
 def magnitude_rank(num: SliNumber) -> int:

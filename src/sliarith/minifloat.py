@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -199,22 +200,26 @@ def fl_op(a: float, b: float, op: str, fmt: FloatFormat) -> float:
     return fl(r, fmt)
 
 
-def enumerate_floats(fmt: FloatFormat) -> list[tuple[BitWord, float]]:
-    """All words of the IEEE-style encoding, in raw word order.
+def enumerate_floats(fmt: FloatFormat) -> Iterator[tuple[BitWord, float]]:
+    """All words of the IEEE-style encoding, in raw word order, made one
+    at a time as they are iterated.
 
     Layout MSB first: sign (if signed) | exponent field | trailing
     significand.  All-ones exponent encodes infinity (zero trailing
-    bits) or NaN.  Requires an IEEE-shaped e_max and at most
-    MAX_TABLE_BITS bits.
+    bits) or NaN.  Requires an IEEE-shaped e_max; formats wider than
+    MAX_TABLE_BITS are refused by the call itself, before any row.
     """
+    if fmt.width > MAX_TABLE_BITS:
+        raise ValueError(f"refusing to enumerate {fmt.width}-bit format {fmt.name}")
+    return _float_rows(fmt)
+
+
+def _float_rows(fmt: FloatFormat) -> Iterator[tuple[BitWord, float]]:
     w = fmt.exponent_bits
     width = fmt.width
-    if width > MAX_TABLE_BITS:
-        raise ValueError(f"refusing to enumerate {width}-bit format {fmt.name}")
     p = fmt.precision
     bias = fmt.e_max
     t_bits = p - 1
-    out: list[tuple[BitWord, float]] = []
     for bits in range(1 << width):
         payload = bits
         sign = 1.0
@@ -229,8 +234,7 @@ def enumerate_floats(fmt: FloatFormat) -> list[tuple[BitWord, float]]:
             v = math.ldexp(t, fmt.e_min - t_bits)
         else:
             v = math.ldexp((1 << t_bits) + t, e_field - bias - t_bits)
-        out.append((BitWord(bits, width), sign * v))
-    return out
+        yield BitWord(bits, width), sign * v
 
 
 TOY5 = FloatFormat.from_name("toy5")

@@ -504,8 +504,8 @@ class TestCodec:
         assert unpack(w, F212).is_zero
 
     def test_all_zeros_is_zero_but_raw_reads_one(self):
-        cooked = enumerate_values(F22U)
-        raw = enumerate_values(F22U, raw=True)
+        cooked = list(enumerate_values(F22U))
+        raw = list(enumerate_values(F22U, raw=True))
         assert cooked[0][1] == 0.0
         assert raw[0][1] == 1.0
         assert (cooked[0][2], raw[0][2]) == (-math.inf, 0.0)
@@ -517,7 +517,7 @@ class TestCodec:
     def test_log10_column(self):
         # The signed log10 column is log10 |value| wherever binary64 holds
         # the value, and stays finite past binary64's range both ways.
-        rows = enumerate_values(SliFormat(2, 3, signed=False))
+        rows = list(enumerate_values(SliFormat(2, 3, signed=False)))
         for _, value, lg in rows:
             if 0.0 < value < math.inf:
                 assert lg == pytest.approx(math.log10(value), rel=1e-12, abs=1e-15)

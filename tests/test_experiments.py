@@ -5,6 +5,7 @@ import math
 import re
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,18 +340,65 @@ class TestDatFiles:
 
     def test_rows_spelled_as_field_text(self, tmp_path, monkeypatch):
         # Several write chunks, the last one partial, and every special
-        # value a key or an error can take.
-        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 3)
+        # value a key or an error can take; then the edges of emit_dat's
+        # fast spelling: both neighbours of every power of ten from 1e-7
+        # to 1e18 (and the powers), values whose 17-digit rounding carries
+        # into the next decade, and exact ties of the 17th digit.
+        monkeypatch.setattr(experiments, "_SPELL_VALUES", 6)  # 3 rows a pass
         key = [1.0, -0.0, 0.0, -2.5, math.inf, -math.inf, math.nan, 5e-324,
                0.1, 1e300, -1e-300, 65504.0]
         errs = [0.0, -0.0, math.inf, 2.0**-53, 1.0 / 3.0, 5e-324, 0.1, 1e22,
                 1e-7, 1e16, 123456789.0, 7.0]
+        powers = [float(f"1e{k}") for k in range(-7, 19)]
+        edges = [x for p in powers
+                 for x in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+        # The doubles nearest these powers lie below them and still spell
+        # as the power: the rounding carries.  None lies in 1e-6..1e17.
+        exponents = (-305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220)
+        carries = [float(f"1e{k}") for k in exponents]
+        assert all(Fraction(x) < Fraction(10) ** k for x, k in zip(carries, exponents))
+        assert [_field_text(x) for x in carries] == [f"1e{k:+03d}" for k in exponents]
+        # m * 2^(d - 17) with m an odd multiple of 5^(16 - d) is a tie:
+        # |x| * 10^(16 - d) is a 17-digit integer plus one half.
+        rng = np.random.default_rng(17)
+        ties = [1 + 2**-17]
+        assert _field_text(ties[0]) == "1.0000076293945312"
+        for d in range(-6, 16):
+            five = 5 ** (16 - d)
+            lo, hi = -(-2 * 10**16 // five), min(2 * 10**17 // five, 2**53)
+            for m in rng.integers(lo, hi, size=4).tolist():
+                ties.append(math.ldexp(m | 1, d - 17))
+                assert (Fraction(ties[-1]) * 10 ** (16 - d)).denominator == 2
+                assert 10**d <= Fraction(ties[-1]) < 10 ** (d + 1)
+        extra = edges + [-x for x in edges] + carries + ties + [-x for x in ties]
+        key += extra
+        errs += [abs(x) for x in reversed(extra)]
         path = tmp_path / "t.dat"
         emit_dat(ErrorTable(key, {"a": errs}), ["x", "a"], path)
         want = "x a\n" + "".join(
             f"{_field_text(k)} {_field_text(e)}\n" for k, e in zip(key, errs))
         assert path.read_text() == want
         assert "-0" not in path.read_text().split()
+        # At the default pass size: random bit patterns (subnormals,
+        # negatives, NaN and exponents far outside 1e-6..1e17 among them),
+        # then 2^20 random values of either sign from just below 1e-6 to
+        # just above 1e17, where "%.17g" is _field_text.
+        monkeypatch.undo()
+        bits = rng.integers(0, 2**64, size=1 << 13, dtype=np.uint64)
+        bits[:1 << 10] >>= np.uint64(12)  # subnormal, positive
+        bits[1 << 10:1 << 11] |= np.uint64(1 << 63)  # negative
+        n = 1 << 20
+        signs = rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+        exponents = rng.integers(1023 - 20, 1023 + 57, size=n, dtype=np.uint64) << np.uint64(52)
+        fractions = rng.integers(0, 2**52, size=n, dtype=np.uint64)
+        fast = (fractions | exponents | signs).view(np.float64)
+        key = np.concatenate([bits.view(np.float64), fast])
+        emit_dat(ErrorTable(key, {}), ["x"], path)
+        want = [_field_text(x) for x in bits.view(np.float64).tolist()]
+        want += (("%.17g\n" * fast.size) % tuple(fast.tolist())).splitlines()
+        got = path.read_text().splitlines()
+        assert got[0] == "x" and len(got) == 1 + len(want)
+        assert [(x, w) for x, w in zip(got[1:], want) if x != w][:3] == []
 
     def test_read_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.dat"
@@ -466,9 +514,15 @@ class TestCliCommands:
          "5f0f64174d6c2f089d5ff9775f6507d01debcde0656bb1a5e1934cc3bb3b0c89"),
         (["matvec", "--dims", "10,50", "--hi", "100", "--seed", "2024"],
          "18cef508c8f5578ac67a40f49dae9338b51d853a4538b1eec4b82e4943e9dec6"),
+        (["sweep-repr", "--min=-8", "--max=-0.01", "--step", "1e-3"],
+         "723eed0dc9951ab2d5ac75c2925afb2332522a6d000503c9f3c901dbce51abc3"),
+        (["sweep-repr", "--sli", "sli2.12u", "--float", "bfloat16", "--min", "1e-30",
+          "--max", "1e30", "--step", "1e27"],
+         "151eaf352395e1cea74ce00023e95f146fbd8ff538a434b7bd9d2954b49118f0"),
     ])
     def test_dat_bytes_are_pinned(self, tmp_path, capsys, argv, sha256):
-        """The .dat bytes of three runs, pinned by SHA-256.
+        """The .dat bytes of five runs, pinned by SHA-256: negative keys,
+        and keys and errors spelled in scientific notation, among them.
 
         The SLI columns go through the C library's exp and log, so the
         hashes hold for the libm they were taken with (glibc, Python

@@ -203,7 +203,7 @@ class TestFlOp:
 
 class TestEnumerate:
     def test_toy5_matches_reference_column(self):
-        got = enumerate_floats(TOY5)
+        got = list(enumerate_floats(TOY5))
         assert len(got) == 32
         for i, (word, value) in enumerate(got):
             assert word.bits == i and word.width == 5
