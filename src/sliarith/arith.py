@@ -23,10 +23,6 @@ floats w >= 0 where the described magnitude is phi(w), so w >= 1 reads
 as a level-index pair and w < 1 is the magnitude itself.  That makes
 small residuals, operands below one, and the multiply reduction
 (shift both levels down by one, add, shift back) uniform.
-
-Reciprocal operands reduce compositionally, e.g. for x, y both below
-one, x + y = (P_x + P_y) / (P_x P_y) with P = 1/|operand|, evaluated as
-unrounded descriptors and rounded once at the end.
 """
 
 from __future__ import annotations
@@ -102,28 +98,7 @@ def li_add_sub(
         v = zeta_x - zeta_y if subtract else zeta_x + zeta_y
         return psi(v) if v >= 1.0 else max(v, 0.0)
 
-    # Reciprocal ladder of X, top level down to a_0 = 1/phi(zeta_x).
-    a = [0.0] * lev
-    a[lev - 1] = math.exp(-f)
-    for j in range(lev - 1, 0, -1):
-        a[j - 1] = math.exp(-1.0 / a[j]) if a[j] > 0.0 else 0.0
-
-    # Ratio ladder of Y against X, down to b_0 = |Y|/|X|.
-    m = int(zeta_y)
-    g = zeta_y - m
-    if m == 0:
-        b = a[0] * g
-    else:
-        b = a[m - 1] * math.exp(g)
-        for j in range(m - 1, 0, -1):
-            d = 1.0 - b
-            if d <= 0.0:
-                b = 1.0
-            elif a[j] <= 0.0:
-                b = 0.0
-            else:
-                b = math.exp(-d / a[j])
-
+    a, b = _ladder(zeta_x, zeta_y)
     c = 1.0 - b if subtract else 1.0 + b
     j = 0
     while True:
@@ -145,9 +120,35 @@ def li_add_sub(
     return lev + psi(h)
 
 
-def li_mul_div(
-    zeta_x: float, zeta_y: float, divide: bool = False, *, err=(0.0, 0.0)
-) -> tuple[float, bool]:
+def _ladder(zeta_x: float, zeta_y: float) -> tuple[list[float], float]:
+    """The ladders of li_add_sub, for zeta_x >= 1 and 0 <= zeta_y <= zeta_x:
+    the reciprocals a_j = 1/phi(zeta_x - j) below the level of X, and
+    b_0 = phi(zeta_y)/phi(zeta_x)."""
+    lev = int(zeta_x)
+    # Reciprocal ladder of X, top level down to a_0 = 1/phi(zeta_x).
+    a = [0.0] * lev
+    a[lev - 1] = math.exp(-(zeta_x - lev))
+    for j in range(lev - 1, 0, -1):
+        a[j - 1] = math.exp(-1.0 / a[j]) if a[j] > 0.0 else 0.0
+
+    # Ratio ladder of Y against X, down to b_0 = |Y|/|X|.
+    m = int(zeta_y)
+    g = zeta_y - m
+    if m == 0:
+        return a, a[0] * g
+    b = a[m - 1] * math.exp(g)
+    for j in range(m - 1, 0, -1):
+        d = 1.0 - b
+        if d <= 0.0:
+            b = 1.0
+        elif a[j] <= 0.0:
+            b = 0.0
+        else:
+            b = math.exp(-d / a[j])
+    return a, b
+
+
+def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[float, bool]:
     """Magnitude multiply/divide on descriptors with zeta >= 1.
 
     ln phi(zeta) = phi(zeta - 1), so shifting both levels down by one
@@ -159,12 +160,12 @@ def li_mul_div(
     exactly (1.0, False).
 
     Takes equal-length float64 arrays too, with divide a bool or a bool
-    array and err as in li_add_sub, and then returns three arrays: the
-    descriptors, the flipped flags (the scalar results' own), and the
-    bounds li_add_sub gives for the descriptors.
+    array, and then returns three arrays: the descriptors, the flipped
+    flags (the scalar results' own), and the bounds li_add_sub gives for
+    the descriptors.
     """
     if isinstance(zeta_x, np.ndarray):
-        return _li_mul_div_lanes(zeta_x, zeta_y, divide, err)
+        return _li_mul_div_lanes(zeta_x, zeta_y, divide)
     if not (1.0 <= zeta_x < math.inf and 1.0 <= zeta_y < math.inf):
         raise ValueError(f"need finite descriptors >= 1, got {zeta_x}, {zeta_y}")
     flipped = False
@@ -180,39 +181,12 @@ def li_mul_div(
     return w + 1.0, flipped
 
 
-def _recip_chain(zeta: float) -> float:
-    """1/phi(zeta) for zeta >= 1, walked down the ladder to avoid overflow."""
-    lev = int(zeta)
-    a = math.exp(-(zeta - lev))
-    for _ in range(lev - 1):
-        a = math.exp(-1.0 / a) if a > 0.0 else 0.0
-    return a
-
-
-def _zeta_of_recip(w: float) -> float:
-    """Descriptor of 1/w for a raw magnitude 0 < w < 1.
-
-    Stable form of psi(1/w); kernels never emit a positive raw result
-    below about 2**-53, so the logarithm is safe.
-    """
-    return 1.0 + psi(-math.log(w))
-
-
 def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> SliNumber:
     """Round an unrounded (sign, r, zeta) magnitude into the format."""
     if zeta <= 0.0:
         return SliNumber.zero(fmt)
     level, k = round_index(zeta, fmt)
     return SliNumber.of(fmt, sign, reciprocal, level, k)
-
-
-def _wrap_mag(fmt: SliFormat, sign: int, w: float) -> SliNumber:
-    """Materialize a generalized descriptor (magnitude phi(w), any w >= 0)."""
-    if w <= 0.0:
-        return SliNumber.zero(fmt)
-    if w >= 1.0:
-        return _materialize(fmt, sign, 1, w)
-    return _materialize(fmt, sign, -1, _zeta_of_recip(w))
 
 
 def _ratio(fmt: SliFormat, sign: int, num_zeta: float, den_zeta: float) -> SliNumber:
@@ -232,19 +206,28 @@ def _mag_add_sub(fmt: SliFormat, big: SliNumber, small: SliNumber, subtract: boo
     """sign * (|big| +/- |small|) for |big| >= |small| (> to subtract),
     both nonzero."""
     if big.reciprocal > 0:
-        # A small operand below one is fed as a raw level-0 descriptor.
-        zy = small.zeta if small.reciprocal > 0 else _recip_chain(small.zeta)
-        return _wrap_mag(fmt, sign, li_add_sub(big.zeta, zy, subtract))
-    # Both below one: |b| +/- |s| = (P_s +/- P_b)/(P_b P_s) with P = 1/|.|,
-    # and P_s >= P_b because big is the larger magnitude.
-    w = li_add_sub(small.zeta, big.zeta, subtract)
-    zm = li_mul_div(big.zeta, small.zeta)[0]
-    if w <= 0.0:
-        return SliNumber.zero(fmt)
-    if w >= 1.0:
-        return _ratio(fmt, sign, w, zm)
-    # The difference of the P's came out raw: divide through its reciprocal.
-    return _materialize(fmt, sign, -1, li_mul_div(zm, _zeta_of_recip(w))[0])
+        # A small operand below one is fed as a raw level-0 descriptor,
+        # its a_0.  A raw result w is wrapped as 1 + psi(-ln w), the
+        # descriptor of 1/w; the kernel never emits one below about 2**-53.
+        zy = small.zeta if small.reciprocal > 0 else _ladder(small.zeta, 0.0)[0][0]
+        w = li_add_sub(big.zeta, zy, subtract)
+        if 0.0 < w < 1.0:
+            return _materialize(fmt, sign, -1, 1.0 + psi(-math.log(w)))
+        return _materialize(fmt, sign, 1, w)
+    # Both below one, so zb <= zs for the descriptors of big and small,
+    # and r = phi(zb)/phi(zs) is the b_0 of zb against zs.  Then
+    # |big| +/- |small| = (1 +/- r)/phi(zb), whose reciprocal has the log
+    # phi(zb - 1) -/+ ln(1 +/- r), the descriptor w of which one kernel run
+    # gives: the result's zeta is 1 + w, and that log's sign is the
+    # reciprocal flag's.
+    r = _ladder(small.zeta, big.zeta)[1]
+    # Distinct words give r below 1 - 5e-8 up to 24 index bits, but keep
+    # 1 - r > 0, so that a difference is never zero.
+    t = psi(-math.log1p(-min(r, 1.0 - _U)) if subtract else math.log1p(r))
+    u = big.zeta - 1.0
+    w = li_add_sub(max(u, t), min(u, t), not subtract)
+    # A sum can reach one or more.
+    return _materialize(fmt, sign, -1 if subtract or u >= t else 1, 1.0 + w)
 
 
 def _add_signed(x: SliNumber, y: SliNumber, y_sign: int) -> SliNumber:
@@ -385,11 +368,10 @@ def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
     return out, bound
 
 
-def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
-    """The ladders of li_add_sub for lanes with zx >= 1, every lane at
-    every level, each lane left where the scalar kernel would return.
-    Bounds named r* are relative, e* absolute; a lane with a rung that
-    has no relative bound gets inf (or NaN)."""
+def _rungs_lanes(zx, ex):
+    """The reciprocal ladders of _ladder for lanes with zx >= 1, given a
+    bound ex on zx's distance.  Bounds named r* are relative, e* absolute;
+    a deep lane has none, others have a_0 within a_0 ra_0 + _TINY."""
     n = zx.size
     lev = np.trunc(zx)
     f = zx - lev
@@ -418,8 +400,17 @@ def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
             if np.count_nonzero(start):
                 np.copyto(a[j - 1], a_top, where=start)
                 np.copyto(ra[j - 1], ra_top, where=start)
-    # Other rungs below the normal range have no relative bound.
-    deep = (((a < _TINY) & (ra != 0.0)) | (ra > 0.5)).any(axis=0)
+    # Other rungs below the normal range have no relative bound; a_0
+    # steps to no further rung.
+    deep = (((a[1:] < _TINY) & (ra[1:] != 0.0)) | (ra[1:] > 0.5)).any(axis=0)
+    return a, ra, ia, ria, deep
+
+
+def _ladder_lanes(zx, zy, ex, ey):
+    """_ladder for lanes with zx >= 1 and 0 <= zy <= zx, given bounds ex
+    and ey on the inputs' distances: the rungs, the bounds li_add_sub's
+    climb takes from them, and b_0 within eb (a_0 subnormal or not)."""
+    a, ra, ia, ria, deep = _rungs_lanes(zx, ex)
     ia_hi = ia * (1.0 + ria)  # bounds 1/a_j on either path
     ria += 4 * _U  # and the rounding of a product with ia
     ra_hi = 1.0 + ra
@@ -462,8 +453,20 @@ def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
         start = m == j + 1
         if np.count_nonzero(start):
             b_start = a[j] * exp_g
-            np.copyto(eb, b_start * rb_start[j], where=start)
+            np.copyto(eb, b_start * rb_start[j] + _TINY, where=start)
             np.copyto(b, b_start, where=start)
+    return a, ra, ra_hi, ia, ia_hi, ria, deep, b, eb
+
+
+def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
+    """li_add_sub for lanes with zx >= 1: the ladders, then the result
+    against X, each lane left where the scalar kernel would return.  A
+    lane with a rung that has no relative bound gets inf (or NaN)."""
+    a, ra, ra_hi, ia, ia_hi, ria, deep, b, eb = _ladder_lanes(zx, zy, ex, ey)
+    n, top = zx.size, a.shape[0]
+    lev = np.trunc(zx)
+    f = zx - lev
+    deep = deep | (a[0] < _TINY) & (ra[0] != 0.0) | (ra[0] > 0.5)
 
     # Result against X, c_0 = 1 -/+ b_0, up the levels of X until c_j < a_j,
     # which an addition (c_j >= 1) never meets.
@@ -518,7 +521,7 @@ def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
     return zeta, err
 
 
-def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide, err=(0.0, 0.0)):
+def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
     """li_mul_div per lane, with the bound li_add_sub gives."""
     ok = (1.0 <= zeta_x) & (zeta_x < math.inf) & (1.0 <= zeta_y) & (zeta_y < math.inf)
     if not ok.all():
@@ -526,30 +529,10 @@ def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide, err=(0.0, 
         raise ValueError(f"need finite descriptors >= 1, got {zeta_x[i]}, {zeta_y[i]}")
     # Equal operands need no short cut here: their descriptors cancel
     # exactly in the kernel, giving (1.0, False) as the scalar path does.
-    swap = zeta_x < zeta_y
-    hi = np.where(swap, zeta_y, zeta_x)
-    lo = np.where(swap, zeta_x, zeta_y)
-    ex, ey = err
-    w, bound = li_add_sub(hi - 1.0, lo - 1.0, divide,
-                          err=(np.where(swap, ey, ex), np.where(swap, ex, ey)))
+    w, bound = li_add_sub(np.maximum(zeta_x, zeta_y) - 1.0, np.minimum(zeta_x, zeta_y) - 1.0,
+                          divide)
     w += 1.0
-    return w, swap & divide, bound + 2 * _U * w
-
-
-def _recip_chain_lanes(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_recip_chain per lane, with its absolute bound."""
-    lev = np.trunc(zeta)
-    a, rel = np.exp(-(zeta - lev)), np.full(zeta.shape, np.expm1(_TRANS))
-    for s in range(int(lev.max(initial=1)) - 1):
-        walk = lev > s + 1
-        q = 1.0 / a
-        q_rel = rel / np.maximum(1.0 - rel, 0.0) + 2 * _U
-        step_rel = np.expm1(q * q_rel + _TRANS)
-        step_rel[q * (1.0 - q_rel) > _EXP_GONE] = 0.0  # +0 on both paths
-        np.copyto(rel, step_rel, where=walk)
-        np.copyto(a, np.exp(-q), where=walk)
-    # Below the normal range an exp result is off by a few 2**-1074 at most.
-    return a, a * rel + _TINY
+    return w, (zeta_x < zeta_y) & divide, bound + 2 * _U * w
 
 
 def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray):
@@ -562,51 +545,66 @@ def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: 
 
 
 def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
-    """add per lane.  Zero lanes, whose neutral fields read as one, run
-    through the kernels like the rest and are replaced at the end."""
+    """add per lane, the kernel run once for all of them.  Zero lanes,
+    whose neutral fields read as one, run through the kernel like the
+    rest and are replaced at the end."""
     zx, zy = x.zeta(fmt), y.zeta(fmt)
     # r (zeta - 1) orders magnitudes exactly as magnitude_rank does; big
     # is y where swap, else x, and small the other one.
     swap = x.reciprocal * (zx - 1.0) < y.reciprocal * (zy - 1.0)
     bz, sz = np.where(swap, zy, zx), np.where(swap, zx, zy)
     up = np.where(swap, y.reciprocal, x.reciprocal) > 0
-    # Equal opposites have equal descriptors on both branches, which the
-    # kernel cancels to exactly 0.0.
     subtract = x.sign != y.sign
-    # Kernel operands: (big, small) when big is at least one; (small, big)
-    # when both are below one, where zeta orders magnitudes the other way.
-    kx, ky = np.where(up, bz, sz), np.where(up, sz, bz)
-    err_y = 0.0
+    # Kernel operands (big, small) and their bounds, replaced below where
+    # small, or both, are below one.  Equal opposites have equal
+    # descriptors, which the kernel cancels to exactly 0.0.
+    kx, ky, k_sub = bz.copy(), sz.copy(), subtract.copy()
+    ex, ey = np.zeros(bz.shape), np.zeros(bz.shape)
     with np.errstate(all="ignore"):  # log 0 and 1/0 on dead lanes
-        # A small operand below one is fed as a raw level-0 descriptor.
+        # A small operand below one is fed as a raw level-0 descriptor,
+        # its a_0.
         chain = up & (np.where(swap, x.reciprocal, y.reciprocal) < 0)
         if np.count_nonzero(chain):
-            err_y = np.zeros(ky.shape)
-            ky[chain], err_y[chain] = _recip_chain_lanes(sz[chain])
-        zeta, err = li_add_sub(kx, ky, subtract, err=(0.0, err_y))
+            a, ra, _, _, deep = _rungs_lanes(sz[chain], 0.0)
+            ky[chain] = a[0]
+            ey[chain] = np.where(deep, math.inf, a[0] * ra[0] + _TINY)
+        # Both below one: the kernel takes phi(zb - 1) and ln(1 +/- r),
+        # r = b_0 of zb against zs, as in _mag_add_sub.
+        down = ~up & ~(subtract & (bz == sz))
+        n_down = np.count_nonzero(down)
+        if n_down:
+            u = bz[down] - 1.0
+            *_, deep, b, eb = _ladder_lanes(sz[down], bz[down], 0.0, 0.0)
+            sub_d = subtract[down]
+            s = np.where(sub_d, -np.minimum(b, 1.0 - _U), b)
+            # log1p's bound is _log's on 1 + s; numpy's log1p and libm's
+            # are each within an ulp (umath-validation-set-log1p.csv).
+            t = np.log1p(s)
+            et = _TRANS * np.abs(t) - np.log1p(-eb / (1.0 + s))
+            t, et = _psi_lanes(np.abs(t), et)
+            # Where the order of u and t is not settled the kernel run
+            # may not be the scalar op's.  A deep lane's t may be NaN.
+            lost = deep | ~(np.abs(u - t) > et)
+            t[lost] = 0.0
+            first = u >= t
+            kx[down], ky[down] = np.where(first, u, t), np.where(first, t, u)
+            ex[down], ey[down] = np.where(first, 0.0, et), np.where(first, et, 0.0)
+            k_sub[down] = ~sub_d
+        zeta, err = li_add_sub(kx, ky, k_sub, err=(ex, ey))
 
-        # A raw w is wrapped as the descriptor 1 + psi(-ln w) of 1/w.
-        raw = (zeta > 0.0) & (zeta < 1.0)
+        # A raw w of big at least one is wrapped as the descriptor
+        # 1 + psi(-ln w) of 1/w.
+        raw = up & (zeta > 0.0) & (zeta < 1.0)
         if np.count_nonzero(raw):
             log_w, elog = _log(zeta[raw], err[raw])
             z, ez = _psi_lanes(-log_w, elog)
             zeta[raw] = 1.0 + z
             err[raw] = ez + 2 * _U * zeta[raw]
         reciprocal = np.where(raw, -1, 1)
-        # Both below one: |b| +/- |s| = (P_s +/- P_b)/(P_b P_s) with P = 1/|.|.
-        down = ~up & (zeta > 0.0)
-        if np.count_nonzero(down):
-            down = np.flatnonzero(down)
-            zm, _, ezm = li_mul_div(bz[down], sz[down])
-            ratio = ~raw[down]
-            zw, ezw = zeta[down], err[down]
-            # w >= 1 is divided by P_b P_s; a raw w came out as the
-            # descriptor of 1/w, which P_b P_s multiplies, for a result
-            # below one.
-            zeta[down], flipped, err[down] = li_mul_div(
-                np.where(ratio, zw, zm), np.where(ratio, zm, zw), ratio,
-                err=(np.where(ratio, ezw, ezm), np.where(ratio, ezm, ezw)))
-            reciprocal[down] = np.where(ratio & ~flipped, 1, -1)
+        if n_down:
+            zeta[down] += 1.0
+            err[down] = np.where(lost, math.inf, err[down] + 2 * _U * zeta[down])
+            reciprocal[down] = np.where(sub_d | first, -1, 1)
     out, redo = _materialize_lanes(
         fmt, np.where(swap, y.sign, x.sign), reciprocal, zeta, err)
     zero = x.zero | y.zero

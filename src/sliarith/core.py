@@ -63,8 +63,9 @@ _PSI_MAX_LEVELS = 64
 
 # Widest accepted index.  Against an 80-digit oracle the binary64 add/sub
 # kernel lands several ranks off from 26 bits on; at 24 bits it stays
-# within one rank, missing by one on about 3 in 10 000 sampled ops (half
-# of the sample near-cancellation pairs).
+# within one rank, missing by one on about 4 in 10 000 sampled ops (half
+# of the sample near-cancellation pairs), each a sum or difference of
+# neighbouring values.
 MAX_INDEX_BITS = 24
 
 # Widest format whose every word may be listed (enumerations and value

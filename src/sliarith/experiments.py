@@ -125,6 +125,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.systems:
             raise ValueError("need at least one system")
+        for key in ("sweep_min", "sweep_max", "sweep_step", "lo", "hi"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not self.sweep_step > 0.0:
             raise ValueError(f"sweep_step must be > 0, got {self.sweep_step}")
         if not self.sweep_min <= self.sweep_max:
@@ -136,6 +139,8 @@ class ExperimentConfig:
                 raise ValueError(f"dimension {n} outside 1..{MAX_DIM}")
         if not self.lo <= self.hi:
             raise ValueError("lo must not exceed hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"hi - lo overflows binary64, got lo {self.lo}, hi {self.hi}")
 
 
 def repr_error_sweep(cfg: ExperimentConfig) -> ErrorTable:

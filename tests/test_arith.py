@@ -388,8 +388,9 @@ class TestOracleEquivalence:
     def test_every_sli1_4_pair_is_exact(self):
         # One level bit keeps every magnitude inside binary64, where the
         # once-rounded binary64 result is the reference.  All word pairs
-        # reach every add/sub branch, including the raw difference of two
-        # magnitudes below one.
+        # reach every add/sub branch.  Among them are sums of two
+        # magnitudes below one that reach one or more, and differences
+        # whose ln(1 - r) term outweighs phi(zb - 1) (_mag_add_sub).
         fmt = SliFormat(1, 4)
         nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
         checked = 0
@@ -403,6 +404,28 @@ class TestOracleEquivalence:
                     assert fn(x, y) == oracle(x, y, ref), (name, str(x), str(y))
                     checked += 1
         assert checked == 65280
+
+    # Sums and differences of two magnitudes below one whose smaller
+    # operand is a level-4 or level-5 reciprocal, so that the exact result
+    # lies a hair from the larger operand: (format, op, x word, y word,
+    # the word bench/oracle.py rounds x op y to at 80 digits).
+    BELOW_ONE = [
+        ("sli3.5", "add", 71, 660, 71),
+        ("sli3.5", "sub", 1, 134, 1),
+        ("sli2.24", "add", 149877161, 201110368, 149877161),
+        ("sli2.24", "add", 201262838, 151781430, 151781430),
+        ("sli2.24", "sub", 201178915, 32276913, 166494641),
+        ("sli2.24", "sub", 66917449, 11723279, 145941007),
+        ("sli2.23", "add", 67211828, 100575075, 67211828),
+        ("sli2.23", "sub", 33500445, 72503910, 5395046),
+        ("sli2.23", "sub", 33550150, 3233510, 70342374),
+    ]
+
+    @pytest.mark.parametrize("name, op, bx, by, want", BELOW_ONE)
+    def test_sums_below_one_match_oracle_words(self, name, op, bx, by, want):
+        fmt = SliFormat.from_name(name)
+        x, y = (unpack(BitWord(b, fmt.width), fmt) for b in (bx, by))
+        assert pack({"add": add, "sub": sub}[op](x, y)).bits == want
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -512,7 +535,8 @@ class TestLaneForms:
         with pytest.raises(ValueError, match=">= 1"):
             li_mul_div(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
 
-    @pytest.mark.parametrize("fmt", [SliFormat(1, 4), F], ids=["sli1.4", "sli2.12"])
+    @pytest.mark.parametrize("fmt", [SliFormat(1, 4), F, SliFormat(2, 24)],
+                             ids=["sli1.4", "sli2.12", "sli2.24"])
     def test_add_and_mul_match_scalar_ops(self, fmt):
         if fmt.width <= 8:  # every word pair
             nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
@@ -532,6 +556,15 @@ class TestLaneForms:
             got = lane_op(fmt, self.lanes(xs), self.lanes(ys))
             want = [self.fields(op(x, y)) for x, y in zip(xs, ys)]
             assert list(zip(*(f.tolist() for f in got))) == want, lane_op.__name__
+
+    def test_sums_below_one_with_a_subnormal_rung(self):
+        # The ladders of phi(5 + 162/256) and phi(6 + 162/256) have a
+        # subnormal rung, below which the lane b_0 of x against itself is
+        # NaN; such lanes go to the scalar op, not into the kernel.
+        fmt = SliFormat(3, 8)
+        xs = [SliNumber(fmt, False, 1, -1, 5, 162), SliNumber(fmt, False, -1, -1, 6, 162)]
+        got = _add_lanes(fmt, self.lanes(xs), self.lanes(xs))
+        assert list(zip(*(f.tolist() for f in got))) == [self.fields(add(x, x)) for x in xs]
 
     def test_fallback_gives_the_scalar_ops(self, monkeypatch):
         # Widen the tie band to everything: every lane that rounds is

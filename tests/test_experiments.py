@@ -721,3 +721,15 @@ class TestCliErrors:
 
     def test_unsorted_dims_is_domain_error(self, capsys):
         assert cli(["matvec", "--dims", "5,2", "--out", "/dev/null"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-repr", "--max", "inf"],
+        ["sweep-repr", "--min=-inf"],
+        ["sweep-repr", "--step", "nan"],
+        ["matvec", "--hi", "inf"],
+        ["matvec", "--lo", "nan"],
+        ["matvec", "--lo=-1e308", "--hi", "1e308"],
+    ], ids=["max-inf", "min-inf", "step-nan", "hi-inf", "lo-nan", "range-overflows"])
+    def test_non_finite_range_is_domain_error(self, argv, capsys):
+        assert cli([*argv, "--out", "/dev/null"]) == 1
+        assert capsys.readouterr().err.startswith("sliarith: error: ")
