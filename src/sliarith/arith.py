@@ -95,8 +95,7 @@ def li_add_sub(
 
     if lev == 0:
         # Both magnitudes are raw values below one.
-        v = zeta_x - zeta_y if subtract else zeta_x + zeta_y
-        return psi(v) if v >= 1.0 else max(v, 0.0)
+        return psi(zeta_x - zeta_y if subtract else zeta_x + zeta_y)
 
     a, b = _ladder(zeta_x, zeta_y)
     c = 1.0 - b if subtract else 1.0 + b
@@ -157,7 +156,7 @@ def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[floa
     of the product, or of the quotient-or-its-reciprocal whichever is
     >= 1; flipped is True when the division came out below one, i.e.
     the caller must flip the reciprocal sign.  Equal operands divide to
-    exactly (1.0, False).
+    exactly (1.0, False): their shifted descriptors cancel in the kernel.
 
     Takes equal-length float64 arrays too, with divide a bool or a bool
     array, and then returns three arrays: the descriptors, the flipped
@@ -168,17 +167,8 @@ def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[floa
         return _li_mul_div_lanes(zeta_x, zeta_y, divide)
     if not (1.0 <= zeta_x < math.inf and 1.0 <= zeta_y < math.inf):
         raise ValueError(f"need finite descriptors >= 1, got {zeta_x}, {zeta_y}")
-    flipped = False
-    if divide:
-        if zeta_x == zeta_y:
-            return 1.0, False
-        if zeta_x < zeta_y:
-            zeta_x, zeta_y = zeta_y, zeta_x
-            flipped = True
-    elif zeta_x < zeta_y:
-        zeta_x, zeta_y = zeta_y, zeta_x
-    w = li_add_sub(zeta_x - 1.0, zeta_y - 1.0, subtract=divide)
-    return w + 1.0, flipped
+    w = li_add_sub(max(zeta_x, zeta_y) - 1.0, min(zeta_x, zeta_y) - 1.0, divide)
+    return w + 1.0, divide and zeta_x < zeta_y
 
 
 def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> SliNumber:
@@ -187,12 +177,6 @@ def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> Sli
         return SliNumber.zero(fmt)
     level, k = round_index(zeta, fmt)
     return SliNumber.of(fmt, sign, reciprocal, level, k)
-
-
-def _ratio(fmt: SliFormat, sign: int, num_zeta: float, den_zeta: float) -> SliNumber:
-    """phi(num)/phi(den) as a rounded number, both descriptors >= 1."""
-    w, flipped = li_mul_div(num_zeta, den_zeta, divide=True)
-    return _materialize(fmt, sign, -1 if flipped else 1, w)
 
 
 def _require_same_format(x: SliNumber, y: SliNumber) -> SliFormat:
@@ -260,33 +244,30 @@ def sub(x: SliNumber, y: SliNumber) -> SliNumber:
     return _add_signed(x, y, -y.sign)
 
 
-def mul(x: SliNumber, y: SliNumber) -> SliNumber:
-    """Rounded product.  Saturates at the format boundary, never overflows."""
+def _mul_signed(x: SliNumber, y: SliNumber, y_reciprocal: int) -> SliNumber:
+    """Rounded x * y, with y's reciprocal flag taken as y_reciprocal (mul
+    passes y.reciprocal, div -y.reciprocal: 1/y flips only that flag, with
+    no rounding), so that no inverted y is ever built."""
     fmt = _require_same_format(x, y)
     if x.is_zero or y.is_zero:
         return SliNumber.zero(fmt)
-    sign = x.sign * y.sign
-    if x.reciprocal == y.reciprocal:
-        w = li_mul_div(x.zeta, y.zeta)[0]
-        return _materialize(fmt, sign, x.reciprocal, w)
-    big, small = (x, y) if x.reciprocal > 0 else (y, x)
-    return _ratio(fmt, sign, big.zeta, small.zeta)
+    # With r x's reciprocal flag, x * y is (phi(zeta_x) * phi(zeta_y))**r
+    # for like flags and (phi(zeta_x) / phi(zeta_y))**r for unlike ones.
+    w, flipped = li_mul_div(x.zeta, y.zeta, x.reciprocal != y_reciprocal)
+    return _materialize(fmt, x.sign * y.sign, -x.reciprocal if flipped else x.reciprocal, w)
+
+
+def mul(x: SliNumber, y: SliNumber) -> SliNumber:
+    """Rounded product.  Saturates at the format boundary, never overflows."""
+    return _mul_signed(x, y, y.reciprocal)
 
 
 def div(x: SliNumber, y: SliNumber) -> SliNumber:
-    """Rounded quotient.  Any zero divisor raises ZeroDivisionError."""
-    fmt = _require_same_format(x, y)
+    """Rounded quotient x * (1/y).  Any zero divisor raises ZeroDivisionError."""
     if y.is_zero:
+        _require_same_format(x, y)  # mixed formats are refused first
         raise ZeroDivisionError("SLI division by zero")
-    if x.is_zero:
-        return SliNumber.zero(fmt)
-    sign = x.sign * y.sign
-    if x.reciprocal > 0 and y.reciprocal > 0:
-        return _ratio(fmt, sign, x.zeta, y.zeta)
-    if x.reciprocal < 0 and y.reciprocal < 0:
-        return _ratio(fmt, sign, y.zeta, x.zeta)
-    w = li_mul_div(x.zeta, y.zeta)[0]
-    return _materialize(fmt, sign, 1 if x.reciprocal > 0 else -1, w)
+    return _mul_signed(x, y, -y.reciprocal)
 
 
 def neg(x: SliNumber) -> SliNumber:
@@ -617,12 +598,9 @@ def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
 
 def _mul_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
     """mul per lane."""
-    zx, zy = x.zeta(fmt), y.zeta(fmt)
-    same = x.reciprocal == y.reciprocal
-    # Mixed reciprocals: the quotient of the operand above one by the other.
-    x_first = same | (x.reciprocal > 0)
-    w, flipped, err = li_mul_div(np.where(x_first, zx, zy), np.where(x_first, zy, zx), ~same)
-    reciprocal = np.where(same, x.reciprocal, np.where(flipped, -1, 1))
+    # The kernel run of _mul_signed, whose comment has the case split.
+    w, flipped, err = li_mul_div(x.zeta(fmt), y.zeta(fmt), x.reciprocal != y.reciprocal)
+    reciprocal = np.where(flipped, -x.reciprocal, x.reciprocal)
     zero = x.zero | y.zero
     out, redo = _materialize_lanes(fmt, x.sign * y.sign, reciprocal,
                                    np.where(zero, 0.0, w), np.where(zero, 0.0, err))

@@ -323,6 +323,23 @@ class TestCompare:
             compare(SliNumber.one(F), SliNumber.one(F22U))
 
 
+class TestMixedFormats:
+    """Operands of two formats are refused before any other check."""
+
+    @pytest.mark.parametrize("op", [add, sub, mul, div, compare])
+    def test_every_binary_op_refuses_them(self, op):
+        x, y = encode(2.0, F), encode(0.5, F22U)
+        for a, b in ((x, y), (y, x), (SliNumber.zero(F), y), (x, SliNumber.zero(F22U))):
+            with pytest.raises(ValueError, match="mixed formats"):
+                op(a, b)
+
+    def test_format_check_comes_before_a_zero_divisor(self):
+        with pytest.raises(ValueError, match="mixed formats"):
+            div(encode(2.0, F), SliNumber.zero(F22U))
+        with pytest.raises(ValueError, match="mixed formats"):
+            div(SliNumber.zero(F), SliNumber.zero(F22U))
+
+
 class TestSignOps:
     def test_neg_involution(self):
         x = encode(-2.25, F)
@@ -446,18 +463,21 @@ class TestOracleEquivalence:
 
 
 class TestExhaustiveSmallFormats:
-    """Every word pair of two 6-bit formats through the four scalar ops.
+    """Every word pair of small formats through the four scalar ops.
 
     The sha256 of the packed result words (two bytes each, b"Z" for
     ZeroDivisionError, b"N" for the ValueError of a negative result in
     an unsigned format) pins the rounded results bit for bit.  sli1.3
-    was recorded before SliNumber and BitWord became tuple-backed, and
-    sli2.3u once sub gave the unsigned differences x - y for x >= y.
+    was recorded before SliNumber and BitWord became tuple-backed,
+    sli2.3u once sub gave the unsigned differences x - y for x >= y,
+    and sli3.2 (7 bits, levels up to 8 and both reciprocal halves)
+    before mul and div shared one path.
     """
 
     DIGESTS = {
         "sli1.3": "8e88db746189abe762071095174bd329083449b2b545b6a5147cb4babb32ef1d",
         "sli2.3u": "6ac2ff306bd7696d13ac0a1aa4701f1e1046a816f765c3bde1b599c9e95eb078",
+        "sli3.2": "93faadfa1c4e8f28c5b2a8201de271111d207c00fe15b68d2272aef1be2947c1",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))

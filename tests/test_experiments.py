@@ -2,10 +2,14 @@
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,16 @@ class TestReprSweep:
         cfg = ExperimentConfig(
             systems=("binary16",), sweep_min=-1.0, sweep_max=-1e-12, sweep_step=1.0)
         with pytest.raises(ValueError, match="exclude zero"):
+            repr_error_sweep(cfg)
+
+    def test_grid_cap_counts_points(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_GRID", 11)
+        cfg = ExperimentConfig(systems=("binary16",), sweep_min=1.0, sweep_max=2.0,
+                               sweep_step=0.1)
+        assert len(repr_error_sweep(cfg)) == 11
+        cfg = ExperimentConfig(systems=("binary16",), sweep_min=1.0, sweep_max=2.0,
+                               sweep_step=0.09)
+        with pytest.raises(ValueError, match="more than 11 points"):
             repr_error_sweep(cfg)
 
     def test_float_overflow_flags_inf(self):
@@ -733,3 +747,32 @@ class TestCliErrors:
     def test_non_finite_range_is_domain_error(self, argv, capsys):
         assert cli([*argv, "--out", "/dev/null"]) == 1
         assert capsys.readouterr().err.startswith("sliarith: error: ")
+
+    @pytest.mark.parametrize("command", ["sweep-repr", "matvec"])
+    def test_unwritable_output_is_domain_error(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.dat"
+        argv = {"sweep-repr": ["--min", "1", "--max", "2", "--step", "0.5"],
+                "matvec": ["--dims", "2"]}[command]
+        assert cli([command, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sliarith: error: ") and "No such file" in err
+
+    def test_oversized_sweep_grid_is_refused(self, tmp_path, capsys):
+        # 8e12 points, 64 TB for the grid alone: refused before allocating.
+        out = tmp_path / "s.dat"
+        assert cli(["sweep-repr", "--step", "1e-12", "--out", str(out)]) == 1
+        assert "more than 16777216 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_closed_stdout_exits_quietly(self):
+        # The table of sli2.12 is 1.3 MB, far more than a pipe buffers, so
+        # the command is still writing when the reader closes its end.
+        env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-m", "sliarith", "table", "sli2.12"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"bits value log10\n"
+            proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
