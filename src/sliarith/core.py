@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "round_index",
     "encode",
     "decode",
-    "decode_fields",
     "word_fields",
     "pack",
     "unpack",
@@ -57,10 +56,6 @@ __all__ = [
 # math.exp overflows binary64 just above this argument.
 _EXP_MAX_ARG = 709.782712893384
 
-# psi(x) of the largest finite binary64 is about 4.97; anything at level 6
-# or deeper is far beyond binary64 either way.
-_PSI_MAX_LEVELS = 64
-
 # Widest accepted index.  Against an 80-digit oracle the binary64 add/sub
 # kernel lands several ranks off from 26 bits on; at 24 bits it stays
 # within one rank, missing by one on about 4 in 10 000 sampled ops (half
@@ -69,9 +64,10 @@ _PSI_MAX_LEVELS = 64
 MAX_INDEX_BITS = 24
 
 # Widest format whose every word may be listed (enumerations and value
-# tables): each row is a few Python objects, and 24 bits is already
-# 16.8 million rows.
+# tables).  Words are listed a block at a time, so memory stays flat and
+# the cap bounds run time: 24 bits is 16.8 million rows.
 MAX_TABLE_BITS = 24
+_TABLE_BLOCK = 1 << 11  # words per block of an enumeration
 
 
 def phi(zeta: float) -> float:
@@ -105,8 +101,6 @@ def psi(value: float) -> float:
     while value >= 1.0:
         value = math.log(value)
         level += 1.0
-        if level > _PSI_MAX_LEVELS:  # impossible for binary64 input
-            raise ValueError("psi failed to converge")
     return level + value
 
 
@@ -465,21 +459,10 @@ def decode(num: SliNumber) -> float:
     """
     if num.is_zero:
         return 0.0
-    return decode_fields(num.fmt, num.sign, num.reciprocal, num.level, num.index_k)
-
-
-def decode_fields(fmt: SliFormat, sign: int, reciprocal: int, level: int, index_k: int) -> float:
-    """Decode raw fields without canonicalization or zero convention.
-
-    decode goes through it for nonzero numbers, and so do raw codec
-    views, where the all-zeros word means phi(1)^{-1} = 1 rather than
-    zero.
-    """
-    zeta = level + index_k / fmt.index_scale
-    mag = phi(zeta)
-    if reciprocal < 0:
+    mag = phi(num.level + num.index_k / num.fmt.index_scale)
+    if num.reciprocal < 0:
         mag = 0.0 if math.isinf(mag) else 1.0 / mag
-    return sign * mag
+    return num.sign * mag
 
 
 def pack(num: SliNumber) -> BitWord:
@@ -495,16 +478,17 @@ def pack(num: SliNumber) -> BitWord:
     return BitWord(bits, fmt.width)
 
 
-def word_fields(bits: int, fmt: SliFormat) -> tuple[int, int, int, int]:
-    """Literal (sign, reciprocal, level, index_k) fields of a word's bits.
+def word_fields(bits, fmt: SliFormat) -> tuple:
+    """Literal (sign, reciprocal, level, index_k) fields of a word's bits,
+    given as an int or as an integer array of words.
 
     Applies neither the zero convention nor canonicalization: the
     all-zeros payload reads as (r, level, index_k) == (-1, 1, 0).
     """
     payload_bits = fmt.level_bits + fmt.index_bits
     return (
-        -1 if bits >> (payload_bits + 1) & 1 else 1,
-        1 if bits >> payload_bits & 1 else -1,
+        1 - 2 * (bits >> (payload_bits + 1) & 1),
+        2 * (bits >> payload_bits & 1) - 1,
         (bits >> fmt.index_bits & (fmt.max_level - 1)) + 1,
         bits & (fmt.index_scale - 1),
     )
@@ -524,32 +508,39 @@ def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
     return SliNumber.of(fmt, sign, reciprocal, level, index_k)
 
 
-def enumerate_values(fmt: SliFormat, raw: bool = False) -> Iterator[tuple[BitWord, float, float]]:
-    """All 2**width words in raw word order, each with its decoded value
-    and the base-10 logarithm of that magnitude (log_phi10 of zeta,
-    negated below one), which stays finite past binary64's range.
+def _word_blocks(width: int, name: str, block: Callable[[np.ndarray], tuple]) -> Iterator[tuple]:
+    """block(words) for the words 0 .. 2**width - 1 in order, as int64
+    arrays of _TABLE_BLOCK words, made as they are iterated.  A width
+    past MAX_TABLE_BITS is refused by the call itself, before any block."""
+    if width > MAX_TABLE_BITS:
+        raise ValueError(f"refusing to enumerate {width}-bit format {name}")
+    end = 1 << width
+    return (block(np.arange(b0, min(b0 + _TABLE_BLOCK, end))) for b0 in range(0, end, _TABLE_BLOCK))
+
+
+def enumerate_values(fmt: SliFormat, raw: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
+    """All 2**width words in raw word order, a block of arrays at a time:
+    the words' bits, their decoded values, and the base-10 logarithm of
+    each magnitude (log_phi10 of zeta, negated below one), which stays
+    finite past binary64's range.
 
     With raw=True the zero convention and canonicalization are ignored
     and every word decodes through its literal fields (the all-zeros
     word then reads as one); otherwise zero payloads give 0.0 and -inf.
-    The rows are made one at a time as they are iterated.  Formats wider
-    than MAX_TABLE_BITS are refused by the call itself, before any row.
+    The blocks are made as they are iterated.  Formats wider than
+    MAX_TABLE_BITS are refused by the call itself, before any block.
     """
-    if fmt.width > MAX_TABLE_BITS:
-        raise ValueError(f"refusing to enumerate {fmt.width}-bit format {fmt.name}")
-    return _value_rows(fmt, raw)
+    return _word_blocks(fmt.width, fmt.name, lambda bits: _value_block(bits, fmt, raw))
 
 
-def _value_rows(fmt: SliFormat, raw: bool) -> Iterator[tuple[BitWord, float, float]]:
-    for bits in range(1 << fmt.width):
-        word = BitWord(bits, fmt.width)
-        sign, reciprocal, level, index_k = word_fields(bits, fmt)
-        if not raw and (reciprocal, level, index_k) == (-1, 1, 0):
-            yield word, 0.0, -math.inf
-            continue
-        lg = log_phi10(level + index_k / fmt.index_scale)
-        yield (word, decode_fields(fmt, sign, reciprocal, level, index_k),
-               lg if reciprocal > 0 else -lg)
+def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarray, ...]:
+    sign, reciprocal, level, index_k = word_fields(bits, fmt)
+    zero = np.zeros(bits.size, bool) if raw else (reciprocal < 0) & (level == 1) & (index_k == 0)
+    # _Lanes.of folds the raw all-zeros word, 1/phi(1), onto one.
+    lanes = _Lanes.of(zero, sign, reciprocal, level, index_k)
+    lg = _lane_map(log_phi10, lanes.zeta(fmt)) * lanes.reciprocal
+    lg[zero] = -math.inf
+    return bits, _decode_lanes(lanes, fmt), lg
 
 
 def magnitude_rank(num: SliNumber) -> int:
@@ -652,11 +643,9 @@ _EXP_GONE = 750.0
 
 
 def _lane_map(fn, values: np.ndarray) -> np.ndarray:
-    """fn (math.exp) of every lane of a 1-D float64 array, through libm.
-
-    Only the lane decode uses it: its binary64 results are printed as
-    they are, so they must be libm's.
-    """
+    """fn of every lane of a 1-D float64 array, through libm: math.exp in
+    the lane decode and log_phi10 in enumerate_values, whose binary64
+    results are printed as they are, so they must be libm's."""
     return np.fromiter(map(fn, memoryview(np.ascontiguousarray(values))),
                        np.float64, values.size)
 
@@ -797,7 +786,7 @@ def _decode_lanes(lanes: _Lanes, fmt: SliFormat) -> np.ndarray:
         live = live[~over]
         mag[live] = _lane_map(math.exp, mag[live])
     below = lanes.reciprocal < 0
-    mag[below] = 1.0 / mag[below]  # 1/inf is 0.0, as in decode_fields
+    mag[below] = 1.0 / mag[below]  # 1/inf is 0.0, as in decode
     return lanes.sign * mag
 
 

@@ -12,6 +12,7 @@ be reordered or split without changing any numbers.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -326,10 +327,11 @@ _POINT = np.array([[ord(".") << 8 * (q - 8 * j) if q and 0 <= q - 8 * j < 8 else
 _ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
 
 
-def _spell(block: np.ndarray) -> str:
+def _spell(block: np.ndarray, prefix: np.ndarray | None = None) -> str:
     """The rows of a 2-D float64 block as lines of text, each value
     spelled as _field_text spells it and followed by a space, or by a
-    newline at the end of its row."""
+    newline at the end of its row.  A prefix, one row of text words per
+    row of the block as _text_words makes them, leads each line."""
     v = block.ravel()
     a = np.abs(v)
     fast = (a >= 1e-6) & (a < 1e17)  # False for NaN
@@ -393,6 +395,8 @@ def _spell(block: np.ndarray) -> str:
     out[:, 3] = _TAILS[tail.ravel()]
     if slow.size:
         out[slow, :3] = _text_words([_field_text(x) for x in v[slow].tolist()], 24)
+    if prefix is not None:
+        out = np.hstack([prefix, out.reshape(len(block), -1)])
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -440,17 +444,17 @@ def read_dat(path: str | Path) -> tuple[list[str], list[list[float]]]:
 def _cmd_table(args: argparse.Namespace) -> int:
     fmt = resolve_system(args.format)
     # The enumerators refuse a format too wide to tabulate when called,
-    # before the header; their rows are printed as they are made.
+    # before the header; their blocks are printed as they are made.
     if isinstance(fmt, SliFormat):
-        rows = enumerate_values(fmt, args.raw)
+        blocks = enumerate_values(fmt, args.raw)
         print("bits value log10")
-        for word, value, lg in rows:
-            print(f"{word} {_field_text(value)} {_field_text(lg)}")
     else:
-        floats = enumerate_floats(fmt)
+        blocks = enumerate_floats(fmt)
         print("bits value")
-        for word, value in floats:
-            print(f"{word} {_field_text(value)}")
+    for bits, *columns in blocks:  # each row after its bits and a space
+        words = _text_words([f"{b:0{fmt.width}b} " for b in bits.tolist()],
+                            8 * (fmt.width // 8 + 1))
+        sys.stdout.write(_spell(np.column_stack(columns), words))
     return 0
 
 
@@ -494,6 +498,13 @@ def _cmd_op(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_out(path: str) -> None:
+    """Fail as writing path would when its directory is missing, but
+    before an experiment's work; the file itself is not touched."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _cmd_sweep_repr(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig(
         systems=(args.float, args.sli),
@@ -501,6 +512,7 @@ def _cmd_sweep_repr(args: argparse.Namespace) -> int:
         sweep_max=args.max,
         sweep_step=args.step,
     )
+    _check_out(args.out)
     records = repr_error_sweep(cfg)
     emit_dat(records, ["x", args.float, SLI_COLUMN], args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -515,6 +527,7 @@ def _cmd_matvec(args: argparse.Namespace) -> int:
         hi=args.hi,
         seed=args.seed,
     )
+    _check_out(args.out)
     records = matvec_backward_error(cfg)
     emit_dat(records, ["n", args.float, SLI_COLUMN], args.out)
     print(f"wrote {len(records)} records to {args.out}")

@@ -19,7 +19,6 @@ from sliarith.core import (
     _round_index_lanes,
     _unsettled,
     decode,
-    decode_fields,
     encode,
     enumerate_values,
     log_phi10,
@@ -31,11 +30,17 @@ from sliarith.core import (
     round_index,
     spacing,
     unpack,
+    word_fields,
 )
 
 F212 = SliFormat(2, 12)
 F22U = SliFormat(2, 2, signed=False)
 F13U = SliFormat(1, 3, signed=False)
+
+
+def _table(fmt: SliFormat, raw: bool = False) -> tuple[np.ndarray, ...]:
+    """enumerate_values' blocks joined: every word's bits, value and log10."""
+    return tuple(np.concatenate(column) for column in zip(*enumerate_values(fmt, raw)))
 
 
 class TestPhiPsi:
@@ -298,7 +303,7 @@ class TestEncodeDecode:
 
     def test_round_trip_every_value(self):
         for fmt in (SliFormat(2, 3), F13U, SliFormat(3, 2, signed=False)):
-            for _, value, _ in enumerate_values(fmt):
+            for value in _table(fmt)[1].tolist():
                 if value == 0.0 or math.isinf(value):
                     continue
                 n = encode(value, fmt)
@@ -504,25 +509,33 @@ class TestCodec:
         assert unpack(w, F212).is_zero
 
     def test_all_zeros_is_zero_but_raw_reads_one(self):
-        cooked = list(enumerate_values(F22U))
-        raw = list(enumerate_values(F22U, raw=True))
-        assert cooked[0][1] == 0.0
-        assert raw[0][1] == 1.0
-        assert (cooked[0][2], raw[0][2]) == (-math.inf, 0.0)
+        (w1, v1, lg1), (w2, v2, lg2) = _table(F22U), _table(F22U, raw=True)
+        assert v1[0] == 0.0
+        assert v2[0] == 1.0
+        assert (lg1[0], lg2[0]) == (-math.inf, 0.0)
         # words otherwise agree
-        for (w1, v1, lg1), (w2, v2, lg2) in zip(cooked[1:], raw[1:]):
-            assert w1 == w2 and (v1 == v2 or (math.isnan(v1) and math.isnan(v2)))
-            assert lg1 == lg2
+        assert w1.tolist() == w2.tolist()
+        assert np.array_equal(v1[1:], v2[1:], equal_nan=True)
+        assert lg1[1:].tolist() == lg2[1:].tolist()
+
+    def test_blocks_run_through_every_word_in_order(self):
+        blocks = [bits for bits, _, _ in enumerate_values(F212)]
+        assert len(blocks) > 1
+        assert np.concatenate(blocks).tolist() == list(range(1 << F212.width))
+
+    def test_word_fields_of_an_array_match_each_word(self):
+        for fmt in (SliFormat(2, 3), F13U):
+            words = range(1 << fmt.width)
+            fields = np.column_stack(word_fields(np.arange(len(words)), fmt)).tolist()
+            assert fields == [list(word_fields(bits, fmt)) for bits in words]
 
     def test_log10_column(self):
         # The signed log10 column is log10 |value| wherever binary64 holds
         # the value, and stays finite past binary64's range both ways.
-        rows = list(enumerate_values(SliFormat(2, 3, signed=False)))
-        for _, value, lg in rows:
+        _, values, lgs = (column.tolist() for column in _table(SliFormat(2, 3, signed=False)))
+        for value, lg in zip(values, lgs):
             if 0.0 < value < math.inf:
                 assert lg == pytest.approx(math.log10(value), rel=1e-12, abs=1e-15)
-        values = [value for _, value, _ in rows]
-        lgs = [lg for _, _, lg in rows]
         assert math.inf in values and 0.0 in values[1:]
         assert max(lgs) > 308 and min(lgs[1:]) < -308 and all(map(math.isfinite, lgs[1:]))
 
@@ -545,9 +558,10 @@ class TestCodec:
         with pytest.raises(ValueError):
             BitWord(16, 4)
 
-    def test_decode_fields_ignores_conventions(self):
-        assert decode_fields(F22U, 1, -1, 1, 0) == 1.0
-        assert decode_fields(F212, -1, 1, 2, 554) == pytest.approx(
+    def test_raw_blocks_ignore_conventions(self):
+        assert _table(F22U, raw=True)[1][0] == 1.0  # fields (+1, -1, 1, 0)
+        word = 1 << 15 | 1 << 14 | 1 << 12 | 554  # fields (-1, +1, 2, 554)
+        assert _table(F212, raw=True)[1][word] == pytest.approx(
             -3.141899100868418, rel=1e-13
         )
 

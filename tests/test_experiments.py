@@ -549,9 +549,34 @@ class TestCliCommands:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (["sli2.12"], "e912d79302c387c59a87a9391c9e492f2ce4da63de001610f77b8bb134142de3"),
+        (["sli2.12", "--raw"],
+         "46fed4f424076f169087fe6d7976d1c9b0a224324481b821ab5d2de8830de73d"),
+        (["sli3.10u"], "ae1c9fa82e563fdec7fc4df29e6b96d386bb94bfe586484e847c00179f127baf"),
+        (["binary16"], "35579bc123e3089b44c3eecfbbdb27c9adf20da7e36b2923c8fae719cce1f1f2"),
+        (["b4e7"], "95360114ab496fc0b19c23145c87f52a3134bd051843f5673dbede9dc846d8a0"),
+        (["b5e1023"], "8b3a9418c189d0381f13adc8f4e6a87c0915e8067495a3733a7bc26bf21fb525"),
+    ], ids=["sli2.12", "sli2.12-raw", "sli3.10u", "binary16", "b4e7", "b5e1023"])
+    def test_table_bytes_are_pinned(self, capsys, argv, sha256):
+        """The stdout bytes of six tables, pinned by SHA-256: cooked and
+        raw SLI words, an unsigned three-level format, and floats with
+        subnormals, infinities, NaNs and values past 1e17.
+
+        The SLI values and logarithms go through the C library's exp and
+        log, so the hashes hold for the libm they were taken with (glibc,
+        Python 3.11, numpy 2.4, x86-64); another libm may round a few
+        intermediates differently and fail this test without any change
+        to sliarith.
+        """
+        assert cli(["table", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
+
     def test_no_floating_point_warnings(self, tmp_path, capsys):
         # The lanes run exp, log and divisions on every lane, dead ones
-        # (zero operands, finished ladders) included; none of that may
+        # (zero operands, finished ladders) included, and the float tables
+        # scale the all-ones exponent past binary64; none of that may
         # surface as a numpy warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -563,6 +588,8 @@ class TestCliCommands:
                         "--out", str(tmp_path / "s.dat")]) == 0
             assert cli(["sweep-repr", "--min=-8", "--max=-0.01", "--step", "1e-3",
                         "--out", str(tmp_path / "t.dat")]) == 0
+            assert cli(["table", "b5e1023"]) == 0
+            assert cli(["table", "b3e1023u"]) == 0
         capsys.readouterr()
 
     def test_runs_are_byte_identical(self, tmp_path, capsys):
@@ -749,7 +776,12 @@ class TestCliErrors:
         assert capsys.readouterr().err.startswith("sliarith: error: ")
 
     @pytest.mark.parametrize("command", ["sweep-repr", "matvec"])
-    def test_unwritable_output_is_domain_error(self, command, tmp_path, capsys):
+    def test_unwritable_output_is_domain_error(self, command, tmp_path, capsys, monkeypatch):
+        def experiment(cfg):
+            raise AssertionError("the experiment ran before the output was checked")
+
+        monkeypatch.setattr(experiments, "repr_error_sweep", experiment)
+        monkeypatch.setattr(experiments, "matvec_backward_error", experiment)
         out = tmp_path / "missing" / "out.dat"
         argv = {"sweep-repr": ["--min", "1", "--max", "2", "--step", "0.5"],
                 "matvec": ["--dims", "2"]}[command]
@@ -765,7 +797,7 @@ class TestCliErrors:
         assert not out.exists()
 
     def test_closed_stdout_exits_quietly(self):
-        # The table of sli2.12 is 1.3 MB, far more than a pipe buffers, so
+        # The table of sli2.12 is 3.7 MB, far more than a pipe buffers, so
         # the command is still writing when the reader closes its end.
         env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
         with subprocess.Popen([sys.executable, "-m", "sliarith", "table", "sli2.12"],

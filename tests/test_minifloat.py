@@ -29,6 +29,11 @@ TOY5_VALUES = [
 ]
 
 
+def _table(fmt: FloatFormat) -> tuple[np.ndarray, ...]:
+    """enumerate_floats' blocks joined: every word's bits and value."""
+    return tuple(np.concatenate(column) for column in zip(*enumerate_floats(fmt)))
+
+
 class TestFormats:
     def test_presets(self):
         assert (TOY5.precision, TOY5.e_max, TOY5.signed) == (3, 3, False)
@@ -203,18 +208,17 @@ class TestFlOp:
 
 class TestEnumerate:
     def test_toy5_matches_reference_column(self):
-        got = list(enumerate_floats(TOY5))
-        assert len(got) == 32
-        for i, (word, value) in enumerate(got):
-            assert word.bits == i and word.width == 5
-            want = TOY5_VALUES[i]
+        bits, values = _table(TOY5)
+        assert len(values) == 32
+        assert bits.tolist() == list(range(32))
+        for value, want in zip(values.tolist(), TOY5_VALUES):
             if math.isnan(want):
                 assert math.isnan(value)
             else:
                 assert value == want
 
     def test_binary16_census(self):
-        vals = [v for _, v in enumerate_floats(BINARY16)]
+        vals = _table(BINARY16)[1].tolist()
         assert len(vals) == 65536
         assert vals.count(65504.0) == 1
         assert sum(1 for v in vals if math.isinf(v)) == 2
@@ -226,9 +230,17 @@ class TestEnumerate:
 
     def test_enumeration_is_exhaustive_round_trip(self):
         # every finite enumerated value is a fixed point of fl
-        for _, v in enumerate_floats(TOY5):
+        for v in _table(TOY5)[1].tolist():
             if math.isfinite(v):
                 assert fl(v, TOY5) == v
+
+    def test_values_past_binary64_read_as_inf(self):
+        # Normals from 2**1024 up (exponent fields 3071..4094, four words
+        # each) lie past binary64, like the all-ones exponent's infinity.
+        values = _table(FloatFormat(3, 2047, signed=False))[1]
+        assert values.size == 1 << 14
+        assert values[np.isfinite(values)].max() == 1.75 * 2.0**1023
+        assert np.isinf(values).sum() == 1024 * 4 + 1
 
     def test_width_cap(self):
         with pytest.raises(ValueError):
