@@ -39,13 +39,13 @@ from .core import (
     _TRANS,
     _U,
     _Lanes,
+    _key,
     _log,
+    _materialize,
+    _materialize_lanes,
     _psi_lanes,
-    _round_index_lanes,
-    _unsettled,
     magnitude_rank,
     psi,
-    round_index,
 )
 
 __all__ = [
@@ -171,14 +171,6 @@ def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[floa
     return w + 1.0, divide and zeta_x < zeta_y
 
 
-def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> SliNumber:
-    """Round an unrounded (sign, r, zeta) magnitude into the format."""
-    if zeta <= 0.0:
-        return SliNumber.zero(fmt)
-    level, k = round_index(zeta, fmt)
-    return SliNumber.of(fmt, sign, reciprocal, level, k)
-
-
 def _require_same_format(x: SliNumber, y: SliNumber) -> SliFormat:
     if x.fmt is not y.fmt and x.fmt != y.fmt:
         raise ValueError(f"mixed formats: {x.fmt.name} vs {y.fmt.name}")
@@ -294,13 +286,7 @@ def compare(x: SliNumber, y: SliNumber) -> int:
     correctly.
     """
     _require_same_format(x, y)
-
-    def key(n: SliNumber) -> int:
-        if n.is_zero:
-            return 0
-        return n.sign * (magnitude_rank(n) + 1)
-
-    kx, ky = key(x), key(y)
+    kx, ky = _key(x), _key(y)
     return (kx > ky) - (kx < ky)
 
 
@@ -514,15 +500,6 @@ def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
                           divide)
     w += 1.0
     return w, (zeta_x < zeta_y) & divide, bound + 2 * _U * w
-
-
-def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray):
-    """_materialize per lane (zeta <= 0 is zero), and the lanes whose
-    rounding err cannot settle; a zero lane is settled only by err 0."""
-    zero = zeta <= 0.0
-    unsettled = np.where(zero, err != 0.0, _unsettled(zeta, err, fmt))
-    level, k = _round_index_lanes(np.where(zero | unsettled, 1.0, zeta), fmt)
-    return _Lanes.of(zero, sign, reciprocal, level, k), unsettled
 
 
 def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:

@@ -55,6 +55,7 @@ __all__ = [
 
 # math.exp overflows binary64 just above this argument.
 _EXP_MAX_ARG = 709.782712893384
+_LN_LN10 = math.log(math.log(10.0))
 
 # Widest accepted index.  Against an 80-digit oracle the binary64 add/sub
 # kernel lands several ranks off from 26 bits on; at 24 bits it stays
@@ -70,6 +71,18 @@ MAX_TABLE_BITS = 24
 _TABLE_BLOCK = 1 << 11  # words per block of an enumeration
 
 
+def _peel(zeta: float) -> tuple[float, int]:
+    """phi(zeta) as v raised through levels_left more exps: the index of
+    zeta, exact in binary64, exponentiated once per level while the
+    argument stays at or below _EXP_MAX_ARG."""
+    levels = int(zeta)
+    v = zeta - levels
+    while levels and v <= _EXP_MAX_ARG:
+        v = math.exp(v)
+        levels -= 1
+    return v, levels
+
+
 def phi(zeta: float) -> float:
     """Generalized exponential: phi(z) = z on [0, 1), else exp(phi(z - 1)).
 
@@ -78,16 +91,8 @@ def phi(zeta: float) -> float:
     """
     if math.isnan(zeta) or zeta < 0.0:
         raise ValueError(f"phi is defined for zeta >= 0, got {zeta}")
-    levels = 0
-    while zeta >= 1.0:
-        zeta -= 1.0
-        levels += 1
-    v = zeta
-    for _ in range(levels):
-        if v > _EXP_MAX_ARG:
-            return math.inf
-        v = math.exp(v)
-    return v
+    v, levels_left = _peel(zeta)
+    return math.inf if levels_left else v
 
 
 def psi(value: float) -> float:
@@ -107,32 +112,21 @@ def psi(value: float) -> float:
 def log_phi10(zeta: float) -> float:
     """Base-10 logarithm of phi(zeta), usable far beyond binary64 range.
 
-    Peels exponentiations while the running value stays a safe exp
-    argument, then converts to a decimal exponent and applies any
-    remaining levels as powers of ten.  Returns -inf for zeta = 0 and
-    math.inf once even the decimal exponent leaves binary64.
+    Peels exponentiations as phi does; with one level left, phi is e**v
+    and its log10 is v / ln 10, and with two it is e**(e**v), whose
+    log10 e**v / ln 10 = e**(v - ln ln 10) is finite just past exp's
+    range.  Returns -inf for zeta = 0 and math.inf once the log10 itself
+    leaves binary64.
     """
     if math.isnan(zeta) or zeta < 0.0:
         raise ValueError(f"log_phi10 is defined for zeta >= 0, got {zeta}")
-    levels = 0
-    while zeta >= 1.0:
-        zeta -= 1.0
-        levels += 1
-    v = zeta
-    while levels > 0 and v <= _EXP_MAX_ARG:
-        v = math.exp(v)
-        levels -= 1
-    if levels == 0:
-        if v == 0.0:
-            return -math.inf
-        return math.log10(v)
-    # v is a natural-log exponent too large to exponentiate directly.
-    lg = v / math.log(10.0)
-    for _ in range(levels - 1):
-        if lg > 308.0:
-            return math.inf
-        lg = 10.0 ** lg
-    return lg
+    v, levels_left = _peel(zeta)
+    if levels_left == 0:
+        return math.log10(v) if v else -math.inf
+    if levels_left == 1:
+        return v / math.log(10.0)
+    w = v - _LN_LN10
+    return math.exp(w) if levels_left == 2 and w <= _EXP_MAX_ARG else math.inf
 
 
 _NAME_RE = re.compile(r"^sli([1-9][0-9]*)\.([1-9][0-9]*)(u?)$")
@@ -446,6 +440,13 @@ def encode(value: float, fmt: SliFormat | None = None) -> SliNumber:
         reciprocal = -1
         # psi(1/a) without forming 1/a, which overflows for subnormal a.
         zeta = 1.0 + psi(-math.log(a))
+    return _materialize(fmt, sign, reciprocal, zeta)
+
+
+def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> SliNumber:
+    """Round an unrounded (sign, r, zeta) magnitude into the format."""
+    if zeta <= 0.0:
+        return SliNumber.zero(fmt)
     level, k = round_index(zeta, fmt)
     return SliNumber.of(fmt, sign, reciprocal, level, k)
 
@@ -575,6 +576,15 @@ def _from_rank(fmt: SliFormat, sign: int, rank: int) -> SliNumber:
     return SliNumber.of(fmt, sign, reciprocal, level, index_k)
 
 
+def _key(num: SliNumber) -> int:
+    """Position of num among all values in ascending order: 0 for zero,
+    sign * (magnitude_rank + 1) otherwise, so consecutive values have
+    consecutive keys."""
+    if num.is_zero:
+        return 0
+    return num.sign * (magnitude_rank(num) + 1)
+
+
 def next_up(num: SliNumber) -> SliNumber:
     """Smallest representable value strictly greater than num.
 
@@ -582,18 +592,12 @@ def next_up(num: SliNumber) -> SliNumber:
     infinity to step onto.
     """
     fmt = num.fmt
-    top = 2 * ((1 << (fmt.level_bits + fmt.index_bits)) - 1)
-    if num.is_zero:
-        return _from_rank(fmt, 1, 0)
-    if num.sign > 0:
-        rank = magnitude_rank(num)
-        if rank == top:
-            raise ValueError(f"next_up past the top of {fmt.name}")
-        return _from_rank(fmt, 1, rank + 1)
-    rank = magnitude_rank(num)
-    if rank == 0:
+    key = _key(num) + 1
+    if key == 0:
         return SliNumber.zero(fmt)
-    return _from_rank(fmt, -1, rank - 1)
+    if key == 2 << (fmt.level_bits + fmt.index_bits):  # one past the top rank's key
+        raise ValueError(f"next_up past the top of {fmt.name}")
+    return _from_rank(fmt, 1 if key > 0 else -1, abs(key) - 1)
 
 
 def spacing(num: SliNumber) -> float:
@@ -749,6 +753,15 @@ def _unsettled(zeta: np.ndarray, err: np.ndarray, fmt: SliFormat) -> np.ndarray:
     return ~(clear | (zeta - err > fmt.max_level + (scale - 0.5) / scale))
 
 
+def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray):
+    """_materialize per lane (zeta <= 0 is zero), and the lanes whose
+    rounding err cannot settle; a zero lane is settled only by err 0."""
+    zero = zeta <= 0.0
+    unsettled = np.where(zero, err != 0.0, _unsettled(zeta, err, fmt))
+    level, k = _round_index_lanes(np.where(zero | unsettled, 1.0, zeta), fmt)
+    return _Lanes.of(zero, sign, reciprocal, level, k), unsettled
+
+
 def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> _Lanes:
     """encode per lane of a 1-D binary64 array, with the same errors."""
     bad = ~np.isfinite(values)
@@ -765,17 +778,17 @@ def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> _Lanes:
         v = np.abs(np.log(a))
         v[zero] = 0.0
         z, err = _psi_lanes(v, _TRANS * v)
-    zeta = 1.0 + z
-    level, k = _round_index_lanes(zeta, fmt)
-    out = _Lanes.of(zero, np.where(negative, -1, 1), np.where(a >= 1.0, 1, -1), level, k)
-    redo = ~zero & _unsettled(zeta, err + 2 * _U * zeta, fmt)
+    # Zero lanes have z = 0 within err 0, so they settle as zero.
+    zeta = np.where(zero, 0.0, 1.0 + z)
+    out, redo = _materialize_lanes(fmt, np.where(negative, -1, 1), np.where(a >= 1.0, 1, -1),
+                                   zeta, err + 2 * _U * zeta)
     return out.redo(redo, lambda i: encode(values[i].item(), fmt))
 
 
 def _decode_lanes(lanes: _Lanes, fmt: SliFormat) -> np.ndarray:
     """decode per lane: the binary64 number decode gives."""
-    # phi peels zeta = level + index_k/scale down to the exact index and
-    # exponentiates it once per level, giving up with inf past the guard.
+    # _peel per lane: the exact index of zeta = level + index_k/scale,
+    # exponentiated once per level, and inf past the guard as in phi.
     # Zero lanes skip that and keep their neutral index 0 as the value.
     mag = lanes.index_k / fmt.index_scale
     live = np.flatnonzero(~lanes.zero)

@@ -149,6 +149,8 @@ class ExperimentConfig:
             raise ValueError("lo must not exceed hi")
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(f"hi - lo overflows binary64, got lo {self.lo}, hi {self.hi}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def repr_error_sweep(cfg: ExperimentConfig) -> ErrorTable:
@@ -499,10 +501,13 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 
 def _check_out(path: str) -> None:
-    """Fail as writing path would when its directory is missing, but
-    before an experiment's work; the file itself is not touched."""
+    """Fail as writing path would when its directory is missing or it is
+    a directory itself, but before an experiment's work; the file itself
+    is not touched."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _cmd_sweep_repr(args: argparse.Namespace) -> int:

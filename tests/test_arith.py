@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliarith import arith, core
+from sliarith import core
 from sliarith.arith import (
     _add_lanes,
     _mul_lanes,
@@ -600,7 +600,6 @@ class TestLaneForms:
             return np.ones(zeta.shape, dtype=bool)
 
         monkeypatch.setattr(_Lanes, "redo", counting)
-        monkeypatch.setattr(arith, "_unsettled", everything)
         monkeypatch.setattr(core, "_unsettled", everything)
         fmt = SliFormat(1, 4)
         nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]

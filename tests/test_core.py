@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliarith.arith import compare
 from sliarith.core import (
     BitWord,
     SliFormat,
@@ -18,6 +19,7 @@ from sliarith.core import (
     _Lanes,
     _round_index_lanes,
     _unsettled,
+    _value_block,
     decode,
     encode,
     enumerate_values,
@@ -103,6 +105,18 @@ class TestLogPhi10:
 
     def test_zero_gives_minus_inf(self):
         assert log_phi10(0.0) == -math.inf
+
+    def test_two_levels_past_exp_range(self):
+        # sli3.16 zeta = 5 + k/2**16: from k = 41432 on, exp would overflow
+        # with two levels left, where log10 phi = e**v / ln 10 is finite up
+        # to k = 41438.  Oracle values from 60-digit mpmath.
+        for k, want in ((41431, 6.9473735313875262e307), (41432, 7.9418535436210424e307),
+                        (41438, 1.7734258203997678e308), (41439, math.inf)):
+            assert log_phi10(5 + k / 2**16) == pytest.approx(want, rel=1e-12), k
+        # The table's row of the word with sign -, r = -1 and k = 41432.
+        word = 1 << 20 | 4 << 16 | 41432
+        lg = _value_block(np.array([word]), SliFormat(3, 16), False)[2]
+        assert lg.tolist() == [pytest.approx(-7.9418535436210424e307, rel=1e-12)]
 
     def test_decimal_exponent_overflow(self):
         assert log_phi10(6.99) == math.inf
@@ -209,6 +223,10 @@ class TestRoundIndex:
 
 
 class TestEncodeDecode:
+    def test_encode_defaults_to_sli2_12(self):
+        assert encode(math.pi) == encode(math.pi, SliFormat(2, 12))
+        assert encode(math.pi).fmt == SliFormat()
+
     def test_lane_form_matches_encode(self):
         rng = np.random.default_rng(5)
         values = np.concatenate([
@@ -591,6 +609,21 @@ class TestLadder:
         assert ranks == list(range(31))
         for lo, hi in zip(values, values[1:]):
             assert lo < hi or (lo == hi and (lo == 0.0 or math.isinf(hi)))
+
+    def test_next_up_walks_a_signed_format_in_order(self):
+        # From the most negative value through zero to the top: every step
+        # goes up, and every value of the format comes exactly once.
+        fmt = SliFormat(1, 3)
+        values = {unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)}
+        walk = [SliNumber.of(fmt, -1, 1, fmt.max_level, fmt.index_scale - 1)]
+        while True:
+            try:
+                walk.append(next_up(walk[-1]))
+            except ValueError:
+                break
+        assert [compare(lo, hi) for lo, hi in zip(walk, walk[1:])] == [-1] * (len(walk) - 1)
+        assert len(walk) == len(values) == (1 << fmt.width) - 1  # one zero of two words
+        assert set(walk) == values
 
     def test_next_up_of_zero_is_min_positive(self):
         n = next_up(SliNumber.zero(F22U))

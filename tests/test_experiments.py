@@ -90,6 +90,8 @@ class TestExperimentConfig:
             ExperimentConfig(dims=(MAX_DIM + 1,))
         with pytest.raises(ValueError):
             ExperimentConfig(lo=2.0, hi=1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(seed=-1)
 
 
 class TestReprSweep:
@@ -414,6 +416,12 @@ class TestDatFiles:
         assert got[0] == "x" and len(got) == 1 + len(want)
         assert [(x, w) for x, w in zip(got[1:], want) if x != w][:3] == []
 
+    def test_read_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.dat"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty data file"):
+            read_dat(path)
+
     def test_read_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("x a\n1.0 2.0 3.0\n")
@@ -626,6 +634,12 @@ class TestCliConfig:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("step 0.5\n")
+        assert cli(["sweep-repr", "--config", str(conf)]) == 2
+        assert "run.conf:1: expected key=value, got 'step 0.5'" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = cli(["sweep-repr", "--config", str(tmp_path / "absent.conf")])
         assert code == 2
@@ -775,19 +789,31 @@ class TestCliErrors:
         assert cli([*argv, "--out", "/dev/null"]) == 1
         assert capsys.readouterr().err.startswith("sliarith: error: ")
 
+    @pytest.mark.parametrize("target, message", [
+        ("missing/out.dat", "No such file"), (".", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
     @pytest.mark.parametrize("command", ["sweep-repr", "matvec"])
-    def test_unwritable_output_is_domain_error(self, command, tmp_path, capsys, monkeypatch):
+    def test_unwritable_output_is_domain_error(self, command, target, message, tmp_path,
+                                               capsys, monkeypatch):
         def experiment(cfg):
             raise AssertionError("the experiment ran before the output was checked")
 
         monkeypatch.setattr(experiments, "repr_error_sweep", experiment)
         monkeypatch.setattr(experiments, "matvec_backward_error", experiment)
-        out = tmp_path / "missing" / "out.dat"
+        out = tmp_path / target
         argv = {"sweep-repr": ["--min", "1", "--max", "2", "--step", "0.5"],
                 "matvec": ["--dims", "2"]}[command]
         assert cli([command, *argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("sliarith: error: ") and "No such file" in err
+        assert err.startswith("sliarith: error: ") and message in err
+
+    def test_negative_seed_is_domain_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed=-5\n")
+        for argv, seed in ((["--seed", "-1"], -1), (["--config", str(conf)], -5)):
+            assert cli(["matvec", "--dims", "2", *argv, "--out", str(tmp_path / "m.dat")]) == 1
+            assert capsys.readouterr().err == f"sliarith: error: seed must be >= 0, got {seed}\n"
+        assert not (tmp_path / "m.dat").exists()
 
     def test_oversized_sweep_grid_is_refused(self, tmp_path, capsys):
         # 8e12 points, 64 TB for the grid alone: refused before allocating.

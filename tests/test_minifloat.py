@@ -1,6 +1,7 @@
 """Tests for the round-to-nearest-even minifloat simulator."""
 
 import math
+import re
 import struct
 import sys
 
@@ -65,6 +66,16 @@ class TestFormats:
         for bad in ("b0e3", "be3", "b3e0", "binary32x", "sli2.12", "b3e3uu"):
             with pytest.raises(ValueError):
                 FloatFormat.from_name(bad)
+
+    @pytest.mark.parametrize("precision, e_max, message", [
+        (0, 15, "precision must be in 1..53, got 0"),
+        (54, 15, "precision must be in 1..53, got 54"),
+        (11, 0, "e_max must be in 1..4096, got 0"),
+        (11, 4097, "e_max must be in 1..4096, got 4097"),
+    ])
+    def test_range_errors(self, precision, e_max, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FloatFormat(precision, e_max)
 
     def test_non_power_of_two_bias_has_no_bit_layout(self):
         f = FloatFormat(3, 4)
