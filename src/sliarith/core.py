@@ -86,11 +86,11 @@ def _peel(zeta: float) -> tuple[float, int]:
 def phi(zeta: float) -> float:
     """Generalized exponential: phi(z) = z on [0, 1), else exp(phi(z - 1)).
 
-    Defined for z >= 0.  Returns math.inf once the tower overflows
-    binary64; phi itself is finite for every finite argument.
+    Defined for finite z >= 0.  Returns math.inf once the tower
+    overflows binary64; phi itself is finite for every finite argument.
     """
-    if math.isnan(zeta) or zeta < 0.0:
-        raise ValueError(f"phi is defined for zeta >= 0, got {zeta}")
+    if not 0.0 <= zeta < math.inf:
+        raise ValueError(f"phi is defined for finite zeta >= 0, got {zeta}")
     v, levels_left = _peel(zeta)
     return math.inf if levels_left else v
 
@@ -118,8 +118,8 @@ def log_phi10(zeta: float) -> float:
     range.  Returns -inf for zeta = 0 and math.inf once the log10 itself
     leaves binary64.
     """
-    if math.isnan(zeta) or zeta < 0.0:
-        raise ValueError(f"log_phi10 is defined for zeta >= 0, got {zeta}")
+    if not 0.0 <= zeta < math.inf:
+        raise ValueError(f"log_phi10 is defined for finite zeta >= 0, got {zeta}")
     v, levels_left = _peel(zeta)
     if levels_left == 0:
         return math.log10(v) if v else -math.inf
@@ -757,8 +757,13 @@ def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: 
     """_materialize per lane (zeta <= 0 is zero), and the lanes whose
     rounding err cannot settle; a zero lane is settled only by err 0."""
     zero = zeta <= 0.0
-    unsettled = np.where(zero, err != 0.0, _unsettled(zeta, err, fmt))
-    level, k = _round_index_lanes(np.where(zero | unsettled, 1.0, zeta), fmt)
+    unsettled = _unsettled(zeta, err, fmt)
+    if np.count_nonzero(zero):
+        unsettled = np.where(zero, err != 0.0, unsettled)
+    fill = zero | unsettled  # rounded as 1.0 here, then replaced
+    if np.count_nonzero(fill):
+        zeta = np.where(fill, 1.0, zeta)
+    level, k = _round_index_lanes(zeta, fmt)
     return _Lanes.of(zero, sign, reciprocal, level, k), unsettled
 
 

@@ -6,7 +6,7 @@ System names accepted everywhere: SLI formats ("sli2.12", "sli1.3u", ...)
 and minifloats ("binary16", "bfloat16", "toy5", "b<p>e<emax>[u]").
 Every experiment is deterministic given its config, including the seed;
 matrix runs derive one substream per dimension so the dimension list can
-be reordered or split without changing any numbers.
+be split or extended without changing any numbers.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import errno
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -26,6 +28,7 @@ from . import arith
 from .core import (
     SliFormat,
     SliNumber,
+    _Lanes,
     _decode_lanes,
     _encode_lanes,
     decode,
@@ -51,10 +54,11 @@ __all__ = [
 SLI_COLUMN = "level-index"
 
 # Largest matrix dimension the matvec experiment accepts.  The simulated
-# product keeps one lane per row but still walks the n columns one after
-# another in Python; at n = 4000 the sli2.12 product takes 17-19 s on
-# a 2-core Xeon VM.  n = 5000 leaves room past binary16's overflow
-# at n ~ 2620 for entries from uniform(0, 100).
+# product keeps one lane per row of every dimension of a group but still
+# walks the columns one after another in Python; at n = 4000, a group of
+# its own, the run takes 15-18 s on a 2-core Xeon VM.
+# n = 5000 leaves room past binary16's overflow at n ~ 2620 for entries
+# from uniform(0, 100).
 MAX_DIM = 5000
 
 # Most grid points the sweep accepts, refused before any allocation.
@@ -63,17 +67,21 @@ MAX_DIM = 5000
 # (2-core Xeon VM), against 57 MB for the default 799 001 points.
 MAX_GRID = 1 << 24
 
-# Products simulated per batch: a block of whole columns of A, as many as
-# fit in this many lanes (at least one column).  On matrices of n = 50
-# to 200, throughput levels off from about 1024 lanes; whole-matrix
-# batches were slower and took 11 MB more peak RSS (2-core Xeon VM).
+# Products simulated per batch: the products of consecutive column
+# steps of a matvec group, one lane per row still summing at each step,
+# as many steps as fit in this many lanes (at least one).  On matrices
+# of n = 50 to 200, throughput levels off from about 1024 lanes;
+# whole-matrix batches were slower and took 11 MB more peak RSS (2-core
+# Xeon VM).
 _LANE_BUDGET = 2048
 
-# Rows of |A| summed at a time for the matvec's norm, and grid points
-# rounded at a time by the sweep: bounds on transient memory, not tuning
-# knobs.
+# Rows of |A| summed at a time for the matvec's norm, grid points rounded
+# at a time by the sweep, and entries of A held by one matvec group
+# (8 MB; a dimension with more runs alone): bounds on transient memory,
+# not tuning knobs.
 _ROW_BLOCK = 256
 _CHUNK_ROWS = 1 << 16
+_GROUP_ENTRIES = 1 << 20
 
 
 def resolve_system(name: str) -> SliFormat | FloatFormat:
@@ -186,37 +194,82 @@ def repr_error_sweep(cfg: ExperimentConfig) -> ErrorTable:
 
 
 def _simulate_matvec(
-    fmt: SliFormat | FloatFormat, a: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """y = A x with inputs pre-rounded and every product and running-sum
-    addition performed in the target arithmetic, left to right.
+    fmt: SliFormat | FloatFormat, problems: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> list[np.ndarray]:
+    """y = A x for each (A, x) of a group in ascending n, with inputs
+    pre-rounded and every product and running-sum addition performed in
+    the target arithmetic, each row left to right from zero.
 
-    All rows run at once, one lane each; every lane op gives the number
-    the scalar op (encode, mul, add, decode; fl, fl_op) gives.
+    The rows of all the problems run at once, one lane each, stacked in
+    the group's order.  As n ascends, the rows still summing at column j,
+    those of the problems with n > j, are a suffix of the lanes, which
+    one lane add per column updates in place.  Every lane op gives the
+    number the scalar op (encode, mul, add, decode; fl, fl_op) gives.
     """
-    n = len(x)
-    cols = max(1, _LANE_BUDGET // n)
+    dims = [len(x) for _, x in problems]
+    offsets = np.cumsum([0, *dims])  # each problem's first lane, then the end
+    # first[j]: the first problem, and start[j] the first lane, still
+    # summing at column j; width[j] lanes sum from there on.
+    first = np.searchsorted(dims, np.arange(dims[-1]), side="right").tolist()
+    start = offsets[first].tolist()
+    width = [int(offsets[-1]) - s for s in start]
+    # x is stacked like the rows, so x_j of a row's problem sits j lanes
+    # past that problem's first lane.
+    row_x = np.repeat(offsets[:-1], dims)
     if isinstance(fmt, SliFormat):
-        xr = _encode_lanes(x, fmt)
-        acc = _encode_lanes(np.zeros(n), fmt)
-        for j0 in range(0, n, cols):
-            block = a[:, j0:j0 + cols].T  # lane j * n + i holds a[i, j0 + j]
-            width = len(block)
-            prods = arith._mul_lanes(
-                fmt, _encode_lanes(block.ravel(), fmt),
-                xr.take(np.repeat(np.arange(j0, j0 + width), n)))
-            for j in range(width):
-                acc = arith._add_lanes(fmt, acc, prods.take(slice(j * n, (j + 1) * n)))
-        return _decode_lanes(acc, fmt)
-    xf = _fl_lanes(x, fmt)
-    acc = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j0 in range(0, n, cols):
-            block = a[:, j0:j0 + cols]
-            prods = _fl_lanes(_fl_lanes(block, fmt) * xf[j0:j0 + cols], fmt)
-            for j in range(block.shape[1]):
-                acc = _fl_lanes(acc + prods[:, j], fmt)
-    return acc
+        rnd = partial(_encode_lanes, fmt=fmt)
+        mul = partial(arith._mul_lanes, fmt)
+        take = _Lanes.take
+
+        def add_into(acc, tail, terms):  # acc[tail] + terms, rounded, in place
+            for field, v in zip(acc, arith._add_lanes(fmt, acc.take(tail), terms)):
+                field[tail] = v
+    else:
+        rnd = partial(_fl_lanes, fmt=fmt)
+        take = operator.getitem
+
+        def mul(p, q):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _fl_lanes(p * q, fmt)
+
+        def add_into(acc, tail, terms):
+            with np.errstate(over="ignore", invalid="ignore"):
+                acc[tail] = _fl_lanes(acc[tail] + terms, fmt)
+    xr = rnd(np.concatenate([x for _, x in problems]))
+    acc = rnd(np.zeros(offsets[-1]))
+    j0 = 0
+    while j0 < dims[-1]:
+        j1, used = j0 + 1, width[j0]
+        while j1 < dims[-1] and used + width[j1] <= _LANE_BUDGET:
+            used += width[j1]
+            j1 += 1
+        # The products of column steps j0..j1-1, one step after another:
+        # each row's entry j times its x_j.
+        steps = range(j0, j1)
+        entries = np.concatenate([a[:, j] for j in steps for a, _ in problems[first[j]:]])
+        xs = take(xr, np.concatenate([row_x[start[j]:] + j for j in steps]))
+        prods = mul(rnd(entries), xs)
+        p = 0
+        for j in steps:
+            add_into(acc, slice(start[j], None), take(prods, slice(p, p + width[j])))
+            p += width[j]
+        j0 = j1
+    y = _decode_lanes(acc, fmt) if isinstance(fmt, SliFormat) else acc
+    return np.split(y, offsets[1:-1])
+
+
+def _matvec_groups(dims: Sequence[int]) -> list[list[int]]:
+    """The dimensions in runs of consecutive ones whose n*n entries
+    together stay within _GROUP_ENTRIES; a larger one runs alone."""
+    groups: list[list[int]] = []
+    entries = _GROUP_ENTRIES
+    for n in dims:
+        if entries + n * n > _GROUP_ENTRIES:
+            groups.append([])
+            entries = 0
+        groups[-1].append(n)
+        entries += n * n
+    return groups
 
 
 def matvec_backward_error(cfg: ExperimentConfig) -> ErrorTable:
@@ -226,28 +279,33 @@ def matvec_backward_error(cfg: ExperimentConfig) -> ErrorTable:
     x ~ uniform(0, 1)^n in binary64 from the (seed, n) substream,
     simulate the product in each system, and record
     max_i |yhat_i - y_i| / (norm_inf(A) * max_j |x_j|) against the
-    binary64 reference.  Any non-finite component flags inf.
+    binary64 reference.  Any non-finite component flags inf.  The
+    products of a group of dimensions (_matvec_groups) are simulated
+    together.
     """
     systems = [(name, resolve_system(name)) for name in cfg.systems]
     values: dict[str, list[float]] = {name: [] for name, _ in systems}
-    for n in cfg.dims:
-        rng = np.random.default_rng([cfg.seed, n])
-        a = rng.uniform(cfg.lo, cfg.hi, size=(n, n))
-        x = rng.uniform(0.0, 1.0, size=n)
-        y_ref = a @ x
-        # Row sums of |A| a block of rows at a time: each row sums as it
-        # would in one np.abs(a).sum(axis=1), without a second n x n array.
-        norm_a = max(np.abs(a[r0:r0 + _ROW_BLOCK]).sum(axis=1).max()
-                     for r0 in range(0, n, _ROW_BLOCK))
-        denom = float(norm_a * np.abs(x).max())
+    for group in _matvec_groups(cfg.dims):
+        problems, refs = [], []
+        for n in group:
+            rng = np.random.default_rng([cfg.seed, n])
+            a = rng.uniform(cfg.lo, cfg.hi, size=(n, n))
+            x = rng.uniform(0.0, 1.0, size=n)
+            # Row sums of |A| a block of rows at a time: each row sums as
+            # it would in one np.abs(a).sum(axis=1), without a second
+            # n x n array.
+            norm_a = max(np.abs(a[r0:r0 + _ROW_BLOCK]).sum(axis=1).max()
+                         for r0 in range(0, n, _ROW_BLOCK))
+            problems.append((a, x))
+            refs.append((a @ x, float(norm_a * np.abs(x).max())))
         for name, fmt in systems:
-            y_hat = _simulate_matvec(fmt, a, x)
-            if np.isfinite(y_hat).all():
-                diff = float(np.max(np.abs(y_hat - y_ref)))
-                err = diff / denom if denom > 0.0 else (math.inf if diff else 0.0)
-            else:
-                err = math.inf
-            values[name].append(err)
+            for y_hat, (y_ref, denom) in zip(_simulate_matvec(fmt, problems), refs):
+                if np.isfinite(y_hat).all():
+                    diff = float(np.max(np.abs(y_hat - y_ref)))
+                    err = diff / denom if denom > 0.0 else (math.inf if diff else 0.0)
+                else:
+                    err = math.inf
+                values[name].append(err)
     return ErrorTable(cfg.dims, values)
 
 

@@ -63,10 +63,9 @@ class TestPhiPsi:
         assert phi(40.0) == math.inf
 
     def test_phi_domain(self):
-        with pytest.raises(ValueError):
-            phi(-0.25)
-        with pytest.raises(ValueError):
-            phi(math.nan)
+        for bad in (-0.25, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                phi(bad)
 
     def test_psi_values(self):
         assert psi(0.25) == 0.25
@@ -122,8 +121,9 @@ class TestLogPhi10:
         assert log_phi10(6.99) == math.inf
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            log_phi10(-1.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                log_phi10(bad)
 
 
 class TestSliFormat:

@@ -211,34 +211,56 @@ def _matvec_by_rows(fmt, a, x) -> list[float]:
     return out
 
 
+def _matvec_problem(n, lo, hi, seed):
+    """A and x with exact zero entries; for a signed range, signed x, and
+    rows 2 and 3 (where n > 3) cancelling exactly after two terms and
+    halfway."""
+    rng = np.random.default_rng([n, seed])
+    a = rng.uniform(lo, hi, size=(n, n))
+    x = rng.uniform(0.0, 1.0, size=n)
+    a[rng.random((n, n)) < 0.1] = 0.0  # exact zero products
+    if lo < 0.0:
+        x *= rng.choice([-1.0, 1.0], size=n)
+        if n > 3:
+            x[1] = x[0]
+            a[2, 1], a[2, 2:] = -a[2, 0], 0.0
+            a[3, 1] = -a[3, 0]
+    return a, x
+
+
 class TestSimulateMatvec:
     @pytest.mark.parametrize(
         "system", ["sli2.12", "sli1.4", "sli3.3", "binary16", "bfloat16", "toy5"])
     def test_rows_match_scalar_ops_bit_for_bit(self, system):
         fmt = resolve_system(system)
+        lo = -100.0 if fmt.signed else 0.0
         # n = 60 and 70 run as several column blocks with a partial last one.
         cases = [(24, 0.0, 100.0), (40, 0.0, 1e4), (12, 0.0, 1e-3), (16, 0.0, 1.0),
-                 (70, 0.0, 100.0)]
+                 (70, 0.0, 100.0), (60, lo, 100.0)]
         if fmt.signed:
-            cases += [(20, -100.0, 100.0), (60, -100.0, 100.0)]
-        for n, lo, hi in cases:
-            rng = np.random.default_rng([n, 5])
-            a = rng.uniform(lo, hi, size=(n, n))
-            x = rng.uniform(0.0, 1.0, size=n)
-            a[rng.random((n, n)) < 0.1] = 0.0  # exact zero products
-            if lo < 0.0:
-                x *= rng.choice([-1.0, 1.0], size=n)
-                # Row 2 cancels exactly after two terms, row 3 halfway.
-                x[1] = x[0]
-                a[2, 1], a[2, 2:] = -a[2, 0], 0.0
-                a[3, 1] = -a[3, 0]
+            cases.append((20, lo, 100.0))
+        solo = {}
+        for n, lo_n, hi in cases:
+            a, x = _matvec_problem(n, lo_n, hi, 5)
             want = _matvec_by_rows(fmt, a, x)
-            got = _simulate_matvec(fmt, a, x)
-            assert list(map(float.hex, got)) == list(map(float.hex, want)), (n, lo, hi)
-            if lo < 0.0:
+            (got,) = _simulate_matvec(fmt, [(a, x)])
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (n, lo_n, hi)
+            if lo_n < 0.0:
                 assert want[2] == 0.0
             if fmt == BINARY16 and hi == 1e4:
                 assert math.isinf(max(want))  # row sums past 65504
+            solo[n] = (a, x), want
+        # One stacked group of the cases above and two more, among them a
+        # second n = 24; its 9909 products fill several blocks, some
+        # across the end of a dimension, and a partial last one.
+        group = [(_matvec_problem(1, lo, 100.0, 6), None), solo[16],
+                 solo[24], (_matvec_problem(24, lo, 100.0, 6), None), solo[60], solo[70]]
+        problems = [problem for problem, _ in group]
+        wants = [want or _matvec_by_rows(fmt, *problem) for problem, want in group]
+        assert [len(x) for _, x in problems] == [1, 16, 24, 24, 60, 70]
+        assert sum(len(x) ** 2 for _, x in problems) % _LANE_BUDGET
+        for got, want in zip(_simulate_matvec(fmt, problems), wants, strict=True):
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_few_sli_roundings_fall_back(self, monkeypatch):
         # Lanes near a tie are redone by the scalar op; on the seeded
@@ -266,21 +288,21 @@ class TestSimulateMatvec:
     def test_unsigned_rejects_negative_entries(self, system):
         a = np.array([[1.0, 2.0], [3.0, -4.0]])
         with pytest.raises(ValueError, match="unsigned"):
-            _simulate_matvec(resolve_system(system), a, np.array([0.5, 0.25]))
+            _simulate_matvec(resolve_system(system), [(a, np.array([0.5, 0.25]))])
 
     def test_identity_product_is_exact(self):
-        a = np.array([[1.0]])
-        x = np.array([0.5])
-        assert _simulate_matvec(TOY5, a, x).tolist() == [0.5]
-        assert _simulate_matvec(BINARY16, a, x).tolist() == [0.5]
-        got = _simulate_matvec(F, a, x)
+        problems = [(np.array([[1.0]]), np.array([0.5]))]
+        assert [y.tolist() for y in _simulate_matvec(TOY5, problems)] == [[0.5]]
+        assert [y.tolist() for y in _simulate_matvec(BINARY16, problems)] == [[0.5]]
+        (got,) = _simulate_matvec(F, problems)
         assert got.tolist() == [decode(encode(0.5, F))]
 
     def test_row_sum_in_binary64_exact_case(self):
         # all entries exactly representable: the float path is exact
         a = np.array([[0.5, 0.25], [1.0, 2.0]])
         x = np.array([2.0, 4.0])
-        assert _simulate_matvec(BINARY16, a, x).tolist() == [2.0, 10.0]
+        (got,) = _simulate_matvec(BINARY16, [(a, x)])
+        assert got.tolist() == [2.0, 10.0]
 
 
 class TestMatvecBackwardError:
@@ -298,6 +320,39 @@ class TestMatvecBackwardError:
             ExperimentConfig(systems=("binary16",), dims=(2, 4))
         )
         assert _rows(pair)[1] == _rows(solo)[0]
+
+    @pytest.mark.parametrize("system", ["sli2.12", "binary16"])
+    def test_split_groups_match_solo_runs(self, system, monkeypatch):
+        dims = (2, 3, 5, 5, 7, 9, 12)
+        solo = [_rows(matvec_backward_error(ExperimentConfig(systems=(system,), dims=(n,))))[0]
+                for n in dims]
+        monkeypatch.setattr(experiments, "_GROUP_ENTRIES", 64)
+        groups = []
+        simulate = experiments._simulate_matvec
+
+        def recording(fmt, problems):
+            groups.append([len(x) for _, x in problems])
+            return simulate(fmt, problems)
+
+        monkeypatch.setattr(experiments, "_simulate_matvec", recording)
+        table = matvec_backward_error(ExperimentConfig(systems=(system,), dims=dims))
+        assert groups == [[2, 3, 5, 5], [7], [9], [12]]
+        assert _rows(table) == solo
+
+    @pytest.mark.parametrize("budget", [64, 1000, experiments._GROUP_ENTRIES])
+    def test_groups_stay_within_the_entry_budget(self, budget, monkeypatch):
+        monkeypatch.setattr(experiments, "_GROUP_ENTRIES", budget)
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 5, 40):
+            for top in (10, 40, MAX_DIM):
+                dims = sorted(rng.integers(1, top + 1, size=size).tolist())
+                groups = experiments._matvec_groups(dims)
+                assert [n for g in groups for n in g] == dims
+                for g, after in zip(groups, groups[1:] + [None]):
+                    entries = sum(n * n for n in g)
+                    assert entries <= budget or len(g) == 1
+                    if after:  # a group ends only where the next dimension would not fit
+                        assert entries + after[0] ** 2 > budget
 
     def test_errors_are_small_at_toy_size(self):
         cfg = ExperimentConfig(systems=("binary16", "sli2.12"), dims=(5,))
@@ -541,10 +596,13 @@ class TestCliCommands:
         (["sweep-repr", "--sli", "sli2.12u", "--float", "bfloat16", "--min", "1e-30",
           "--max", "1e30", "--step", "1e27"],
          "151eaf352395e1cea74ce00023e95f146fbd8ff538a434b7bd9d2954b49118f0"),
+        (["matvec", "--dims", "10,50,50,300", "--lo=-100", "--hi", "100", "--seed", "7"],
+         "57b28a61288f4b428c2788274f440e92041ba108e76b615bc2a78d82a8212294"),
     ])
     def test_dat_bytes_are_pinned(self, tmp_path, capsys, argv, sha256):
-        """The .dat bytes of five runs, pinned by SHA-256: negative keys,
-        and keys and errors spelled in scientific notation, among them.
+        """The .dat bytes of six runs, pinned by SHA-256: negative keys,
+        keys and errors spelled in scientific notation, and a signed
+        matvec group with a repeated dimension, among them.
 
         The SLI columns go through the C library's exp and log, so the
         hashes hold for the libm they were taken with (glibc, Python
