@@ -38,8 +38,9 @@ from .core import (
     _TINY,
     _TRANS,
     _U,
-    _Lanes,
+    _from_key,
     _key,
+    _key_fields,
     _log,
     _materialize,
     _materialize_lanes,
@@ -502,17 +503,18 @@ def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
     return w, (zeta_x < zeta_y) & divide, bound + 2 * _U * w
 
 
-def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
-    """add per lane, the kernel run once for all of them.  Zero lanes,
-    whose neutral fields read as one, run through the kernel like the
-    rest and are replaced at the end."""
-    zx, zy = x.zeta(fmt), y.zeta(fmt)
+def _add_lanes(fmt: SliFormat, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """add per lane of the key arrays x and y, the kernel run once for all
+    of them; returns keys.  Zero lanes, which read as one, run through the
+    kernel like the rest and take the other operand at the end."""
+    x_zero, x_sign, x_rec, zx = _key_fields(x, fmt)
+    y_zero, y_sign, y_rec, zy = _key_fields(y, fmt)
     # r (zeta - 1) orders magnitudes exactly as magnitude_rank does; big
     # is y where swap, else x, and small the other one.
-    swap = x.reciprocal * (zx - 1.0) < y.reciprocal * (zy - 1.0)
+    swap = x_rec * (zx - 1.0) < y_rec * (zy - 1.0)
     bz, sz = np.where(swap, zy, zx), np.where(swap, zx, zy)
-    up = np.where(swap, y.reciprocal, x.reciprocal) > 0
-    subtract = x.sign != y.sign
+    up = np.where(swap, y_rec, x_rec) > 0
+    subtract = x_sign != y_sign
     # Kernel operands (big, small) and their bounds, replaced below where
     # small, or both, are below one.  Equal opposites have equal
     # descriptors, which the kernel cancels to exactly 0.0.
@@ -521,7 +523,7 @@ def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
     with np.errstate(all="ignore"):  # log 0 and 1/0 on dead lanes
         # A small operand below one is fed as a raw level-0 descriptor,
         # its a_0.
-        chain = up & (np.where(swap, x.reciprocal, y.reciprocal) < 0)
+        chain = up & (np.where(swap, x_rec, y_rec) < 0)
         if np.count_nonzero(chain):
             a, ra, _, _, deep = _rungs_lanes(sz[chain], 0.0)
             ky[chain] = a[0]
@@ -563,22 +565,24 @@ def _add_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
             zeta[down] += 1.0
             err[down] = np.where(lost, math.inf, err[down] + 2 * _U * zeta[down])
             reciprocal[down] = np.where(sub_d | first, -1, 1)
-    out, redo = _materialize_lanes(
-        fmt, np.where(swap, y.sign, x.sign), reciprocal, zeta, err)
-    zero = x.zero | y.zero
+    # A lane with a zero operand is settled as zero, then takes the other.
+    zero = x_zero | y_zero
     if np.count_nonzero(zero):
-        out = _Lanes(*(np.where(x.zero, fy, np.where(y.zero, fx, fo))
-                       for fo, fx, fy in zip(out, x, y)))
-        redo &= ~zero
-    return out.redo(redo, lambda i: add(x.number(i, fmt), y.number(i, fmt)))
+        zeta[zero] = err[zero] = 0.0
+    out = _materialize_lanes(fmt, np.where(swap, y_sign, x_sign), reciprocal, zeta, err,
+                             lambda i: add(_from_key(fmt, int(x[i])), _from_key(fmt, int(y[i]))))
+    if np.count_nonzero(zero):
+        out = np.where(x_zero, y, np.where(y_zero, x, out))
+    return out
 
 
-def _mul_lanes(fmt: SliFormat, x: _Lanes, y: _Lanes) -> _Lanes:
-    """mul per lane."""
+def _mul_lanes(fmt: SliFormat, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mul per lane of the key arrays x and y; returns keys."""
+    x_zero, x_sign, x_rec, zx = _key_fields(x, fmt)
+    y_zero, y_sign, y_rec, zy = _key_fields(y, fmt)
     # The kernel run of _mul_signed, whose comment has the case split.
-    w, flipped, err = li_mul_div(x.zeta(fmt), y.zeta(fmt), x.reciprocal != y.reciprocal)
-    reciprocal = np.where(flipped, -x.reciprocal, x.reciprocal)
-    zero = x.zero | y.zero
-    out, redo = _materialize_lanes(fmt, x.sign * y.sign, reciprocal,
-                                   np.where(zero, 0.0, w), np.where(zero, 0.0, err))
-    return out.redo(redo, lambda i: mul(x.number(i, fmt), y.number(i, fmt)))
+    w, flipped, err = li_mul_div(zx, zy, x_rec != y_rec)
+    zero = x_zero | y_zero
+    return _materialize_lanes(fmt, x_sign * y_sign, np.where(flipped, -x_rec, x_rec),
+                              np.where(zero, 0.0, w), np.where(zero, 0.0, err),
+                              lambda i: mul(_from_key(fmt, int(x[i])), _from_key(fmt, int(y[i]))))

@@ -536,12 +536,13 @@ def enumerate_values(fmt: SliFormat, raw: bool = False) -> Iterator[tuple[np.nda
 
 def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarray, ...]:
     sign, reciprocal, level, index_k = word_fields(bits, fmt)
-    zero = np.zeros(bits.size, bool) if raw else (reciprocal < 0) & (level == 1) & (index_k == 0)
-    # _Lanes.of folds the raw all-zeros word, 1/phi(1), onto one.
-    lanes = _Lanes.of(zero, sign, reciprocal, level, index_k)
-    lg = _lane_map(log_phi10, lanes.zeta(fmt)) * lanes.reciprocal
+    zero = (not raw) & (reciprocal < 0) & (level == 1) & (index_k == 0)
+    # The raw all-zeros word, 1/phi(1), has the key of one.
+    keys = _lane_keys(fmt, zero, sign, reciprocal, level, index_k)
+    _, _, reciprocal, zeta = _key_fields(keys, fmt)
+    lg = _lane_map(log_phi10, zeta) * reciprocal
     lg[zero] = -math.inf
-    return bits, _decode_lanes(lanes, fmt), lg
+    return bits, _decode_lanes(keys, fmt), lg
 
 
 def magnitude_rank(num: SliNumber) -> int:
@@ -563,26 +564,27 @@ def magnitude_rank(num: SliNumber) -> int:
     return half - 1 - m
 
 
-def _from_rank(fmt: SliFormat, sign: int, rank: int) -> SliNumber:
-    half = 1 << (fmt.level_bits + fmt.index_bits)
-    if not 0 <= rank <= 2 * (half - 1):
-        raise ValueError(f"rank {rank} outside the {fmt.name} ladder")
-    if rank >= half - 1:
-        reciprocal, m = 1, rank - (half - 1)
-    else:
-        reciprocal, m = -1, half - 1 - rank
-    level = (m >> fmt.index_bits) + 1
-    index_k = m & (fmt.index_scale - 1)
-    return SliNumber.of(fmt, sign, reciprocal, level, index_k)
-
-
 def _key(num: SliNumber) -> int:
     """Position of num among all values in ascending order: 0 for zero,
     sign * (magnitude_rank + 1) otherwise, so consecutive values have
-    consecutive keys."""
+    consecutive keys.  With m = (level - 1) * 2**index_bits + index_k,
+    that is sign * (2**(level_bits + index_bits) + r m)."""
     if num.is_zero:
         return 0
     return num.sign * (magnitude_rank(num) + 1)
+
+
+def _from_key(fmt: SliFormat, key: int) -> SliNumber:
+    """Inverse of _key: the value whose key is key."""
+    if key == 0:
+        return SliNumber.zero(fmt)
+    half = 1 << (fmt.level_bits + fmt.index_bits)
+    rm = abs(key) - half  # r m, with r = +1 for one
+    if not -half < rm < half:
+        raise ValueError(f"key {key} outside the {fmt.name} ladder")
+    m = abs(rm)
+    return SliNumber(fmt, False, 1 if key > 0 else -1, 1 if rm >= 0 else -1,
+                     (m >> fmt.index_bits) + 1, m & (fmt.index_scale - 1))
 
 
 def next_up(num: SliNumber) -> SliNumber:
@@ -591,13 +593,7 @@ def next_up(num: SliNumber) -> SliNumber:
     Raises ValueError at the positive top of the range; there is no
     infinity to step onto.
     """
-    fmt = num.fmt
-    key = _key(num) + 1
-    if key == 0:
-        return SliNumber.zero(fmt)
-    if key == 2 << (fmt.level_bits + fmt.index_bits):  # one past the top rank's key
-        raise ValueError(f"next_up past the top of {fmt.name}")
-    return _from_rank(fmt, 1 if key > 0 else -1, abs(key) - 1)
+    return _from_key(num.fmt, _key(num) + 1)
 
 
 def spacing(num: SliNumber) -> float:
@@ -606,7 +602,12 @@ def spacing(num: SliNumber) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lane forms: many numbers at once, one array element ("lane") each.
+# Lane forms: many numbers at once, one array element ("lane") each.  An
+# SLI lane is one int64, the _key of its value: 0 for zero, otherwise
+# sign * (2**(level_bits + index_bits) + r m) with m = (level - 1) *
+# 2**index_bits + index_k.  Every value has exactly one key, and integer
+# order on keys is the order of the values.  _lane_keys builds keys from
+# fields and _key_fields reads fields back, a zero lane reading as one.
 #
 # Lanes follow the scalar code above step by step, but take exp and log
 # from numpy, whose float64 versions may round differently from libm's
@@ -661,52 +662,31 @@ def _log(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
     return out, _TRANS * np.abs(out) - np.log1p(-err / values)
 
 
-class _Lanes(NamedTuple):
-    """SLI numbers as struct-of-arrays: the fields of SliNumber, one lane
-    per number.  Zero lanes carry the neutral fields (+1, +1, 1, 0)."""
+def _lane_keys(fmt: SliFormat, zero, sign, reciprocal, level, index_k) -> np.ndarray:
+    """_key per lane, of the values with these fields (zero where zero is
+    set): 1/1 gets the key of one, as SliNumber.of folds it."""
+    m = (level - 1) << fmt.index_bits | index_k
+    keys = sign * ((1 << (fmt.level_bits + fmt.index_bits)) + reciprocal * m)
+    return np.where(zero, 0, keys)
 
-    zero: np.ndarray
-    sign: np.ndarray
-    reciprocal: np.ndarray
-    level: np.ndarray
-    index_k: np.ndarray
 
-    @classmethod
-    def of(cls, zero, sign, reciprocal, level, index_k) -> "_Lanes":
-        """Lane form of SliNumber.of and SliNumber.zero: folds 1/1 onto the
-        canonical one and gives zero lanes their neutral fields."""
-        one_below = (reciprocal < 0) & (level == 1) & (index_k == 0)
-        if not np.count_nonzero(zero):
-            return cls(zero, sign, np.where(one_below, 1, reciprocal), level, index_k)
-        return cls(
-            zero,
-            np.where(zero, 1, sign),
-            np.where(zero | one_below, 1, reciprocal),
-            np.where(zero, 1, level),
-            np.where(zero, 0, index_k),
-        )
+def _key_fields(keys: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, ...]:
+    """Per lane key, the value's zero flag, sign, reciprocal flag and zeta
+    (exact, as SliNumber.zeta is); a zero lane reads as one."""
+    zero = keys == 0
+    rm = np.abs(keys) - (1 << (fmt.level_bits + fmt.index_bits))  # r m, as in _from_key
+    if np.count_nonzero(zero):
+        rm[zero] = 0
+    zeta = 1.0 + np.abs(rm) / fmt.index_scale
+    return zero, np.where(keys < 0, -1, 1), np.where(rm < 0, -1, 1), zeta
 
-    def zeta(self, fmt: SliFormat) -> np.ndarray:
-        """level + index_k / 2**index_bits per lane, exact as in SliNumber.zeta."""
-        return self.level + self.index_k / fmt.index_scale
 
-    def take(self, lanes) -> "_Lanes":
-        """The lanes an index, slice or mask selects, in that order."""
-        return _Lanes(*(field[lanes] for field in self))
-
-    def number(self, i: int, fmt: SliFormat) -> SliNumber:
-        """Lane i as a SliNumber."""
-        return SliNumber(fmt, *(field[i].item() for field in self))
-
-    def redo(self, lanes: np.ndarray, op) -> "_Lanes":
-        """Overwrite every lane the mask selects with op(i), the scalar op's
-        SliNumber for lane i; the fields must be arrays of their own."""
-        for i in np.flatnonzero(lanes).tolist() if np.count_nonzero(lanes) else ():
-            num = op(i)
-            for field, value in zip(self, (num.is_zero, num.sign, num.reciprocal,
-                                           num.level, num.index_k)):
-                field[i] = value
-        return self
+def _redo(keys: np.ndarray, lanes: np.ndarray, op) -> np.ndarray:
+    """Overwrite every lane the mask selects with the key of op(i), the
+    scalar op's SliNumber for lane i."""
+    for i in np.flatnonzero(lanes).tolist() if np.count_nonzero(lanes) else ():
+        keys[i] = _key(op(i))
+    return keys
 
 
 def _psi_lanes(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
@@ -753,9 +733,11 @@ def _unsettled(zeta: np.ndarray, err: np.ndarray, fmt: SliFormat) -> np.ndarray:
     return ~(clear | (zeta - err > fmt.max_level + (scale - 0.5) / scale))
 
 
-def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray):
-    """_materialize per lane (zeta <= 0 is zero), and the lanes whose
-    rounding err cannot settle; a zero lane is settled only by err 0."""
+def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray,
+                       op) -> np.ndarray:
+    """_materialize per lane (zeta <= 0 is zero), as keys.  A lane whose
+    rounding err cannot settle is redone by op(i), the scalar op's
+    SliNumber for lane i; a zero lane is settled only by err 0."""
     zero = zeta <= 0.0
     unsettled = _unsettled(zeta, err, fmt)
     if np.count_nonzero(zero):
@@ -764,11 +746,12 @@ def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: 
     if np.count_nonzero(fill):
         zeta = np.where(fill, 1.0, zeta)
     level, k = _round_index_lanes(zeta, fmt)
-    return _Lanes.of(zero, sign, reciprocal, level, k), unsettled
+    return _redo(_lane_keys(fmt, zero, sign, reciprocal, level, k), unsettled, op)
 
 
-def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> _Lanes:
-    """encode per lane of a 1-D binary64 array, with the same errors."""
+def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> np.ndarray:
+    """encode per lane of a 1-D binary64 array, as keys, with the same
+    errors."""
     bad = ~np.isfinite(values)
     if bad.any():
         raise ValueError(f"cannot encode non-finite value {values[bad][0]}")
@@ -785,27 +768,28 @@ def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> _Lanes:
         z, err = _psi_lanes(v, _TRANS * v)
     # Zero lanes have z = 0 within err 0, so they settle as zero.
     zeta = np.where(zero, 0.0, 1.0 + z)
-    out, redo = _materialize_lanes(fmt, np.where(negative, -1, 1), np.where(a >= 1.0, 1, -1),
-                                   zeta, err + 2 * _U * zeta)
-    return out.redo(redo, lambda i: encode(values[i].item(), fmt))
+    return _materialize_lanes(fmt, np.where(negative, -1, 1), np.where(a >= 1.0, 1, -1),
+                              zeta, err + 2 * _U * zeta, lambda i: encode(values[i].item(), fmt))
 
 
-def _decode_lanes(lanes: _Lanes, fmt: SliFormat) -> np.ndarray:
-    """decode per lane: the binary64 number decode gives."""
-    # _peel per lane: the exact index of zeta = level + index_k/scale,
-    # exponentiated once per level, and inf past the guard as in phi.
-    # Zero lanes skip that and keep their neutral index 0 as the value.
-    mag = lanes.index_k / fmt.index_scale
-    live = np.flatnonzero(~lanes.zero)
+def _decode_lanes(keys: np.ndarray, fmt: SliFormat) -> np.ndarray:
+    """decode per lane of keys: the binary64 number decode gives."""
+    zero, sign, reciprocal, zeta = _key_fields(keys, fmt)
+    # _peel per lane: the exact index of zeta, exponentiated once per
+    # level, and inf past the guard as in phi.  Zero lanes, read as one,
+    # skip that and keep their index 0 as the value.
+    level = zeta.astype(np.int64)
+    mag = zeta - level
+    live = np.flatnonzero(~zero)
     for step in range(1, fmt.max_level + 1):
-        live = live[lanes.level[live] >= step]
+        live = live[level[live] >= step]
         over = mag[live] > _EXP_MAX_ARG
         mag[live[over]] = math.inf
         live = live[~over]
         mag[live] = _lane_map(math.exp, mag[live])
-    below = lanes.reciprocal < 0
+    below = reciprocal < 0
     mag[below] = 1.0 / mag[below]  # 1/inf is 0.0, as in decode
-    return lanes.sign * mag
+    return sign * mag
 
 
 from . import arith  # noqa: E402  (arith imports core; bound last for the dunders)

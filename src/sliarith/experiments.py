@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import errno
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from . import arith
 from .core import (
     SliFormat,
     SliNumber,
-    _Lanes,
     _decode_lanes,
     _encode_lanes,
     decode,
@@ -201,10 +199,11 @@ def _simulate_matvec(
     the target arithmetic, each row left to right from zero.
 
     The rows of all the problems run at once, one lane each, stacked in
-    the group's order.  As n ascends, the rows still summing at column j,
+    the group's order: SLI lanes as keys (core's lane section), float
+    lanes as binary64.  As n ascends, the rows still summing at column j,
     those of the problems with n > j, are a suffix of the lanes, which
-    one lane add per column updates in place.  Every lane op gives the
-    number the scalar op (encode, mul, add, decode; fl, fl_op) gives.
+    one lane add per column updates.  Every lane op gives the number the
+    scalar op (encode, mul, add, decode; fl, fl_op) gives.
     """
     dims = [len(x) for _, x in problems]
     offsets = np.cumsum([0, *dims])  # each problem's first lane, then the end
@@ -218,23 +217,17 @@ def _simulate_matvec(
     row_x = np.repeat(offsets[:-1], dims)
     if isinstance(fmt, SliFormat):
         rnd = partial(_encode_lanes, fmt=fmt)
-        mul = partial(arith._mul_lanes, fmt)
-        take = _Lanes.take
-
-        def add_into(acc, tail, terms):  # acc[tail] + terms, rounded, in place
-            for field, v in zip(acc, arith._add_lanes(fmt, acc.take(tail), terms)):
-                field[tail] = v
+        mul, add = partial(arith._mul_lanes, fmt), partial(arith._add_lanes, fmt)
     else:
         rnd = partial(_fl_lanes, fmt=fmt)
-        take = operator.getitem
 
         def mul(p, q):
             with np.errstate(over="ignore", invalid="ignore"):
                 return _fl_lanes(p * q, fmt)
 
-        def add_into(acc, tail, terms):
+        def add(p, q):
             with np.errstate(over="ignore", invalid="ignore"):
-                acc[tail] = _fl_lanes(acc[tail] + terms, fmt)
+                return _fl_lanes(p + q, fmt)
     xr = rnd(np.concatenate([x for _, x in problems]))
     acc = rnd(np.zeros(offsets[-1]))
     j0 = 0
@@ -247,11 +240,10 @@ def _simulate_matvec(
         # each row's entry j times its x_j.
         steps = range(j0, j1)
         entries = np.concatenate([a[:, j] for j in steps for a, _ in problems[first[j]:]])
-        xs = take(xr, np.concatenate([row_x[start[j]:] + j for j in steps]))
-        prods = mul(rnd(entries), xs)
+        prods = mul(rnd(entries), xr[np.concatenate([row_x[start[j]:] + j for j in steps])])
         p = 0
         for j in steps:
-            add_into(acc, slice(start[j], None), take(prods, slice(p, p + width[j])))
+            acc[start[j]:] = add(acc[start[j]:], prods[p:p + width[j]])
             p += width[j]
         j0 = j1
     y = _decode_lanes(acc, fmt) if isinstance(fmt, SliFormat) else acc
@@ -622,25 +614,27 @@ def _dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from None
 
 
-# The flags of the experiment commands, flag -> (type, default).  The
-# parser declares them from here, and a --config file may set any of
-# them by the same name, converted by the same type.
+# The flags of the experiment commands, flag -> (type, default), with
+# ExperimentConfig's defaults.  The parser declares them from here, and a
+# --config file may set any of them by the same name, converted by the
+# same type.
+_DEFAULT = ExperimentConfig()
+_SYSTEM_FLAGS = {"sli": (_sli_name, _DEFAULT.systems[1]),
+                 "float": (_float_name, _DEFAULT.systems[0])}
 _FLAGS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "sweep-repr": {
-        "sli": (_sli_name, "sli2.12"),
-        "float": (_float_name, "binary16"),
-        "min": (float, 1e-2),
-        "max": (float, 8.0),
-        "step": (float, 1e-5),
+        **_SYSTEM_FLAGS,
+        "min": (float, _DEFAULT.sweep_min),
+        "max": (float, _DEFAULT.sweep_max),
+        "step": (float, _DEFAULT.sweep_step),
         "out": (str, "sweep-repr.dat"),
     },
     "matvec": {
-        "sli": (_sli_name, "sli2.12"),
-        "float": (_float_name, "binary16"),
-        "dims": (_dims, (10, 100, 1000)),
-        "lo": (float, 0.0),
-        "hi": (float, 1.0),
-        "seed": (int, 2024),
+        **_SYSTEM_FLAGS,
+        "dims": (_dims, _DEFAULT.dims),
+        "lo": (float, _DEFAULT.lo),
+        "hi": (float, _DEFAULT.hi),
+        "seed": (int, _DEFAULT.seed),
         "out": (str, "matvec.dat"),
     },
 }

@@ -117,7 +117,8 @@ def fl(value: float, fmt: FloatFormat) -> float:
 
     Overflows to a signed infinity at the usual IEEE boundary
     (2 - 2**-p) * 2**e_max; underflows through the subnormal range to
-    zero.  NaN and infinity pass through.  Negative values need a
+    zero.  NaN, infinity and zeros pass through (-0.0 as +0.0 in an
+    unsigned format, which has one zero).  Negative values need a
     signed format.  With e_max >= 1024 the format outranges binary64:
     no finite input overflows, but one that rounds up to 2**1024 (p < 53)
     returns inf, a limit of the binary64 result, not of the format.
@@ -127,7 +128,7 @@ def fl(value: float, fmt: FloatFormat) -> float:
     if value < 0.0 and not fmt.signed:
         raise ValueError(f"cannot round negative value into unsigned {fmt.name}")
     if math.isinf(value) or value == 0.0:
-        return value
+        return value if fmt.signed else abs(value)
     a = abs(value)
     if a >= fmt.overflow_threshold:
         return math.copysign(math.inf, value)
@@ -160,6 +161,8 @@ def _fl_lanes(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     out[big] = np.copysign(np.inf, values[big])
     keep = np.isnan(values) | np.isinf(values) | (values == 0.0)
     out[keep] = values[keep]
+    if not fmt.signed:
+        out[values == 0.0] = 0.0  # no -0.0, as in fl
     return out
 
 

@@ -32,9 +32,9 @@ from sliarith.core import (
     BitWord,
     SliFormat,
     SliNumber,
-    _from_rank,
     _encode_lanes,
-    _Lanes,
+    _from_key,
+    _key,
     decode,
     encode,
     magnitude_rank,
@@ -502,11 +502,12 @@ class TestLaneForms:
     the array kernels stay within their bounds of the scalar kernels."""
 
     @staticmethod
-    def fields(n: SliNumber) -> tuple:
-        return (n.is_zero, n.sign, n.reciprocal, n.level, n.index_k)
+    def keys(nums: list[SliNumber]) -> np.ndarray:
+        return np.array([_key(n) for n in nums], dtype=np.int64)
 
-    def lanes(self, nums: list[SliNumber]) -> _Lanes:
-        return _Lanes(*(np.array(f) for f in zip(*map(self.fields, nums))))
+    @staticmethod
+    def numbers(fmt: SliFormat, keys: np.ndarray) -> list[SliNumber]:
+        return [_from_key(fmt, k) for k in keys.tolist()]
 
     def test_kernels_stay_within_their_bounds(self):
         rng = np.random.default_rng(7)
@@ -567,15 +568,15 @@ class TestLaneForms:
             top = 2 * ((1 << (fmt.level_bits + fmt.index_bits)) - 1)
             ranks = rng.integers(0, top, 3000).tolist()
             signs = rng.choice([-1, 1], 3000).tolist()
-            xs = [_from_rank(fmt, s, r) for s, r in zip(signs, ranks)]
-            ys = [_from_rank(fmt, -s, r + 1) for s, r in zip(signs, ranks)]
+            xs = [_from_key(fmt, s * (r + 1)) for s, r in zip(signs, ranks)]
+            ys = [_from_key(fmt, -s * (r + 2)) for s, r in zip(signs, ranks)]
             ys[:1000] = [unpack(BitWord(int(b), fmt.width), fmt)
                          for b in rng.integers(0, 1 << fmt.width, 1000)]
             ys[1000:1100] = [neg(x) for x in xs[1000:1100]]  # exact cancellation
         for lane_op, op in ((_add_lanes, add), (_mul_lanes, mul)):
-            got = lane_op(fmt, self.lanes(xs), self.lanes(ys))
-            want = [self.fields(op(x, y)) for x, y in zip(xs, ys)]
-            assert list(zip(*(f.tolist() for f in got))) == want, lane_op.__name__
+            got = lane_op(fmt, self.keys(xs), self.keys(ys))
+            want = [op(x, y) for x, y in zip(xs, ys)]
+            assert self.numbers(fmt, got) == want, lane_op.__name__
 
     def test_sums_below_one_with_a_subnormal_rung(self):
         # The ladders of phi(5 + 162/256) and phi(6 + 162/256) have a
@@ -583,32 +584,31 @@ class TestLaneForms:
         # NaN; such lanes go to the scalar op, not into the kernel.
         fmt = SliFormat(3, 8)
         xs = [SliNumber(fmt, False, 1, -1, 5, 162), SliNumber(fmt, False, -1, -1, 6, 162)]
-        got = _add_lanes(fmt, self.lanes(xs), self.lanes(xs))
-        assert list(zip(*(f.tolist() for f in got))) == [self.fields(add(x, x)) for x in xs]
+        got = _add_lanes(fmt, self.keys(xs), self.keys(xs))
+        assert self.numbers(fmt, got) == [add(x, x) for x in xs]
 
     def test_fallback_gives_the_scalar_ops(self, monkeypatch):
         # Widen the tie band to everything: every lane that rounds is
         # redone by the scalar op and written back into its lane.
         redone = []
-        redo = _Lanes.redo
+        redo = core._redo
 
-        def counting(lanes, mask, op):
+        def counting(keys, mask, op):
             redone.append(int(np.count_nonzero(mask)))
-            return redo(lanes, mask, op)
+            return redo(keys, mask, op)
 
         def everything(zeta, err, fmt):
             return np.ones(zeta.shape, dtype=bool)
 
-        monkeypatch.setattr(_Lanes, "redo", counting)
+        monkeypatch.setattr(core, "_redo", counting)
         monkeypatch.setattr(core, "_unsettled", everything)
         fmt = SliFormat(1, 4)
         nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
         xs = [x for x in nums for _ in nums]
         ys = [y for _ in nums for y in nums]
         for lane_op, op in ((_add_lanes, add), (_mul_lanes, mul)):
-            got = lane_op(fmt, self.lanes(xs), self.lanes(ys))
-            want = [op(x, y) for x, y in zip(xs, ys)]
-            assert list(zip(*(f.tolist() for f in got))) == list(map(self.fields, want))
+            got = lane_op(fmt, self.keys(xs), self.keys(ys))
+            assert self.numbers(fmt, got) == [op(x, y) for x, y in zip(xs, ys)]
             # Zero operands and exact cancellations are settled without
             # rounding; every other lane went to the scalar op.
             cancel = sum(x == neg(y) for x, y in zip(xs, ys) if not x.is_zero)
@@ -618,8 +618,7 @@ class TestLaneForms:
         values = [decode(n) for n in nums]
         values += [(u + v) / 2 for u, v in zip(values, values[1:])]  # ties, too
         got = _encode_lanes(np.array(values), fmt)
-        assert list(zip(*(f.tolist() for f in got))) == [
-            self.fields(encode(v, fmt)) for v in values]
+        assert self.numbers(fmt, got) == [encode(v, fmt) for v in values]
         assert redone == [sum(v != 0.0 for v in values)]
 
 

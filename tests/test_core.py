@@ -16,7 +16,10 @@ from sliarith.core import (
     SliNumber,
     _decode_lanes,
     _encode_lanes,
-    _Lanes,
+    _from_key,
+    _key,
+    _key_fields,
+    _lane_keys,
     _round_index_lanes,
     _unsettled,
     _value_block,
@@ -236,8 +239,7 @@ class TestEncodeDecode:
         for fmt in (F212, SliFormat(1, 4), SliFormat(3, 3)):
             got = _encode_lanes(values, fmt)
             want = [encode(float(v), fmt) for v in values]
-            assert list(zip(*(f.tolist() for f in got))) == [
-                (n.is_zero, n.sign, n.reciprocal, n.level, n.index_k) for n in want]
+            assert [_from_key(fmt, k) for k in got.tolist()] == want
 
     def test_lane_form_matches_decode(self):
         # Every word, zero and the sign-bit zero word included.  sli3.3
@@ -245,9 +247,7 @@ class TestEncodeDecode:
         # 0.0 (signed) for their reciprocals.
         for fmt in (SliFormat(1, 4), SliFormat(2, 6), SliFormat(3, 3)):
             nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
-            lanes = _Lanes(*map(np.array, zip(*(
-                (n.is_zero, n.sign, n.reciprocal, n.level, n.index_k) for n in nums))))
-            got = _decode_lanes(lanes, fmt)
+            got = _decode_lanes(np.array([_key(n) for n in nums]), fmt)
             want = [decode(n) for n in nums]
             assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
             assert sum(n.is_zero for n in nums) == 2
@@ -643,3 +643,48 @@ class TestLadder:
         gap = spacing(one)
         assert 0.0 < gap < 1e-3
         assert spacing(SliNumber.zero(F212)) == decode(next_up(SliNumber.zero(F212)))
+
+
+class TestKeys:
+    """The lanes' int64 keys against the scalar values, over every word."""
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["normal", "raw"])
+    @pytest.mark.parametrize("name", ["sli1.3", "sli2.3u", "sli3.2"])
+    def test_keys_of_every_word(self, name, raw):
+        fmt = SliFormat.from_name(name)
+        bits = np.arange(1 << fmt.width)
+        sign, reciprocal, level, index_k = word_fields(bits, fmt)
+        zero = (reciprocal < 0) & (level == 1) & (index_k == 0) & (not raw)
+        keys = _lane_keys(fmt, zero, sign, reciprocal, level, index_k)
+        # A raw block reads the all-zeros payload as its literal fields,
+        # 1/phi(1), which is one.
+        nums = [SliNumber.of(fmt, *word_fields(b, fmt)) if raw
+                else unpack(BitWord(b, fmt.width), fmt) for b in bits.tolist()]
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [_key(n) for n in nums]
+        assert [_from_key(fmt, k) for k in keys.tolist()] == nums
+
+        got_zero, got_sign, got_reciprocal, got_zeta = _key_fields(keys, fmt)
+        read = [SliNumber.one(fmt) if n.is_zero else n for n in nums]  # zero reads as one
+        assert got_zero.tolist() == [n.is_zero for n in nums]
+        assert got_zero.any() != raw
+        assert got_sign.tolist() == [n.sign for n in read]
+        assert got_reciprocal.tolist() == [n.reciprocal for n in read]
+        assert list(map(float.hex, got_zeta.tolist())) == [n.zeta.hex() for n in read]
+
+        # Integer order on keys is compare's order, and the decoded
+        # values never step down along it.
+        signs = np.sign(keys[:, None] - keys[None, :])
+        assert signs.tolist() == [[compare(x, y) for y in nums] for x in nums]
+        ascending = [decode(nums[i]) for i in np.argsort(keys, kind="stable")]
+        assert ascending == sorted(ascending)
+
+    def test_from_key_refuses_keys_off_the_ladder(self):
+        top = _key(SliNumber.of(F22U, 1, 1, 4, 3))
+        assert top == 31  # 2**4 + 15
+        with pytest.raises(ValueError, match="outside"):
+            _from_key(F22U, top + 1)
+        with pytest.raises(ValueError, match="outside"):
+            _from_key(F212, -(1 << 15))
+        with pytest.raises(ValueError, match="unsigned"):
+            _from_key(F22U, -1)

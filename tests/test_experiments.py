@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sliarith import arith, experiments
-from sliarith.core import SliFormat, SliNumber, _Lanes, decode, encode
+from sliarith import arith, core, experiments
+from sliarith.core import SliFormat, SliNumber, decode, encode
 from sliarith.experiments import (
     _LANE_BUDGET,
     MAX_DIM,
@@ -267,13 +267,13 @@ class TestSimulateMatvec:
         # n = 200 wide-entry inputs fewer than 0.1% of roundings may be,
         # which keeps the tie band from growing wide unnoticed.
         masks = []
-        redo = _Lanes.redo
+        redo = core._redo
 
-        def counting(lanes, mask, op):
+        def counting(keys, mask, op):
             masks.append(mask)
-            return redo(lanes, mask, op)
+            return redo(keys, mask, op)
 
-        monkeypatch.setattr(_Lanes, "redo", counting)
+        monkeypatch.setattr(core, "_redo", counting)
         matvec_backward_error(ExperimentConfig(systems=("sli2.12",), dims=(200,), hi=100.0))
         roundings = sum(m.size for m in masks)
         assert roundings > 3 * 200 * 200  # x, A, the products and the sums
@@ -496,6 +496,10 @@ class TestCliCommands:
     def test_encode_float_format(self, capsys):
         assert cli(["encode", "toy5", "15"]) == 0
         assert "value: inf" in capsys.readouterr().out
+
+    def test_encode_unsigned_float_zero(self, capsys):
+        assert cli(["encode", "b4e7u", "-0.0"]) == 0
+        assert "value: 0.0\n" in capsys.readouterr().out
 
     def test_op_mul_float(self, capsys):
         assert cli(["op", "mul", "toy5", "1.75", "2"]) == 0

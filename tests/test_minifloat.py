@@ -116,6 +116,14 @@ class TestRounding:
         assert math.isinf(fl(math.inf, BINARY16))
         assert fl(-math.inf, BINARY16) == -math.inf
 
+    def test_unsigned_zero_is_positive(self):
+        # An unsigned format has no sign bit, so -0.0 rounds to its one
+        # zero, +0.0; signed formats keep -0.0 (test_passthrough).
+        for got in (fl(-0.0, TOY5), fl_op(0.0, -0.0, "*", TOY5),
+                    *_fl_lanes(np.array([-0.0, 0.0]), TOY5).tolist()):
+            assert math.copysign(1.0, got) == 1.0
+        assert math.copysign(1.0, _fl_lanes(np.array([-0.0]), BINARY16)[0]) == -1.0
+
     def test_unsigned_rejects_negative(self):
         with pytest.raises(ValueError):
             fl(-1.0, TOY5)
