@@ -56,6 +56,8 @@ __all__ = [
 # math.exp overflows binary64 just above this argument.
 _EXP_MAX_ARG = 709.782712893384
 _LN_LN10 = math.log(math.log(10.0))
+# Unit roundoff of binary64, the bound on one rounding's relative error.
+_U = 2.0 ** -53
 
 # Widest accepted index.  Against an 80-digit oracle the binary64 add/sub
 # kernel lands several ranks off from 26 bits on; at 24 bits it stays
@@ -531,18 +533,7 @@ def enumerate_values(fmt: SliFormat, raw: bool = False) -> Iterator[tuple[np.nda
     The blocks are made as they are iterated.  Formats wider than
     MAX_TABLE_BITS are refused by the call itself, before any block.
     """
-    return _word_blocks(fmt.width, fmt.name, lambda bits: _value_block(bits, fmt, raw))
-
-
-def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarray, ...]:
-    sign, reciprocal, level, index_k = word_fields(bits, fmt)
-    zero = (not raw) & (reciprocal < 0) & (level == 1) & (index_k == 0)
-    # The raw all-zeros word, 1/phi(1), has the key of one.
-    keys = _lane_keys(fmt, zero, sign, reciprocal, level, index_k)
-    _, _, reciprocal, zeta = _key_fields(keys, fmt)
-    lg = _lane_map(log_phi10, zeta) * reciprocal
-    lg[zero] = -math.inf
-    return bits, _decode_lanes(keys, fmt), lg
+    return _word_blocks(fmt.width, fmt.name, lambda bits: lanes._value_block(bits, fmt, raw))
 
 
 def magnitude_rank(num: SliNumber) -> int:
@@ -601,195 +592,4 @@ def spacing(num: SliNumber) -> float:
     return decode(next_up(num)) - decode(num)
 
 
-# ---------------------------------------------------------------------------
-# Lane forms: many numbers at once, one array element ("lane") each.  An
-# SLI lane is one int64, the _key of its value: 0 for zero, otherwise
-# sign * (2**(level_bits + index_bits) + r m) with m = (level - 1) *
-# 2**index_bits + index_k.  Every value has exactly one key, and integer
-# order on keys is the order of the values.  _lane_keys builds keys from
-# fields and _key_fields reads fields back, a zero lane reading as one.
-#
-# Lanes follow the scalar code above step by step, but take exp and log
-# from numpy, whose float64 versions may round differently from libm's
-# (on AVX512 CPUs numpy runs its own SIMD code; elsewhere it calls libm).
-# So an unrounded lane result may differ from the scalar one by a few
-# ulps, and every rounding lane op carries a per-lane bound on that
-# difference.  A lane whose result lies within its bound of a rounding
-# tie, or whose bound is not finite, is redone by the scalar op (Ziv's
-# rounding test, ACM TOMS 17(3), 1991).  Rounded lane results are thus
-# the scalar op's, bit for bit.  The lane decode keeps libm, one element
-# at a time: it does no rounding into a format, and its binary64 output
-# is what gets printed.
-#
-# The bound is a running error bound (Higham, Accuracy and Stability of
-# Numerical Algorithms, ch. 3) on |lane - scalar| for the same inputs,
-# carried beside every intermediate value:
-# - numpy's and glibc's float64 exp and log are each within one ulp of
-#   the correctly rounded value: numpy's accuracy tests hold them to
-#   ulperror 1 (umath-validation-set-exp.csv and -log.csv), and glibc
-#   documents 0.511 and 0.519 ulp.  Two implementations then differ by
-#   at most two ulps; _TRANS allows four (one ulp is at most 2**-52 of
-#   the value), which leaves room for the product terms the bounds
-#   below drop.
-# - Given a bound e on the argument, exp's relative bound is
-#   expm1(e + _TRANS) and log's absolute bound -log1p(-e/x) + _TRANS |ln x|,
-#   exact forms rather than first-order ones; past their domain they
-#   give inf or NaN, and a lane with such a bound is never settled.
-# - + - * / are IEEE in both; an op whose inputs may differ adds 2u of
-#   its result (each side rounds by at most u = 2**-53).
-# - Relative bounds fail below the normal range (2**-1022), where an exp
-#   result is instead off by a few 2**-1074 at most.  exp of an argument
-#   below -_EXP_GONE is +0 on both paths (the exact value is under
-#   e**-750, far below half the least subnormal, 2**-1075 ~ e**-745.1).
-_U = 2.0 ** -53
-_TRANS = 2.0 ** -50
-_TINY = 2.0 ** -1022
-_EXP_GONE = 750.0
-
-
-def _lane_map(fn, values: np.ndarray) -> np.ndarray:
-    """fn of every lane of a 1-D float64 array, through libm: math.exp in
-    the lane decode and log_phi10 in enumerate_values, whose binary64
-    results are printed as they are, so they must be libm's."""
-    return np.fromiter(map(fn, memoryview(np.ascontiguousarray(values))),
-                       np.float64, values.size)
-
-
-def _log(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
-    """log per lane, for values > 0, and the bound on its difference
-    between paths, given err bounding the values'."""
-    out = np.log(values)
-    return out, _TRANS * np.abs(out) - np.log1p(-err / values)
-
-
-def _lane_keys(fmt: SliFormat, zero, sign, reciprocal, level, index_k) -> np.ndarray:
-    """_key per lane, of the values with these fields (zero where zero is
-    set): 1/1 gets the key of one, as SliNumber.of folds it."""
-    m = (level - 1) << fmt.index_bits | index_k
-    keys = sign * ((1 << (fmt.level_bits + fmt.index_bits)) + reciprocal * m)
-    return np.where(zero, 0, keys)
-
-
-def _key_fields(keys: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, ...]:
-    """Per lane key, the value's zero flag, sign, reciprocal flag and zeta
-    (exact, as SliNumber.zeta is); a zero lane reads as one."""
-    zero = keys == 0
-    rm = np.abs(keys) - (1 << (fmt.level_bits + fmt.index_bits))  # r m, as in _from_key
-    if np.count_nonzero(zero):
-        rm[zero] = 0
-    zeta = 1.0 + np.abs(rm) / fmt.index_scale
-    return zero, np.where(keys < 0, -1, 1), np.where(rm < 0, -1, 1), zeta
-
-
-def _redo(keys: np.ndarray, lanes: np.ndarray, op) -> np.ndarray:
-    """Overwrite every lane the mask selects with the key of op(i), the
-    scalar op's SliNumber for lane i."""
-    for i in np.flatnonzero(lanes).tolist() if np.count_nonzero(lanes) else ():
-        keys[i] = _key(op(i))
-    return keys
-
-
-def _psi_lanes(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
-    """psi per lane, for finite values >= 0, and the bound on its
-    difference between paths, given err bounding the values'.  psi is
-    1-Lipschitz, so each log step carries the bound through _log."""
-    v = np.asarray(values, dtype=np.float64)
-    e = np.broadcast_to(err, v.shape)
-    level = np.zeros(v.shape)
-    up = v >= 1.0
-    while up.any():
-        lv, le = _log(v, e)
-        v, e = np.where(up, lv, v), np.where(up, le, e)
-        level += up
-        up = v >= 1.0
-    out = level + v
-    return out, e + 2 * _U * out
-
-
-def _round_index_lanes(zeta: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, np.ndarray]:
-    """round_index per lane, for zeta >= 0 (inf saturates too).
-
-    Works on t = zeta * 2**index_bits, exact like round_index's scaled
-    fraction, whose integer part carries the level: the rounded t splits
-    into level and index, and a carry past the last index moves up a
-    level by itself.  zeta below 1 counts as level 1, as in round_index.
-    """
-    scale = fmt.index_scale
-    t = np.minimum(zeta, fmt.max_level + 1) * scale
-    r = np.floor(t)
-    r += t - r >= 0.5
-    r += np.where(zeta < 1.0, scale, 0)
-    r = np.minimum(r, (fmt.max_level + 1) * scale - 1).astype(np.int64)  # saturate
-    return r >> fmt.index_bits, r & (scale - 1)
-
-
-def _unsettled(zeta: np.ndarray, err: np.ndarray, fmt: SliFormat) -> np.ndarray:
-    """Lanes whose rounding err cannot settle: zeta within err of a tie
-    (level + (k + 1/2)/2**index_bits) of round_index, or err not a number.
-    Past the last tie everything saturates, so no tie is left there."""
-    scale = fmt.index_scale
-    t = zeta * scale  # exact: a power-of-two scaling
-    clear = np.abs(t - np.floor(t) - 0.5) > err * scale
-    return ~(clear | (zeta - err > fmt.max_level + (scale - 0.5) / scale))
-
-
-def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray,
-                       op) -> np.ndarray:
-    """_materialize per lane (zeta <= 0 is zero), as keys.  A lane whose
-    rounding err cannot settle is redone by op(i), the scalar op's
-    SliNumber for lane i; a zero lane is settled only by err 0."""
-    zero = zeta <= 0.0
-    unsettled = _unsettled(zeta, err, fmt)
-    if np.count_nonzero(zero):
-        unsettled = np.where(zero, err != 0.0, unsettled)
-    fill = zero | unsettled  # rounded as 1.0 here, then replaced
-    if np.count_nonzero(fill):
-        zeta = np.where(fill, 1.0, zeta)
-    level, k = _round_index_lanes(zeta, fmt)
-    return _redo(_lane_keys(fmt, zero, sign, reciprocal, level, k), unsettled, op)
-
-
-def _encode_lanes(values: np.ndarray, fmt: SliFormat) -> np.ndarray:
-    """encode per lane of a 1-D binary64 array, as keys, with the same
-    errors."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"cannot encode non-finite value {values[bad][0]}")
-    negative = values < 0.0
-    if not fmt.signed and negative.any():
-        raise ValueError(f"cannot encode negative value in unsigned {fmt.name}")
-    a = np.abs(values)
-    zero = a == 0.0
-    # |x| >= 1 has zeta psi(|x|) = 1 + psi(ln |x|), and |x| < 1 has
-    # 1 + psi(-ln |x|), psi(1/|x|) without forming 1/|x|, as in encode.
-    with np.errstate(all="ignore"):  # log 0, and logs of finished lanes
-        v = np.abs(np.log(a))
-        v[zero] = 0.0
-        z, err = _psi_lanes(v, _TRANS * v)
-    # Zero lanes have z = 0 within err 0, so they settle as zero.
-    zeta = np.where(zero, 0.0, 1.0 + z)
-    return _materialize_lanes(fmt, np.where(negative, -1, 1), np.where(a >= 1.0, 1, -1),
-                              zeta, err + 2 * _U * zeta, lambda i: encode(values[i].item(), fmt))
-
-
-def _decode_lanes(keys: np.ndarray, fmt: SliFormat) -> np.ndarray:
-    """decode per lane of keys: the binary64 number decode gives."""
-    zero, sign, reciprocal, zeta = _key_fields(keys, fmt)
-    # _peel per lane: the exact index of zeta, exponentiated once per
-    # level, and inf past the guard as in phi.  Zero lanes, read as one,
-    # skip that and keep their index 0 as the value.
-    level = zeta.astype(np.int64)
-    mag = zeta - level
-    live = np.flatnonzero(~zero)
-    for step in range(1, fmt.max_level + 1):
-        live = live[level[live] >= step]
-        over = mag[live] > _EXP_MAX_ARG
-        mag[live[over]] = math.inf
-        live = live[~over]
-        mag[live] = _lane_map(math.exp, mag[live])
-    below = reciprocal < 0
-    mag[below] = 1.0 / mag[below]  # 1/inf is 0.0, as in decode
-    return sign * mag
-
-
-from . import arith  # noqa: E402  (arith imports core; bound last for the dunders)
+from . import arith, lanes  # noqa: E402  (both import core; bound last)

@@ -17,24 +17,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import arith
-from .core import (
-    SliFormat,
-    SliNumber,
-    _decode_lanes,
-    _encode_lanes,
-    decode,
-    encode,
-    enumerate_values,
-    pack,
-)
-from .minifloat import FloatFormat, _fl_lanes, enumerate_floats, fl, fl_op
+from . import arith, lanes
+from .core import SliFormat, SliNumber, decode, encode, enumerate_values, pack
+from .minifloat import FloatFormat, enumerate_floats, fl, fl_op
 
 __all__ = [
     "ErrorTable",
@@ -163,8 +153,8 @@ def repr_error_sweep(cfg: ExperimentConfig) -> ErrorTable:
     """Relative representation error |round(x) - x| / |x| over a grid.
 
     The grid is sweep_min + i*sweep_step, of at most MAX_GRID points,
-    and must exclude zero.  SLI systems round through encode/decode,
-    floats through fl, all points at once; a non-finite rounding (float
+    and must exclude zero.  Every system rounds all points at once,
+    through lanes.encode and lanes.decode; a non-finite rounding (float
     overflow) records math.inf.
     """
     systems = [(name, resolve_system(name)) for name in cfg.systems]
@@ -181,10 +171,7 @@ def repr_error_sweep(cfg: ExperimentConfig) -> ErrorTable:
     for r0 in range(0, x.size, _CHUNK_ROWS):
         xs = x[r0:r0 + _CHUNK_ROWS]
         for name, fmt in systems:
-            if isinstance(fmt, SliFormat):
-                y = _decode_lanes(_encode_lanes(xs, fmt), fmt)
-            else:
-                y = _fl_lanes(xs, fmt)
+            y = lanes.decode(lanes.encode(xs, fmt), fmt)
             err = np.abs(y - xs) / np.abs(xs)
             err[~np.isfinite(y)] = math.inf
             values[name][r0:r0 + _CHUNK_ROWS] = err
@@ -198,11 +185,11 @@ def _simulate_matvec(
     pre-rounded and every product and running-sum addition performed in
     the target arithmetic, each row left to right from zero.
 
-    The rows of all the problems run at once, one lane each, stacked in
-    the group's order: SLI lanes as keys (core's lane section), float
-    lanes as binary64.  As n ascends, the rows still summing at column j,
-    those of the problems with n > j, are a suffix of the lanes, which
-    one lane add per column updates.  Every lane op gives the number the
+    The rows of all the problems run at once, one lane each of
+    sliarith.lanes, stacked in the group's order; both systems take the
+    same path.  As n ascends, the rows still summing at column j, those
+    of the problems with n > j, are a suffix of the lanes, which one
+    lanes.add per column updates.  Every lane op gives the number the
     scalar op (encode, mul, add, decode; fl, fl_op) gives.
     """
     dims = [len(x) for _, x in problems]
@@ -215,21 +202,8 @@ def _simulate_matvec(
     # x is stacked like the rows, so x_j of a row's problem sits j lanes
     # past that problem's first lane.
     row_x = np.repeat(offsets[:-1], dims)
-    if isinstance(fmt, SliFormat):
-        rnd = partial(_encode_lanes, fmt=fmt)
-        mul, add = partial(arith._mul_lanes, fmt), partial(arith._add_lanes, fmt)
-    else:
-        rnd = partial(_fl_lanes, fmt=fmt)
-
-        def mul(p, q):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _fl_lanes(p * q, fmt)
-
-        def add(p, q):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _fl_lanes(p + q, fmt)
-    xr = rnd(np.concatenate([x for _, x in problems]))
-    acc = rnd(np.zeros(offsets[-1]))
+    xr = lanes.encode(np.concatenate([x for _, x in problems]), fmt)
+    acc = lanes.encode(np.zeros(offsets[-1]), fmt)
     j0 = 0
     while j0 < dims[-1]:
         j1, used = j0 + 1, width[j0]
@@ -240,14 +214,14 @@ def _simulate_matvec(
         # each row's entry j times its x_j.
         steps = range(j0, j1)
         entries = np.concatenate([a[:, j] for j in steps for a, _ in problems[first[j]:]])
-        prods = mul(rnd(entries), xr[np.concatenate([row_x[start[j]:] + j for j in steps])])
+        prods = lanes.mul(lanes.encode(entries, fmt),
+                          xr[np.concatenate([row_x[start[j]:] + j for j in steps])], fmt)
         p = 0
         for j in steps:
-            acc[start[j]:] = add(acc[start[j]:], prods[p:p + width[j]])
+            acc[start[j]:] = lanes.add(acc[start[j]:], prods[p:p + width[j]], fmt)
             p += width[j]
         j0 = j1
-    y = _decode_lanes(acc, fmt) if isinstance(fmt, SliFormat) else acc
-    return np.split(y, offsets[1:-1])
+    return np.split(lanes.decode(acc, fmt), offsets[1:-1])
 
 
 def _matvec_groups(dims: Sequence[int]) -> list[list[int]]:

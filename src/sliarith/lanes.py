@@ -1,0 +1,557 @@
+"""Bulk arithmetic: many numbers at once, one array element ("lane") each.
+
+encode(values, fmt), decode(lanes, fmt), add(x, y, fmt) and mul(x, y,
+fmt) take 1-D arrays of one length and an SLI or a float format, checked
+here only, and give per lane the number of the scalar encode, decode,
+add and mul, or of fl and fl_op.  A float lane is its binary64 value; an
+SLI lane is the int64 core._key of its value, so integer order on keys
+is value order.  Either way -x negates a lane, so a signed format
+subtracts with add(x, -y, fmt).
+
+The SLI lanes follow the scalar code step by step, but take exp and log
+from numpy, whose float64 versions may round differently from libm's
+(on AVX512 CPUs numpy runs its own SIMD code; elsewhere it calls libm).
+So an unrounded lane result may differ from the scalar one by a few
+ulps, and every rounding lane op carries a per-lane bound on that
+difference.  A lane whose result lies within its bound of a rounding
+tie, or whose bound is not finite, is redone by the scalar op (Ziv's
+rounding test, ACM TOMS 17(3), 1991).  Rounded lane results are thus
+the scalar op's, bit for bit.  The lane decode keeps libm, one element
+at a time: it does no rounding into a format, and its binary64 output
+is what gets printed.
+
+The bound is a running error bound (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3) on |lane - scalar| for the same inputs,
+carried beside every intermediate value:
+- numpy's and glibc's float64 exp and log are each within one ulp of
+  the correctly rounded value: numpy's accuracy tests hold them to
+  ulperror 1 (umath-validation-set-exp.csv and -log.csv), and glibc
+  documents 0.511 and 0.519 ulp.  Two implementations then differ by
+  at most two ulps; _TRANS allows four (one ulp is at most 2**-52 of
+  the value), which leaves room for the product terms the bounds
+  below drop.
+- Given a bound e on the argument, exp's relative bound is
+  expm1(e + _TRANS) and log's absolute bound -log1p(-e/x) + _TRANS |ln x|,
+  exact forms rather than first-order ones; past their domain they
+  give inf or NaN, and a lane with such a bound is never settled.
+- + - * / are IEEE in both; an op whose inputs may differ adds 2u of
+  its result (each side rounds by at most u = 2**-53).
+- Relative bounds fail below the normal range (2**-1022), where an exp
+  result is instead off by a few 2**-1074 at most.  exp of an argument
+  below -_EXP_GONE is +0 on both paths (the exact value is under
+  e**-750, far below half the least subnormal, 2**-1075 ~ e**-745.1).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import arith, core
+from .core import SliFormat, _EXP_MAX_ARG, _U, _from_key, _key, log_phi10, word_fields
+from .minifloat import FloatFormat
+
+__all__ = ["encode", "decode", "add", "mul"]
+
+_TRANS = 2.0 ** -50
+_TINY = 2.0 ** -1022
+_EXP_GONE = 750.0
+
+
+def _checked(fmt: SliFormat | FloatFormat | None, *arrays) -> list[np.ndarray]:
+    """The arrays, checked to be 1-D and of one length: int64 keys of an
+    SLI fmt, else binary64 values."""
+    sli = isinstance(fmt, SliFormat)
+    out = [np.asarray(a) if sli else np.asarray(a, dtype=np.float64) for a in arrays]
+    if any(a.ndim != 1 for a in out) or len({a.size for a in out}) != 1:
+        raise ValueError(f"lanes must be 1-D arrays of one length, got {[a.shape for a in out]}")
+    end = 2 << (fmt.level_bits + fmt.index_bits) if sli else 0  # past the top key
+    for keys in out if sli else ():
+        if keys.dtype != np.int64:
+            raise ValueError(f"{fmt.name} lanes must be int64 keys, got {keys.dtype}")
+        off = (keys >= end) | (keys <= (-end if fmt.signed else -1))
+        if np.count_nonzero(off):
+            raise ValueError(f"key {keys[off][0]} outside the {fmt.name} ladder")
+    return out
+
+
+def encode(values, fmt: SliFormat | FloatFormat) -> np.ndarray:
+    """encode, or fl, per lane of a 1-D binary64 array, with the same
+    errors: SLI lanes come back as keys, float lanes as values."""
+    (values,) = _checked(None, values)
+    if isinstance(fmt, FloatFormat):
+        # fl's steps, with np.rint for round() (both tie to even).
+        if not fmt.signed and np.any(values < 0.0):
+            raise ValueError(f"cannot round negative value into unsigned {fmt.name}")
+        a = np.abs(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.frexp(a)[1] - 1
+            shift = np.maximum(e, fmt.e_min) - (fmt.precision - 1)
+            out = np.copysign(np.ldexp(np.rint(np.ldexp(a, -shift)), shift), values)
+        big = a >= fmt.overflow_threshold
+        out[big] = np.copysign(np.inf, values[big])
+        keep = np.isnan(values) | np.isinf(values) | (values == 0.0)
+        out[keep] = values[keep]
+        if not fmt.signed:
+            out[values == 0.0] = 0.0  # no -0.0, as in fl
+        return out
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"cannot encode non-finite value {values[bad][0]}")
+    negative = values < 0.0
+    if not fmt.signed and negative.any():
+        raise ValueError(f"cannot encode negative value in unsigned {fmt.name}")
+    a = np.abs(values)
+    zero = a == 0.0
+    # |x| >= 1 has zeta psi(|x|) = 1 + psi(ln |x|), and |x| < 1 has
+    # 1 + psi(-ln |x|), psi(1/|x|) without forming 1/|x|, as in encode.
+    with np.errstate(all="ignore"):  # log 0, and logs of finished lanes
+        v = np.abs(np.log(a))
+        v[zero] = 0.0
+        z, err = _psi_lanes(v, _TRANS * v)
+    # Zero lanes have z = 0 within err 0, so they settle as zero.
+    zeta = np.where(zero, 0.0, 1.0 + z)
+    return _materialize_lanes(fmt, np.where(negative, -1, 1), np.where(a >= 1.0, 1, -1),
+                              zeta, err + 2 * _U * zeta,
+                              lambda i: core.encode(values[i].item(), fmt))
+
+
+def decode(lanes, fmt: SliFormat | FloatFormat) -> np.ndarray:
+    """The binary64 value of every lane: decode's for SLI, a copy for floats."""
+    (lanes,) = _checked(fmt, lanes)
+    if isinstance(fmt, FloatFormat):
+        return lanes.copy()
+    zero, sign, reciprocal, zeta = _key_fields(lanes, fmt)
+    # _peel per lane: the exact index of zeta, exponentiated once per
+    # level, and inf past the guard as in phi.  Zero lanes, read as one,
+    # skip that and keep their index 0 as the value.
+    level = zeta.astype(np.int64)
+    mag = zeta - level
+    live = np.flatnonzero(~zero)
+    for step in range(1, fmt.max_level + 1):
+        live = live[level[live] >= step]
+        over = mag[live] > _EXP_MAX_ARG
+        mag[live[over]] = math.inf
+        live = live[~over]
+        mag[live] = _lane_map(math.exp, mag[live])
+    below = reciprocal < 0
+    mag[below] = 1.0 / mag[below]  # 1/inf is 0.0, as in decode
+    return sign * mag
+
+
+def add(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
+    """add, or fl_op's "+", per lane of x and y: one kernel run for all
+    SLI lanes, zero lanes included (they read as one)."""
+    x, y = _checked(fmt, x, y)
+    if isinstance(fmt, FloatFormat):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in fl_op
+            return encode(x + y, fmt)
+    x_zero, x_sign, x_rec, zx = _key_fields(x, fmt)
+    y_zero, y_sign, y_rec, zy = _key_fields(y, fmt)
+    # r (zeta - 1) orders magnitudes exactly as magnitude_rank does; big
+    # is y where swap, else x, and small the other one.
+    swap = x_rec * (zx - 1.0) < y_rec * (zy - 1.0)
+    bz, sz = np.where(swap, zy, zx), np.where(swap, zx, zy)
+    up = np.where(swap, y_rec, x_rec) > 0
+    subtract = x_sign != y_sign
+    # Kernel operands (big, small) and their bounds, replaced below where
+    # small, or both, are below one.  Equal opposites have equal
+    # descriptors, which the kernel cancels to exactly 0.0.
+    kx, ky, k_sub = bz.copy(), sz.copy(), subtract.copy()
+    ex, ey = np.zeros(bz.shape), np.zeros(bz.shape)
+    with np.errstate(all="ignore"):  # log 0 and 1/0 on dead lanes
+        # A small operand below one is fed as a raw level-0 descriptor,
+        # its a_0.
+        chain = up & (np.where(swap, x_rec, y_rec) < 0)
+        if np.count_nonzero(chain):
+            a, ra, _, _, deep = _rungs_lanes(sz[chain], 0.0)
+            ky[chain] = a[0]
+            ey[chain] = np.where(deep, math.inf, a[0] * ra[0] + _TINY)
+        # Both below one: the kernel takes phi(zb - 1) and ln(1 +/- r),
+        # r = b_0 of zb against zs, as in _mag_add_sub.
+        down = ~up & ~(subtract & (bz == sz))
+        n_down = np.count_nonzero(down)
+        if n_down:
+            u = bz[down] - 1.0
+            *_, deep, b, eb = _ladder_lanes(sz[down], bz[down], 0.0, 0.0)
+            sub_d = subtract[down]
+            s = np.where(sub_d, -np.minimum(b, 1.0 - _U), b)
+            # log1p's bound is _log's on 1 + s; numpy's log1p and libm's
+            # are each within an ulp (umath-validation-set-log1p.csv).
+            t = np.log1p(s)
+            et = _TRANS * np.abs(t) - np.log1p(-eb / (1.0 + s))
+            t, et = _psi_lanes(np.abs(t), et)
+            # Where the order of u and t is not settled the kernel run
+            # may not be the scalar op's.  A deep lane's t may be NaN.
+            lost = deep | ~(np.abs(u - t) > et)
+            t[lost] = 0.0
+            first = u >= t
+            kx[down], ky[down] = np.where(first, u, t), np.where(first, t, u)
+            ex[down], ey[down] = np.where(first, 0.0, et), np.where(first, et, 0.0)
+            k_sub[down] = ~sub_d
+        zeta, err = arith.li_add_sub(kx, ky, k_sub, err=(ex, ey))
+
+        # A raw w of big at least one is wrapped as the descriptor
+        # 1 + psi(-ln w) of 1/w.
+        raw = up & (zeta > 0.0) & (zeta < 1.0)
+        if np.count_nonzero(raw):
+            log_w, elog = _log(zeta[raw], err[raw])
+            z, ez = _psi_lanes(-log_w, elog)
+            zeta[raw] = 1.0 + z
+            err[raw] = ez + 2 * _U * zeta[raw]
+        reciprocal = np.where(raw, -1, 1)
+        if n_down:
+            zeta[down] += 1.0
+            err[down] = np.where(lost, math.inf, err[down] + 2 * _U * zeta[down])
+            reciprocal[down] = np.where(sub_d | first, -1, 1)
+    # A lane with a zero operand is settled as zero, then takes the other.
+    zero = x_zero | y_zero
+    if np.count_nonzero(zero):
+        zeta[zero] = err[zero] = 0.0
+    out = _materialize_lanes(
+        fmt, np.where(swap, y_sign, x_sign), reciprocal, zeta, err,
+        lambda i: arith.add(_from_key(fmt, int(x[i])), _from_key(fmt, int(y[i]))))
+    if np.count_nonzero(zero):
+        out = np.where(x_zero, y, np.where(y_zero, x, out))
+    return out
+
+
+def mul(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
+    """mul, or fl_op's "*", per lane of x and y."""
+    x, y = _checked(fmt, x, y)
+    if isinstance(fmt, FloatFormat):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in fl_op
+            return encode(x * y, fmt)
+    x_zero, x_sign, x_rec, zx = _key_fields(x, fmt)
+    y_zero, y_sign, y_rec, zy = _key_fields(y, fmt)
+    # The kernel run of _mul_signed, whose comment has the case split.
+    w, flipped, err = arith.li_mul_div(zx, zy, x_rec != y_rec)
+    zero = x_zero | y_zero
+    return _materialize_lanes(
+        fmt, x_sign * y_sign, np.where(flipped, -x_rec, x_rec),
+        np.where(zero, 0.0, w), np.where(zero, 0.0, err),
+        lambda i: arith.mul(_from_key(fmt, int(x[i])), _from_key(fmt, int(y[i]))))
+
+
+# ---------------------------------------------------------------------------
+# Below the checks: keys, the libm map, rounding with the scalar redo, and
+# the kernels per lane, which lanes run through arith's public kernels.
+
+
+def _lane_map(fn, values: np.ndarray) -> np.ndarray:
+    """fn of every lane of a 1-D float64 array, through libm: math.exp in
+    decode and log_phi10 in _value_block, whose binary64 results are
+    printed as they are, so they must be libm's."""
+    return np.fromiter(map(fn, memoryview(np.ascontiguousarray(values))),
+                       np.float64, values.size)
+
+
+def _log(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
+    """log per lane, for values > 0, and the bound on its difference
+    between paths, given err bounding the values'."""
+    out = np.log(values)
+    return out, _TRANS * np.abs(out) - np.log1p(-err / values)
+
+
+def _lane_keys(fmt: SliFormat, zero, sign, reciprocal, level, index_k) -> np.ndarray:
+    """_key per lane, of the values with these fields (zero where zero is
+    set): 1/1 gets the key of one, as SliNumber.of folds it."""
+    m = (level - 1) << fmt.index_bits | index_k
+    keys = sign * ((1 << (fmt.level_bits + fmt.index_bits)) + reciprocal * m)
+    return np.where(zero, 0, keys)
+
+
+def _key_fields(keys: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, ...]:
+    """Per lane key, the value's zero flag, sign, reciprocal flag and zeta
+    (exact, as SliNumber.zeta is); a zero lane reads as one."""
+    zero = keys == 0
+    rm = np.abs(keys) - (1 << (fmt.level_bits + fmt.index_bits))  # r m, as in _from_key
+    if np.count_nonzero(zero):
+        rm[zero] = 0
+    zeta = 1.0 + np.abs(rm) / fmt.index_scale
+    return zero, np.where(keys < 0, -1, 1), np.where(rm < 0, -1, 1), zeta
+
+
+def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarray, ...]:
+    sign, reciprocal, level, index_k = word_fields(bits, fmt)
+    zero = (not raw) & (reciprocal < 0) & (level == 1) & (index_k == 0)
+    # The raw all-zeros word, 1/phi(1), has the key of one.
+    keys = _lane_keys(fmt, zero, sign, reciprocal, level, index_k)
+    _, _, reciprocal, zeta = _key_fields(keys, fmt)
+    lg = _lane_map(log_phi10, zeta) * reciprocal
+    lg[zero] = -math.inf
+    return bits, decode(keys, fmt), lg
+
+
+def _redo(keys: np.ndarray, mask: np.ndarray, op) -> np.ndarray:
+    """Overwrite every lane the mask selects with the key of op(i), the
+    scalar op's SliNumber for lane i."""
+    for i in np.flatnonzero(mask).tolist() if np.count_nonzero(mask) else ():
+        keys[i] = _key(op(i))
+    return keys
+
+
+def _psi_lanes(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
+    """psi per lane, for finite values >= 0, and the bound on its
+    difference between paths, given err bounding the values'.  psi is
+    1-Lipschitz, so each log step carries the bound through _log."""
+    v, e = values, np.broadcast_to(err, values.shape)
+    level = np.zeros(v.shape)
+    up = v >= 1.0
+    while up.any():
+        lv, le = _log(v, e)
+        v, e = np.where(up, lv, v), np.where(up, le, e)
+        level += up
+        up = v >= 1.0
+    out = level + v
+    return out, e + 2 * _U * out
+
+
+def _round_index_lanes(zeta: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, np.ndarray]:
+    """round_index per lane, for zeta >= 0 (inf saturates too).
+
+    Works on t = zeta * 2**index_bits, exact like round_index's scaled
+    fraction, whose integer part carries the level: the rounded t splits
+    into level and index, and a carry past the last index moves up a
+    level by itself.  zeta below 1 counts as level 1, as in round_index.
+    """
+    scale = fmt.index_scale
+    t = np.minimum(zeta, fmt.max_level + 1) * scale
+    r = np.floor(t)
+    r += t - r >= 0.5
+    r += np.where(zeta < 1.0, scale, 0)
+    r = np.minimum(r, (fmt.max_level + 1) * scale - 1).astype(np.int64)  # saturate
+    return r >> fmt.index_bits, r & (scale - 1)
+
+
+def _unsettled(zeta: np.ndarray, err: np.ndarray, fmt: SliFormat) -> np.ndarray:
+    """Lanes whose rounding err cannot settle: zeta within err of a tie
+    (level + (k + 1/2)/2**index_bits) of round_index, or err not a number.
+    Past the last tie everything saturates, so no tie is left there."""
+    scale = fmt.index_scale
+    t = zeta * scale  # exact: a power-of-two scaling
+    clear = np.abs(t - np.floor(t) - 0.5) > err * scale
+    return ~(clear | (zeta - err > fmt.max_level + (scale - 0.5) / scale))
+
+
+def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray,
+                       op) -> np.ndarray:
+    """_materialize per lane (zeta <= 0 is zero), as keys.  A lane whose
+    rounding err cannot settle is redone by op(i), the scalar op's
+    SliNumber for lane i; a zero lane is settled only by err 0."""
+    zero = zeta <= 0.0
+    unsettled = _unsettled(zeta, err, fmt)
+    if np.count_nonzero(zero):
+        unsettled = np.where(zero, err != 0.0, unsettled)
+    fill = zero | unsettled  # rounded as 1.0 here, then replaced
+    if np.count_nonzero(fill):
+        zeta = np.where(fill, 1.0, zeta)
+    level, k = _round_index_lanes(zeta, fmt)
+    return _redo(_lane_keys(fmt, zero, sign, reciprocal, level, k), unsettled, op)
+
+
+def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
+                      err=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """li_add_sub per lane, and per lane a bound on the distance from the
+    scalar kernel's result, given bounds err on the inputs' distances."""
+    ok = (0.0 <= zeta_y) & (zeta_y <= zeta_x) & (zeta_x < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x[i]}, {zeta_y[i]}"
+        )
+    if not zeta_x.size:  # the ladders need a top level
+        return np.zeros(0), np.zeros(0)
+    subtract = np.asarray(subtract)
+    ex, ey = err
+    lad = zeta_x >= 1.0
+    with np.errstate(all="ignore"):  # dead lanes divide by zero, log 0, ...
+        if np.count_nonzero(lad) == lad.size:  # the usual case: all climb ladders
+            out, bound = _ladders(zeta_x, zeta_y, subtract, ex, ey)
+        else:
+            out, bound = np.empty(zeta_x.shape), np.empty(zeta_x.shape)
+            subtract, ex, ey = (np.broadcast_to(v, zeta_x.shape) for v in (subtract, ex, ey))
+            if lad.any():
+                out[lad], bound[lad] = _ladders(
+                    zeta_x[lad], zeta_y[lad], subtract[lad], ex[lad], ey[lad])
+            # Both magnitudes are raw values below one.
+            raw = ~lad
+            zx, zy = zeta_x[raw], zeta_y[raw]
+            v = np.where(subtract[raw], zx - zy, zx + zy)
+            out[raw], bound[raw] = _psi_lanes(v, ex[raw] + ey[raw] + 2 * _U * v)
+        # Equal descriptors subtracted cancel to exactly 0.0; from inexact
+        # inputs the scalar path may not see them equal.
+        same = subtract & (zeta_x == zeta_y)
+        if np.count_nonzero(same):
+            out[same] = 0.0
+            bound[same] = np.where((ex + ey > 0.0) & same, math.inf, 0.0)[same]
+    np.copyto(bound, math.inf, where=np.isnan(bound))
+    return out, bound
+
+
+def _rungs_lanes(zx, ex):
+    """The reciprocal ladders of _ladder for lanes with zx >= 1, given a
+    bound ex on zx's distance.  Bounds named r* are relative, e* absolute;
+    a deep lane has none, others have a_0 within a_0 ra_0 + _TINY."""
+    n = zx.size
+    lev = np.trunc(zx)
+    f = zx - lev
+    top = int(lev.max())
+
+    # Reciprocal ladders of X: row j holds a_j and its bound ra, and
+    # ia = 1/a_j with ria bounding the other path's 1/a_j relative to ia:
+    # ra/(1 - ra) <= 2 ra while ra <= 1/2 (other lanes get inf at the
+    # end), plus the division's 2u.  Each lane starts at its top level;
+    # rows above it restart there.
+    a, ra = np.empty((top, n)), np.empty((top, n))
+    ia, ria = np.empty((top, n)), np.empty((top, n))
+    a_top, ra_top = np.exp(-f), np.expm1(ex + _TRANS)
+    a[top - 1], ra[top - 1] = a_top, ra_top
+    for j in range(top - 1, -1, -1):
+        np.divide(1.0, a[j], out=ia[j])
+        np.multiply(ra[j] + _U, 2.0, out=ria[j])
+        if j:
+            # a_{j-1} = exp(-1/a_j); a rung that underflows past
+            # _EXP_GONE on both paths is exactly +0, with bound 0.
+            np.exp(-ia[j], out=a[j - 1])
+            np.expm1(ia[j] * ria[j] + _TRANS, out=ra[j - 1])
+            if np.count_nonzero(a[j - 1] == 0.0):
+                np.copyto(ra[j - 1], 0.0, where=ia[j] * (1.0 - ria[j]) > _EXP_GONE)
+            start = lev <= j
+            if np.count_nonzero(start):
+                np.copyto(a[j - 1], a_top, where=start)
+                np.copyto(ra[j - 1], ra_top, where=start)
+    # Other rungs below the normal range have no relative bound; a_0
+    # steps to no further rung.
+    deep = (((a[1:] < _TINY) & (ra[1:] != 0.0)) | (ra[1:] > 0.5)).any(axis=0)
+    return a, ra, ia, ria, deep
+
+
+def _ladder_lanes(zx, zy, ex, ey):
+    """_ladder for lanes with zx >= 1 and 0 <= zy <= zx, given bounds ex
+    and ey on the inputs' distances: the rungs, the bounds li_add_sub's
+    climb takes from them, and b_0 within eb (a_0 subnormal or not)."""
+    a, ra, ia, ria, deep = _rungs_lanes(zx, ex)
+    ia_hi = ia * (1.0 + ria)  # bounds 1/a_j on either path
+    ria += 4 * _U  # and the rounding of a product with ia
+    ra_hi = 1.0 + ra
+
+    # Ratio ladders of Y against X down to b_0, bounds eb; a raw Y (m = 0)
+    # keeps b_0 = a_0 g.  _TINY covers results below the normal range.
+    m = np.trunc(zy)
+    g = zy - m
+    b = a[0] * g
+    eb = b * (ra[0] + 2 * _U) + a[0] * ra_hi[0] * ey + _TINY
+    m_top = int(m.max())
+    if m_top:
+        exp_g = np.exp(g)
+        rb_start = ra + np.expm1(ey + _TRANS) * ra_hi + 2 * _U
+    for j in range(m_top - 1, -1, -1):
+        if j < m_top - 1:
+            # b_j = exp(-(1 - b_{j+1}) / a_{j+1}), 1 once that difference
+            # is <= 0.
+            walk = m > j + 1
+            d = np.maximum(1.0 - b, 0.0)
+            q = d * ia[j + 1]
+            eq = (eb + 2 * _U) * ia_hi[j + 1] + q * ria[j + 1]
+            step = np.exp(-q)
+            # The other path's b is within e**eq of exp(-q), which itself
+            # is at most step plus the least subnormal; both b lie in [0, 1].
+            eb_step = np.minimum((step + 5e-324) * np.expm1(eq + _TRANS), 1.0) + _TINY
+            far = eq > 1.0
+            if np.count_nonzero(far):
+                # or the other b is below exp(eq - q), and this one is step
+                np.copyto(eb_step, np.maximum(step, np.exp(eq - q + _TRANS)) + _TINY,
+                          where=far & (eq < q))
+            zero_rung = ra[j + 1] == 0.0
+            if np.count_nonzero(zero_rung):
+                # Below a rung that is +0 on both paths b_j is 1 where the
+                # difference is 0, else 0: settled unless its sign is not.
+                np.copyto(step, d == 0.0, where=zero_rung)
+                np.copyto(eb_step, np.where(d > eb + 2 * _U, _TINY, 1.0), where=zero_rung)
+            np.copyto(eb, eb_step, where=walk)
+            np.copyto(b, step, where=walk)
+        start = m == j + 1
+        if np.count_nonzero(start):
+            b_start = a[j] * exp_g
+            np.copyto(eb, b_start * rb_start[j] + _TINY, where=start)
+            np.copyto(b, b_start, where=start)
+    return a, ra, ra_hi, ia, ia_hi, ria, deep, b, eb
+
+
+def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
+    """li_add_sub for lanes with zx >= 1: the ladders, then the result
+    against X, each lane left where the scalar kernel would return.  A
+    lane with a rung that has no relative bound gets inf (or NaN)."""
+    a, ra, ra_hi, ia, ia_hi, ria, deep, b, eb = _ladder_lanes(zx, zy, ex, ey)
+    n, top = zx.size, a.shape[0]
+    lev = np.trunc(zx)
+    f = zx - lev
+    deep = deep | (a[0] < _TINY) & (ra[0] != 0.0) | (ra[0] > 0.5)
+
+    # Result against X, c_0 = 1 -/+ b_0, up the levels of X until c_j < a_j,
+    # which an addition (c_j >= 1) never meets.
+    c = np.where(sub, 1.0 - b, 1.0 + b)
+    ec = eb + 4 * _U
+    terminate = np.count_nonzero(sub)
+    if terminate:
+        res, eres = np.zeros(n), np.zeros(n)
+        running = np.ones(n, dtype=bool)
+        ran_out = np.zeros(n, dtype=bool)
+    ra += 2 * _U  # and the rounding of a product with a
+    for j in range(top):
+        if terminate:
+            # c <= 0: the result is j on the nose, where the other path
+            # may still hold c up to ec.  c < a_j: phi(zeta_z - j) = c/a_j.
+            hit = running & (c <= 0.0)
+            below = running & ~hit & (c < a[j])
+            r = c * ia[j]
+            np.copyto(res, j, where=hit)
+            np.copyto(res, j + r, where=below)
+            np.copyto(eres, ec * ia_hi[j], where=hit)
+            np.copyto(eres, ec * ia_hi[j] + np.abs(r) * ria[j] + 2 * _U * (j + r), where=below)
+            running &= ~(hit | below)
+            climb = running & (lev > j + 1)
+            ran_out |= running & ~climb
+            running = climb
+        else:
+            climb = lev > j + 1
+        if not np.count_nonzero(climb):
+            break
+        # c_{j+1} = 1 + a_{j+1} ln c_j; a zero rung on both paths keeps
+        # c = 1 exactly.
+        log_c, elog = _log(c, ec)
+        p = a[j + 1] * log_c
+        ep = (np.abs(log_c) * ra[j + 1] + ra_hi[j + 1] * elog) * a[j + 1] + 4 * _U
+        np.copyto(c, 1.0 + p, where=climb)
+        np.copyto(ec, ep, where=climb)
+
+    # Ran through every level: h = f + ln c_{l-1} = phi(zeta_z - l), below
+    # 1 + ln 2, so psi(h) takes at most one more log.
+    log_c, elog = _log(c, ec)
+    h = np.maximum(f + log_c, 0.0)  # roundoff below the a_{l-1} <= c guarantee
+    eh = ex + elog + 2 * _U * h
+    log_h, elog_h = _log(h, eh)
+    up = h >= 1.0
+    zeta = lev + np.where(up, 1.0 + log_h, h)
+    err = np.where(up, elog_h, eh) + 4 * _U * zeta
+    if terminate:
+        zeta = np.where(ran_out, zeta, res)
+        err = np.where(ran_out, err, eres)
+    err[deep] = math.inf
+    return zeta, err
+
+
+def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
+    """li_mul_div per lane, with the bound li_add_sub gives."""
+    ok = (1.0 <= zeta_x) & (zeta_x < math.inf) & (1.0 <= zeta_y) & (zeta_y < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"need finite descriptors >= 1, got {zeta_x[i]}, {zeta_y[i]}")
+    # Equal operands need no short cut here: their descriptors cancel
+    # exactly in the kernel, giving (1.0, False) as the scalar path does.
+    w, bound = arith.li_add_sub(np.maximum(zeta_x, zeta_y) - 1.0,
+                                np.minimum(zeta_x, zeta_y) - 1.0, divide)
+    w += 1.0
+    return w, (zeta_x < zeta_y) & divide, bound + 2 * _U * w

@@ -141,29 +141,8 @@ def fl(value: float, fmt: FloatFormat) -> float:
     k = round(math.ldexp(a, -shift))
     try:
         return math.copysign(math.ldexp(float(k), shift), value)
-    except OverflowError:  # rounded up to 2**1024, past binary64, as in _fl_lanes
+    except OverflowError:  # rounded up to 2**1024, past binary64, as in lanes.encode
         return math.copysign(math.inf, value)
-
-
-def _fl_lanes(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    """fl of every element of an array, the same number fl gives.
-
-    The same steps as fl, with np.rint for round() (both tie to even).
-    """
-    if not fmt.signed and np.any(values < 0.0):
-        raise ValueError(f"cannot round negative value into unsigned {fmt.name}")
-    a = np.abs(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.frexp(a)[1] - 1
-        shift = np.maximum(e, fmt.e_min) - (fmt.precision - 1)
-        out = np.copysign(np.ldexp(np.rint(np.ldexp(a, -shift)), shift), values)
-    big = a >= fmt.overflow_threshold
-    out[big] = np.copysign(np.inf, values[big])
-    keep = np.isnan(values) | np.isinf(values) | (values == 0.0)
-    out[keep] = values[keep]
-    if not fmt.signed:
-        out[values == 0.0] = 0.0  # no -0.0, as in fl
-    return out
 
 
 _OP_ALIASES = {

@@ -14,10 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliarith import core
+from sliarith import lanes
 from sliarith.arith import (
-    _add_lanes,
-    _mul_lanes,
     absolute,
     add,
     compare,
@@ -32,7 +30,6 @@ from sliarith.core import (
     BitWord,
     SliFormat,
     SliNumber,
-    _encode_lanes,
     _from_key,
     _key,
     decode,
@@ -573,8 +570,8 @@ class TestLaneForms:
             ys[:1000] = [unpack(BitWord(int(b), fmt.width), fmt)
                          for b in rng.integers(0, 1 << fmt.width, 1000)]
             ys[1000:1100] = [neg(x) for x in xs[1000:1100]]  # exact cancellation
-        for lane_op, op in ((_add_lanes, add), (_mul_lanes, mul)):
-            got = lane_op(fmt, self.keys(xs), self.keys(ys))
+        for lane_op, op in ((lanes.add, add), (lanes.mul, mul)):
+            got = lane_op(self.keys(xs), self.keys(ys), fmt)
             want = [op(x, y) for x, y in zip(xs, ys)]
             assert self.numbers(fmt, got) == want, lane_op.__name__
 
@@ -584,14 +581,14 @@ class TestLaneForms:
         # NaN; such lanes go to the scalar op, not into the kernel.
         fmt = SliFormat(3, 8)
         xs = [SliNumber(fmt, False, 1, -1, 5, 162), SliNumber(fmt, False, -1, -1, 6, 162)]
-        got = _add_lanes(fmt, self.keys(xs), self.keys(xs))
+        got = lanes.add(self.keys(xs), self.keys(xs), fmt)
         assert self.numbers(fmt, got) == [add(x, x) for x in xs]
 
     def test_fallback_gives_the_scalar_ops(self, monkeypatch):
         # Widen the tie band to everything: every lane that rounds is
         # redone by the scalar op and written back into its lane.
         redone = []
-        redo = core._redo
+        redo = lanes._redo
 
         def counting(keys, mask, op):
             redone.append(int(np.count_nonzero(mask)))
@@ -600,14 +597,14 @@ class TestLaneForms:
         def everything(zeta, err, fmt):
             return np.ones(zeta.shape, dtype=bool)
 
-        monkeypatch.setattr(core, "_redo", counting)
-        monkeypatch.setattr(core, "_unsettled", everything)
+        monkeypatch.setattr(lanes, "_redo", counting)
+        monkeypatch.setattr(lanes, "_unsettled", everything)
         fmt = SliFormat(1, 4)
         nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
         xs = [x for x in nums for _ in nums]
         ys = [y for _ in nums for y in nums]
-        for lane_op, op in ((_add_lanes, add), (_mul_lanes, mul)):
-            got = lane_op(fmt, self.keys(xs), self.keys(ys))
+        for lane_op, op in ((lanes.add, add), (lanes.mul, mul)):
+            got = lane_op(self.keys(xs), self.keys(ys), fmt)
             assert self.numbers(fmt, got) == [op(x, y) for x, y in zip(xs, ys)]
             # Zero operands and exact cancellations are settled without
             # rounding; every other lane went to the scalar op.
@@ -617,7 +614,7 @@ class TestLaneForms:
             assert redone.pop() == rounded - (cancel if op is add else 0)
         values = [decode(n) for n in nums]
         values += [(u + v) / 2 for u, v in zip(values, values[1:])]  # ties, too
-        got = _encode_lanes(np.array(values), fmt)
+        got = lanes.encode(np.array(values), fmt)
         assert self.numbers(fmt, got) == [encode(v, fmt) for v in values]
         assert redone == [sum(v != 0.0 for v in values)]
 

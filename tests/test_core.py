@@ -9,20 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliarith import lanes
 from sliarith.arith import compare
 from sliarith.core import (
     BitWord,
     SliFormat,
     SliNumber,
-    _decode_lanes,
-    _encode_lanes,
     _from_key,
     _key,
-    _key_fields,
-    _lane_keys,
-    _round_index_lanes,
-    _unsettled,
-    _value_block,
     decode,
     encode,
     enumerate_values,
@@ -37,6 +31,7 @@ from sliarith.core import (
     unpack,
     word_fields,
 )
+from sliarith.lanes import _key_fields, _lane_keys, _round_index_lanes, _unsettled, _value_block
 
 F212 = SliFormat(2, 12)
 F22U = SliFormat(2, 2, signed=False)
@@ -237,7 +232,7 @@ class TestEncodeDecode:
             [0.0, -0.0, 1.0, -1.0, math.e, 5e-324, 1.7e308, 1.0 - 2.0**-53],
         ])
         for fmt in (F212, SliFormat(1, 4), SliFormat(3, 3)):
-            got = _encode_lanes(values, fmt)
+            got = lanes.encode(values, fmt)
             want = [encode(float(v), fmt) for v in values]
             assert [_from_key(fmt, k) for k in got.tolist()] == want
 
@@ -247,7 +242,7 @@ class TestEncodeDecode:
         # 0.0 (signed) for their reciprocals.
         for fmt in (SliFormat(1, 4), SliFormat(2, 6), SliFormat(3, 3)):
             nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
-            got = _decode_lanes(np.array([_key(n) for n in nums]), fmt)
+            got = lanes.decode(np.array([_key(n) for n in nums]), fmt)
             want = [decode(n) for n in nums]
             assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
             assert sum(n.is_zero for n in nums) == 2
@@ -257,9 +252,9 @@ class TestEncodeDecode:
 
     def test_lane_form_errors(self):
         with pytest.raises(ValueError, match="non-finite"):
-            _encode_lanes(np.array([1.0, math.nan]), F212)
+            lanes.encode(np.array([1.0, math.nan]), F212)
         with pytest.raises(ValueError, match="unsigned"):
-            _encode_lanes(np.array([1.0, -2.0]), F22U)
+            lanes.encode(np.array([1.0, -2.0]), F22U)
 
     def test_pi_level_and_index(self):
         n = encode(math.pi, F212)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sliarith import arith, core, experiments
+from sliarith import arith, experiments, lanes
 from sliarith.core import SliFormat, SliNumber, decode, encode
 from sliarith.experiments import (
     _LANE_BUDGET,
@@ -267,13 +267,13 @@ class TestSimulateMatvec:
         # n = 200 wide-entry inputs fewer than 0.1% of roundings may be,
         # which keeps the tie band from growing wide unnoticed.
         masks = []
-        redo = core._redo
+        redo = lanes._redo
 
         def counting(keys, mask, op):
             masks.append(mask)
             return redo(keys, mask, op)
 
-        monkeypatch.setattr(core, "_redo", counting)
+        monkeypatch.setattr(lanes, "_redo", counting)
         matvec_backward_error(ExperimentConfig(systems=("sli2.12",), dims=(200,), hi=100.0))
         roundings = sum(m.size for m in masks)
         assert roundings > 3 * 200 * 200  # x, A, the products and the sums

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliarith import lanes
 from sliarith.minifloat import (
     BFLOAT16,
     BINARY16,
     TOY5,
     FloatFormat,
-    _fl_lanes,
     enumerate_floats,
     fl,
     fl_op,
@@ -120,9 +120,9 @@ class TestRounding:
         # An unsigned format has no sign bit, so -0.0 rounds to its one
         # zero, +0.0; signed formats keep -0.0 (test_passthrough).
         for got in (fl(-0.0, TOY5), fl_op(0.0, -0.0, "*", TOY5),
-                    *_fl_lanes(np.array([-0.0, 0.0]), TOY5).tolist()):
+                    *lanes.encode(np.array([-0.0, 0.0]), TOY5).tolist()):
             assert math.copysign(1.0, got) == 1.0
-        assert math.copysign(1.0, _fl_lanes(np.array([-0.0]), BINARY16)[0]) == -1.0
+        assert math.copysign(1.0, lanes.encode(np.array([-0.0]), BINARY16)[0]) == -1.0
 
     def test_unsigned_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -171,13 +171,13 @@ class TestWiderThanBinary64:
         fmt = FloatFormat.from_name("b53e2000")
         got = [fl(v, fmt) for v in self.PROBE]
         assert got == self.PROBE
-        assert _fl_lanes(np.array(self.PROBE), fmt).tolist() == got
+        assert lanes.encode(np.array(self.PROBE), fmt).tolist() == got
         assert fl_op(self.BIG, self.BIG, "-", fmt) == 0.0
 
     def test_b11e1024_rounds_without_overflow(self):
         fmt = FloatFormat.from_name("b11e1024")
         got = [fl(v, fmt) for v in self.PROBE]
-        assert _fl_lanes(np.array(self.PROBE), fmt).tolist() == got
+        assert lanes.encode(np.array(self.PROBE), fmt).tolist() == got
         for v, r in zip(self.PROBE[2:], got[2:]):
             assert math.isfinite(r), v
             if abs(v) >= fmt.min_normal:
