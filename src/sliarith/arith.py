@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import SliFormat, SliNumber, _U, _key, _materialize, magnitude_rank, psi
+from .core import SliFormat, SliNumber, _U, _key, _materialize, psi
 
 __all__ = [
     "li_add_sub",
@@ -56,8 +56,9 @@ def li_add_sub(
     order).  Returns the descriptor of phi(zeta_x) +/- phi(zeta_y);
     exact cancellation returns 0.0.
 
-    zeta_x and zeta_y may also be equal-length float64 arrays, with
-    subtract a bool or a bool array, the route of sliarith.lanes: then
+    zeta_x and zeta_y may also be 1-D float64 arrays of one length, with
+    subtract and each err term a scalar or an array of that length (any
+    other shape raises ValueError), the route of sliarith.lanes: then
     the call returns the descriptors and per element the bound lanes
     describes on their distance from the scalar call's (inf where the
     kernel has none), given err bounding the inputs' own distances.
@@ -140,16 +141,18 @@ def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[floa
     the caller must flip the reciprocal sign.  Equal operands divide to
     exactly (1.0, False): their shifted descriptors cancel in the kernel.
 
-    Takes equal-length float64 arrays too, the route of sliarith.lanes,
-    and then returns three arrays: the descriptors, the flipped flags
+    Takes 1-D float64 arrays of one length too, with divide a scalar or
+    an array of that length, the route of sliarith.lanes, and then
+    returns three arrays: the descriptors, the flipped flags
     (the scalar results' own) and li_add_sub's bounds on the descriptors.
     """
     if isinstance(zeta_x, np.ndarray):
         return lanes._li_mul_div_lanes(zeta_x, zeta_y, divide)
     if not (1.0 <= zeta_x < math.inf and 1.0 <= zeta_y < math.inf):
         raise ValueError(f"need finite descriptors >= 1, got {zeta_x}, {zeta_y}")
-    w = li_add_sub(max(zeta_x, zeta_y) - 1.0, min(zeta_x, zeta_y) - 1.0, divide)
-    return w + 1.0, divide and zeta_x < zeta_y
+    if zeta_x < zeta_y:
+        return li_add_sub(zeta_y - 1.0, zeta_x - 1.0, divide) + 1.0, divide
+    return li_add_sub(zeta_x - 1.0, zeta_y - 1.0, divide) + 1.0, False
 
 
 def _require_same_format(x: SliNumber, y: SliNumber) -> SliFormat:
@@ -158,16 +161,15 @@ def _require_same_format(x: SliNumber, y: SliNumber) -> SliFormat:
     return x.fmt
 
 
-def _mag_add_sub(fmt: SliFormat, big: SliNumber, small: SliNumber, subtract: bool,
+def _mag_add_sub(fmt: SliFormat, rb: int, zb: float, rs: int, zs: float, subtract: bool,
                  sign: int) -> SliNumber:
-    """sign * (|big| +/- |small|) for |big| >= |small| (> to subtract),
-    both nonzero."""
-    if big.reciprocal > 0:
+    """sign * (|big| +/- |small|) for nonzero |big| = phi(zb)**rb at least
+    |small| = phi(zs)**rs (greater to subtract)."""
+    if rb > 0:
         # A small operand below one is fed as a raw level-0 descriptor,
         # its a_0.  A raw result w is wrapped as 1 + psi(-ln w), the
         # descriptor of 1/w; the kernel never emits one below about 2**-53.
-        zy = small.zeta if small.reciprocal > 0 else _ladder(small.zeta, 0.0)[0][0]
-        w = li_add_sub(big.zeta, zy, subtract)
+        w = li_add_sub(zb, zs if rs > 0 else _ladder(zs, 0.0)[0][0], subtract)
         if 0.0 < w < 1.0:
             return _materialize(fmt, sign, -1, 1.0 + psi(-math.log(w)))
         return _materialize(fmt, sign, 1, w)
@@ -177,11 +179,11 @@ def _mag_add_sub(fmt: SliFormat, big: SliNumber, small: SliNumber, subtract: boo
     # phi(zb - 1) -/+ ln(1 +/- r), the descriptor w of which one kernel run
     # gives: the result's zeta is 1 + w, and that log's sign is the
     # reciprocal flag's.
-    r = _ladder(small.zeta, big.zeta)[1]
+    r = _ladder(zs, zb)[1]
     # Distinct words give r below 1 - 5e-8 up to 24 index bits, but keep
     # 1 - r > 0, so that a difference is never zero.
     t = psi(-math.log1p(-min(r, 1.0 - _U)) if subtract else math.log1p(r))
-    u = big.zeta - 1.0
+    u = zb - 1.0
     w = li_add_sub(max(u, t), min(u, t), not subtract)
     # A sum can reach one or more.
     return _materialize(fmt, sign, -1 if subtract or u >= t else 1, 1.0 + w)
@@ -195,15 +197,18 @@ def _add_signed(x: SliNumber, y: SliNumber, y_sign: int) -> SliNumber:
         return y if y_sign == y.sign else neg(y)
     if y.is_zero:
         return x
-    rx, ry = magnitude_rank(x), magnitude_rank(y)
+    rx, zx, ry, zy = x.reciprocal, x.zeta, y.reciprocal, y.zeta
+    # r (zeta - 1) orders magnitudes exactly as magnitude_rank does, as
+    # in lanes.add: zeta - 1 is the rank's offset from one over 2**index_bits.
+    ox, oy = rx * (zx - 1.0), ry * (zy - 1.0)
     subtract = x.sign != y_sign
-    if subtract and rx == ry:
+    if subtract and ox == oy:
         return SliNumber.zero(fmt)
-    if rx >= ry:
-        return _mag_add_sub(fmt, x, y, subtract, x.sign)
+    if ox >= oy:
+        return _mag_add_sub(fmt, rx, zx, ry, zy, subtract, x.sign)
     if y_sign < 0 and not fmt.signed:
         raise ValueError(f"negative difference in unsigned {fmt.name}")
-    return _mag_add_sub(fmt, y, x, subtract, y_sign)
+    return _mag_add_sub(fmt, ry, zy, rx, zx, subtract, y_sign)
 
 
 def add(x: SliNumber, y: SliNumber) -> SliNumber:

@@ -102,7 +102,7 @@ def psi(value: float) -> float:
 
     Defined for v >= 0 and finite.  psi(1) = 1 (level 1, index 0).
     """
-    if math.isnan(value) or value < 0.0 or math.isinf(value):
+    if not 0.0 <= value < math.inf:
         raise ValueError(f"psi needs a finite value >= 0, got {value}")
     level = 0.0
     while value >= 1.0:
@@ -318,7 +318,7 @@ class SliNumber(_Value, _SliFields):
     @property
     def zeta(self) -> float:
         """Level-index sum l + f, exact in binary64 for every format."""
-        return self.level + self.index
+        return self.level + self.index_k / self.fmt.index_scale
 
     def __float__(self) -> float:
         return decode(self)
@@ -386,35 +386,17 @@ class BitWord(_Value, _BitWordFields):
 def round_index(zeta: float, fmt: SliFormat) -> tuple[int, int]:
     """Round a nonnegative zeta to (level, index numerator), ties away.
 
-    zeta below 1 is treated as level 1 with the raw value as index
-    (callers pass zeta >= 1 in normal use; encode maps magnitudes below
-    one through the reciprocal first).  A rounded index of 1.0 carries
-    into the next level.  Rounding past the top of the format saturates
-    at the largest representable (level, index) pair instead of
-    overflowing; there is no infinity to overflow to.
+    The checked public form of _materialize's rounding, whose fields it
+    returns: zeta below 1 is treated as level 1 with the raw value as
+    index (0 gives zero's neutral (1, 0)), a rounded index of 1.0
+    carries into the next level, and rounding past the top of the format
+    saturates at the largest representable (level, index) pair instead
+    of overflowing; there is no infinity to overflow to.
     """
     if math.isnan(zeta) or zeta < 0.0:
         raise ValueError(f"round_index needs zeta >= 0, got {zeta}")
-    scale = fmt.index_scale
-    if math.isinf(zeta) or zeta >= fmt.max_level + 1:
-        return fmt.max_level, scale - 1
-    level = int(zeta)
-    frac = zeta - level
-    if level < 1:
-        level, frac = 1, zeta
-    # Scaled index, rounded half away from zero.  The tie test compares
-    # the exact fractional part, not floor(t + 0.5), which misrounds
-    # values like 0.49999999999999994 in binary64.
-    t = frac * scale
-    k = int(t)
-    if t - k >= 0.5:
-        k += 1
-    if k == scale:
-        k = 0
-        level += 1
-    if level > fmt.max_level:
-        return fmt.max_level, scale - 1
-    return level, k
+    num = _materialize(fmt, 1, 1, zeta)
+    return num.level, num.index_k
 
 
 def encode(value: float, fmt: SliFormat | None = None) -> SliNumber:
@@ -446,11 +428,42 @@ def encode(value: float, fmt: SliFormat | None = None) -> SliNumber:
 
 
 def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> SliNumber:
-    """Round an unrounded (sign, r, zeta) magnitude into the format."""
+    """Round an unrounded (sign, r, zeta) magnitude into the format.
+
+    The one scalar rounding site: encode and every arith op end here,
+    and round_index is its checked public form.  zeta is taken as given
+    (callers hold zeta >= 0, inf included); zeta <= 0 is zero.
+
+    zeta below 1 is treated as level 1 with the raw value as index.  The
+    index rounds to nearest, ties away, and a rounded index of 1.0
+    carries into the next level.  Past the top of the format the result
+    saturates at the largest (level, index) pair; 1/1 folds onto one.
+    """
     if zeta <= 0.0:
         return SliNumber.zero(fmt)
-    level, k = round_index(zeta, fmt)
-    return SliNumber.of(fmt, sign, reciprocal, level, k)
+    scale = fmt.index_scale
+    top = fmt.max_level
+    if zeta >= top + 1:  # inf included
+        return SliNumber(fmt, False, sign, reciprocal, top, scale - 1)
+    level = int(zeta)
+    frac = zeta - level
+    if level < 1:
+        level, frac = 1, zeta
+    # Scaled index, rounded half away from zero.  The tie test compares
+    # the exact fractional part, not floor(t + 0.5), which misrounds
+    # values like 0.49999999999999994 in binary64.
+    t = frac * scale
+    k = int(t)
+    if t - k >= 0.5:
+        k += 1
+        if k == scale:
+            k = 0
+            level += 1
+            if level > top:
+                level, k = top, scale - 1
+    if reciprocal < 0 and level == 1 and k == 0:
+        reciprocal = 1
+    return SliNumber(fmt, False, sign, reciprocal, level, k)
 
 
 def decode(num: SliNumber) -> float:
@@ -470,13 +483,13 @@ def decode(num: SliNumber) -> float:
 
 def pack(num: SliNumber) -> BitWord:
     """Pack into sign | reciprocal | level-1 | index bits (MSB first)."""
-    fmt = num.fmt
-    if num.is_zero:
+    fmt, is_zero, sign, reciprocal, level, index_k = num
+    if is_zero:
         return BitWord(0, fmt.width)
-    bits = (num.level - 1) << fmt.index_bits | num.index_k
-    if num.reciprocal > 0:
+    bits = (level - 1) << fmt.index_bits | index_k
+    if reciprocal > 0:
         bits |= 1 << (fmt.level_bits + fmt.index_bits)
-    if fmt.signed and num.sign < 0:
+    if sign < 0:  # a validated value is negative only in a signed format
         bits |= 1 << (fmt.width - 1)
     return BitWord(bits, fmt.width)
 
@@ -498,17 +511,19 @@ def word_fields(bits, fmt: SliFormat) -> tuple:
 
 
 def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
-    """Inverse of pack.
+    """Inverse of pack: word_fields, then one validating construction.
 
     The all-zeros payload is zero regardless of the sign bit, so the
-    negative-zero word of a signed format folds onto plain zero.
+    negative-zero word of a signed format folds onto plain zero.  It is
+    also the only word whose literal fields spell one as 1/1, so every
+    other word's fields build a SliNumber as they are.
     """
     if word.width != fmt.width:
         raise ValueError(f"word width {word.width} does not match {fmt.name} ({fmt.width})")
     sign, reciprocal, level, index_k = word_fields(word.bits, fmt)
-    if (reciprocal, level, index_k) == (-1, 1, 0):
+    if reciprocal < 0 and level == 1 and index_k == 0:
         return SliNumber.zero(fmt)
-    return SliNumber.of(fmt, sign, reciprocal, level, index_k)
+    return SliNumber(fmt, False, sign, reciprocal, level, index_k)
 
 
 def _word_blocks(width: int, name: str, block: Callable[[np.ndarray], tuple]) -> Iterator[tuple]:

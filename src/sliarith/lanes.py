@@ -122,10 +122,13 @@ def decode(lanes, fmt: SliFormat | FloatFormat) -> np.ndarray:
     (lanes,) = _checked(fmt, lanes)
     if isinstance(fmt, FloatFormat):
         return lanes.copy()
-    zero, sign, reciprocal, zeta = _key_fields(lanes, fmt)
-    # _peel per lane: the exact index of zeta, exponentiated once per
-    # level, and inf past the guard as in phi.  Zero lanes, read as one,
-    # skip that and keep their index 0 as the value.
+    # Lanes repeat words (a sweep's points share their nearest values), so
+    # each distinct magnitude is decoded once and spread back.
+    keys, inverse = np.unique(np.abs(lanes), return_inverse=True)
+    zero, _, reciprocal, zeta = _key_fields(keys, fmt)
+    # _peel per magnitude: the exact index of zeta, exponentiated once per
+    # level, and inf past the guard as in phi.  Zero, read as one, skips
+    # that and keeps its index 0 as the value.
     level = zeta.astype(np.int64)
     mag = zeta - level
     live = np.flatnonzero(~zero)
@@ -137,7 +140,7 @@ def decode(lanes, fmt: SliFormat | FloatFormat) -> np.ndarray:
         mag[live] = _lane_map(math.exp, mag[live])
     below = reciprocal < 0
     mag[below] = 1.0 / mag[below]  # 1/inf is 0.0, as in decode
-    return sign * mag
+    return np.where(lanes < 0, -1, 1) * mag[inverse]
 
 
 def add(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
@@ -351,10 +354,27 @@ def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: 
     return _redo(_lane_keys(fmt, zero, sign, reciprocal, level, k), unsettled, op)
 
 
+def _kernel_shapes(zeta_x: np.ndarray, zeta_y, *terms) -> None:
+    """Refuse kernel lanes unless the descriptors are 1-D arrays of one
+    length and each other term is a scalar or an array of that length."""
+    n = zeta_x.shape
+    ok = zeta_x.ndim == 1 and isinstance(zeta_y, np.ndarray) and zeta_y.shape == n
+    for t in terms:  # arrays and plain scalars first: every lane kernel call runs this
+        if isinstance(t, np.ndarray):
+            ok = ok and t.shape in ((), n)
+        elif not isinstance(t, (bool, int, float)):
+            ok = ok and np.shape(t) in ((), n)
+    if not ok:
+        raise ValueError(
+            "kernel lanes must be 1-D descriptor arrays of one length, with scalar or"
+            f" equal-length terms; got shapes {[np.shape(v) for v in (zeta_x, zeta_y, *terms)]}")
+
+
 def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
                       err=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
     """li_add_sub per lane, and per lane a bound on the distance from the
     scalar kernel's result, given bounds err on the inputs' distances."""
+    _kernel_shapes(zeta_x, zeta_y, subtract, *err)
     ok = (0.0 <= zeta_y) & (zeta_y <= zeta_x) & (zeta_x < math.inf)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -545,6 +565,7 @@ def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
 
 def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
     """li_mul_div per lane, with the bound li_add_sub gives."""
+    _kernel_shapes(zeta_x, zeta_y, divide)
     ok = (1.0 <= zeta_x) & (zeta_x < math.inf) & (1.0 <= zeta_y) & (zeta_y < math.inf)
     if not ok.all():
         i = int(np.argmin(ok))

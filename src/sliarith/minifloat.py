@@ -123,26 +123,26 @@ def fl(value: float, fmt: FloatFormat) -> float:
     no finite input overflows, but one that rounds up to 2**1024 (p < 53)
     returns inf, a limit of the binary64 result, not of the format.
     """
+    a = abs(value)
+    if 0.0 < a < fmt.overflow_threshold and (value > 0.0 or fmt.signed):
+        # a = m * 2**e with m in [1, 2); quantize at 2**(e - p + 1), or at
+        # the fixed subnormal quantum once e drops below e_min.  The scaled
+        # value is below 2**p <= 2**53, so ldexp and round() are exact and
+        # the tie rule is genuinely even.
+        e = math.frexp(a)[1] - 1
+        shift = max(e, fmt.e_min) - (fmt.precision - 1)
+        k = round(math.ldexp(a, -shift))
+        try:
+            return math.copysign(math.ldexp(float(k), shift), value)
+        except OverflowError:  # rounded up to 2**1024, past binary64, as in lanes.encode
+            return math.copysign(math.inf, value)
     if math.isnan(value):
         return value
     if value < 0.0 and not fmt.signed:
         raise ValueError(f"cannot round negative value into unsigned {fmt.name}")
     if math.isinf(value) or value == 0.0:
         return value if fmt.signed else abs(value)
-    a = abs(value)
-    if a >= fmt.overflow_threshold:
-        return math.copysign(math.inf, value)
-    # a = m * 2**e with m in [1, 2); quantize at 2**(e - p + 1), or at the
-    # fixed subnormal quantum once e drops below e_min.  The scaled value
-    # is below 2**p <= 2**53, so ldexp and round() are exact and the tie
-    # rule is genuinely even.
-    e = math.frexp(a)[1] - 1
-    shift = max(e, fmt.e_min) - (fmt.precision - 1)
-    k = round(math.ldexp(a, -shift))
-    try:
-        return math.copysign(math.ldexp(float(k), shift), value)
-    except OverflowError:  # rounded up to 2**1024, past binary64, as in lanes.encode
-        return math.copysign(math.inf, value)
+    return math.copysign(math.inf, value)  # at or past overflow_threshold
 
 
 _OP_ALIASES = {

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliarith import lanes
+from sliarith import arith, lanes
 from sliarith.arith import (
     absolute,
     add,
@@ -381,6 +381,52 @@ class TestSequenceSanity:
             assert 0.0 <= w <= zx + 1.0
             # A sum never shrinks the larger magnitude, a difference never grows it.
             assert w <= zx if subtract else w >= zx
+
+
+class TestMagnitudeOrder:
+    def test_r_zeta_order_is_rank_order(self):
+        # add and sub order their operands by r (zeta - 1), where zeta - 1
+        # is exactly the rank's offset from one over 2**index_bits.
+        fmt = SliFormat(2, 4)
+        nums = [n for n in (unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width))
+                if not n.is_zero]
+        assert len(nums) == 2 * (2 * fmt.max_level * fmt.index_scale - 1)
+        order = [(n.reciprocal * (n.zeta - 1.0), magnitude_rank(n)) for n in nums]
+        for ox, rx in order:
+            for oy, ry in order:
+                assert (ox > oy) - (ox < oy) == (rx > ry) - (rx < ry)
+
+
+class TestKernelNames:
+    def test_ops_reach_the_kernels_by_name(self, monkeypatch):
+        # The benchmark counts kernel calls by wrapping arith.li_add_sub
+        # and arith.li_mul_div wherever they are bound; every scalar and
+        # lane op must still call them through those names.
+        calls = {"li_add_sub": 0, "li_mul_div": 0}
+
+        def counting(name):
+            kernel = getattr(arith, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(arith, name, counting(name))
+        x, y = encode(3.5, F), encode(0.25, F)
+        keys = np.array([_key(x), _key(y)])
+        for name, run, kernel in (
+            ("add", lambda: add(x, y), "li_add_sub"),
+            ("sub", lambda: sub(x, y), "li_add_sub"),
+            ("mul", lambda: mul(x, y), "li_mul_div"),
+            ("div", lambda: div(x, y), "li_mul_div"),
+            ("lanes.add", lambda: lanes.add(keys, keys[::-1], F), "li_add_sub"),
+            ("lanes.mul", lambda: lanes.mul(keys, keys[::-1], F), "li_mul_div"),
+        ):
+            before = calls[kernel]
+            run()
+            assert calls[kernel] > before, f"{name} does not reach arith.{kernel}"
 
 
 class TestOracleEquivalence:

@@ -17,6 +17,7 @@ from sliarith.core import (
     SliNumber,
     _from_key,
     _key,
+    _materialize,
     decode,
     encode,
     enumerate_values,
@@ -197,6 +198,25 @@ class TestRoundIndex:
         assert round_index(2.0 + frac, F212) == (2, 2047)
         assert round_index(2.0 + 2047.5 / 4096.0, F212) == (2, 2048)
 
+
+    def test_is_the_rounding_of_materialize(self):
+        # round_index only checks zeta and reads _materialize's fields:
+        # ties, carries into the next level and past the top, saturation,
+        # zeta below one, zero (whose neutral fields are (1, 0)) and inf.
+        fmt = SliFormat(2, 3)
+        ties = [level + (k + 0.5) / 8.0 for level in (1, 2, 4) for k in range(8)]
+        carries = [1.0 + 7.5 / 8.0, 2.0 + 7.9 / 8.0, 4.0 + 7.5 / 8.0, 2.0 + (7.5 - 2.0**-40) / 8.0]
+        edges = [0.0, 2.0**-30, 0.03, 0.0625, 0.5, 0.99, 1.0, 4.875, 5.0, 17.25, math.inf]
+        for f, extra in ((fmt, []), (F212, [1.0 + 4095.5 / 4096.0, 4.0 + 4095.7 / 4096.0])):
+            for z in ties + carries + edges + extra:
+                num = _materialize(f, 1, 1, z)
+                assert round_index(z, f) == (num.level, num.index_k), z
+                assert num.is_zero == (z == 0.0)
+        assert _materialize(fmt, 1, 1, math.inf) == SliNumber(fmt, False, 1, 1, 4, 7)
+        # The fold of 1/1 onto one happens only where the rounding lands
+        # on level 1, index 0.
+        assert _materialize(fmt, -1, -1, 1.0 + 0.4 / 8.0) == SliNumber.one(fmt, -1)
+        assert _materialize(fmt, 1, -1, 2.0**-30) == SliNumber.one(fmt)
 
     def test_lane_form_matches(self):
         fmt = SliFormat(2, 3)
@@ -516,6 +536,23 @@ class TestCodec:
             if fmt.signed:
                 expected = 2 * expected - 1  # negative zero folds onto zero
             assert len(seen) == expected
+
+    @pytest.mark.parametrize("name", ["sli1.4", "sli2.4", "sli2.4u"])
+    def test_unpack_matches_fields_through_of(self, name):
+        # unpack builds with SliNumber itself: every word must give what
+        # word_fields then SliNumber.of (with its fold) give, and the zero
+        # payload, under either sign bit, zero.
+        fmt = SliFormat.from_name(name)
+        zeros = 0
+        for bits in range(1 << fmt.width):
+            sign, reciprocal, level, index_k = word_fields(bits, fmt)
+            if (reciprocal, level, index_k) == (-1, 1, 0):
+                want = SliNumber.zero(fmt)
+                zeros += 1
+            else:
+                want = SliNumber.of(fmt, sign, reciprocal, level, index_k)
+            assert unpack(BitWord(bits, fmt.width), fmt) == want
+        assert zeros == (2 if fmt.signed else 1)
 
     def test_negative_zero_word_is_zero(self):
         w = BitWord(1 << (F212.width - 1), F212.width)

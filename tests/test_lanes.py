@@ -82,6 +82,29 @@ class TestBoundaryChecks:
             with pytest.raises(ValueError, match="outside"):
                 lanes.add(keys, bad, F212U)
 
+    def test_kernel_arrays_must_be_one_dimensional_and_of_one_length(self):
+        zx, zy = np.array([2.5, 3.0]), np.array([1.5, 1.0])
+        flags = np.array([True, False])
+        # Scalar terms or terms of the descriptors' length are taken.
+        assert li_add_sub(zx, zy, True, err=(0.0, np.zeros(2)))[0].shape == (2,)
+        assert li_add_sub(zx, zy, flags)[0].shape == (2,)
+        assert li_mul_div(zx, zy, flags)[0].shape == (2,)
+        for args, kwargs in (
+            ((zx, zy[:1]), {}),  # would broadcast
+            ((zx[:1], zy), {}),
+            ((zx[None], zy[None]), {}),  # 2-D
+            ((zx, 1.5), {}),
+            ((zx, zy, flags[:1]), {}),
+            ((zx, zy, [True]), {}),
+            ((zx, zy, np.array([[True, False]])), {}),
+        ):
+            for kernel in (li_add_sub, li_mul_div):
+                with pytest.raises(ValueError, match="1-D descriptor arrays of one length"):
+                    kernel(*args, **kwargs)
+        for err in ((np.zeros(1), 0.0), (0.0, np.zeros(3)), (np.zeros((2, 2)), 0.0)):
+            with pytest.raises(ValueError, match="1-D descriptor arrays of one length"):
+                li_add_sub(zx, zy, err=err)
+
     def test_sli_lanes_must_be_int64_keys(self):
         with pytest.raises(ValueError, match="int64"):
             lanes.decode(np.array([16385.0]), F212)

@@ -124,6 +124,43 @@ class TestRounding:
             assert math.copysign(1.0, got) == 1.0
         assert math.copysign(1.0, lanes.encode(np.array([-0.0]), BINARY16)[0]) == -1.0
 
+    @pytest.mark.parametrize("fmt, table", [
+        (BINARY16, [
+            (math.nan, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+            (0.0, 0.0), (-0.0, -0.0), (65520.0, math.inf), (-65520.0, -math.inf),
+            (65519.99999999999, 65504.0), (-65519.99999999999, -65504.0),
+            (1 / 3, 0.333251953125), (-1 / 3, -0.333251953125),
+            (1e-7, 1.1920928955078125e-07), (5e-324, 0.0), (1e308, math.inf),
+        ]),
+        (TOY5, [
+            (math.nan, math.nan), (math.inf, math.inf), (-math.inf, ValueError),
+            (0.0, 0.0), (-0.0, 0.0), (15.0, math.inf), (-15.0, ValueError),
+            (14.999999999999998, 14.0), (1 / 3, 0.3125), (-1 / 3, ValueError),
+            (1e-7, 0.0), (1e308, math.inf), (-1.0, ValueError),
+        ]),
+        # Past binary64: overflow_threshold is inf, and the largest binary64
+        # rounds up to 2**1024, which binary64 reads as inf.
+        (FloatFormat(11, 1024), [
+            (math.nan, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+            (0.0, 0.0), (-0.0, -0.0), (1.7976931348623157e308, math.inf),
+            (-1.7976931348623157e308, -math.inf), (1e308, 9.997912502969618e307),
+            (2.0**1000, 2.0**1000), (1 / 3, 0.333251953125), (1e-7, 1.00000761449337e-07),
+            (5e-324, 0.0), (-1.0, -1.0),
+        ]),
+    ], ids=str)
+    def test_written_out_table(self, fmt, table):
+        threshold = fmt.overflow_threshold
+        assert threshold in (65520.0, 15.0, math.inf)
+        if math.isfinite(threshold):
+            assert any(v == math.nextafter(threshold, 0.0) for v, _ in table)
+        for value, want in table:
+            if want is ValueError:
+                with pytest.raises(ValueError, match="unsigned"):
+                    fl(value, fmt)
+                continue
+            got = fl(value, fmt)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (value, got, want)
+
     def test_unsigned_rejects_negative(self):
         with pytest.raises(ValueError):
             fl(-1.0, TOY5)
