@@ -30,9 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
-
-import numpy as np
+from typing import NamedTuple
 
 __all__ = [
     "SliFormat",
@@ -47,7 +45,6 @@ __all__ = [
     "word_fields",
     "pack",
     "unpack",
-    "enumerate_values",
     "magnitude_rank",
     "next_up",
     "spacing",
@@ -65,12 +62,6 @@ _U = 2.0 ** -53
 # of the sample near-cancellation pairs), each a sum or difference of
 # neighbouring values.
 MAX_INDEX_BITS = 24
-
-# Widest format whose every word may be listed (enumerations and value
-# tables).  Words are listed a block at a time, so memory stays flat and
-# the cap bounds run time: 24 bits is 16.8 million rows.
-MAX_TABLE_BITS = 24
-_TABLE_BLOCK = 1 << 11  # words per block of an enumeration
 
 
 def _peel(zeta: float) -> tuple[float, int]:
@@ -526,31 +517,6 @@ def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
     return SliNumber(fmt, False, sign, reciprocal, level, index_k)
 
 
-def _word_blocks(width: int, name: str, block: Callable[[np.ndarray], tuple]) -> Iterator[tuple]:
-    """block(words) for the words 0 .. 2**width - 1 in order, as int64
-    arrays of _TABLE_BLOCK words, made as they are iterated.  A width
-    past MAX_TABLE_BITS is refused by the call itself, before any block."""
-    if width > MAX_TABLE_BITS:
-        raise ValueError(f"refusing to enumerate {width}-bit format {name}")
-    end = 1 << width
-    return (block(np.arange(b0, min(b0 + _TABLE_BLOCK, end))) for b0 in range(0, end, _TABLE_BLOCK))
-
-
-def enumerate_values(fmt: SliFormat, raw: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
-    """All 2**width words in raw word order, a block of arrays at a time:
-    the words' bits, their decoded values, and the base-10 logarithm of
-    each magnitude (log_phi10 of zeta, negated below one), which stays
-    finite past binary64's range.
-
-    With raw=True the zero convention and canonicalization are ignored
-    and every word decodes through its literal fields (the all-zeros
-    word then reads as one); otherwise zero payloads give 0.0 and -inf.
-    The blocks are made as they are iterated.  Formats wider than
-    MAX_TABLE_BITS are refused by the call itself, before any block.
-    """
-    return _word_blocks(fmt.width, fmt.name, lambda bits: lanes._value_block(bits, fmt, raw))
-
-
 def magnitude_rank(num: SliNumber) -> int:
     """Position of |num| in the ascending ladder of positive magnitudes.
 
@@ -607,4 +573,4 @@ def spacing(num: SliNumber) -> float:
     return decode(next_up(num)) - decode(num)
 
 
-from . import arith, lanes  # noqa: E402  (both import core; bound last)
+from . import arith  # noqa: E402  (arith imports core; bound last)

@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import arith, lanes
-from .core import SliFormat, SliNumber, decode, encode, enumerate_values, pack
-from .minifloat import FloatFormat, enumerate_floats, fl, fl_op
+from .core import SliFormat, SliNumber, decode, encode, pack
+from .minifloat import FloatFormat, fl, fl_op
 
 __all__ = [
     "ErrorTable",
@@ -469,14 +469,10 @@ def read_dat(path: str | Path) -> tuple[list[str], list[list[float]]]:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     fmt = resolve_system(args.format)
-    # The enumerators refuse a format too wide to tabulate when called,
-    # before the header; their blocks are printed as they are made.
-    if isinstance(fmt, SliFormat):
-        blocks = enumerate_values(fmt, args.raw)
-        print("bits value log10")
-    else:
-        blocks = enumerate_floats(fmt)
-        print("bits value")
+    # The listing refuses a format too wide to tabulate when called,
+    # before the header; its blocks are printed as they are made.
+    blocks = lanes.enumerate_values(fmt, args.raw)
+    print("bits value log10" if isinstance(fmt, SliFormat) else "bits value")
     for bits, *columns in blocks:  # each row after its bits and a space
         words = _text_words([f"{b:0{fmt.width}b} " for b in bits.tolist()],
                             8 * (fmt.width // 8 + 1))
@@ -499,8 +495,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if isinstance(fmt, SliFormat):
         _print_sli_number(encode(args.value, fmt))
     else:
+        value = fl(args.value, fmt)  # rounded first, so an error prints nothing
         print(f"format: {fmt.name}")
-        print(f"value: {fl(args.value, fmt)!r}")
+        print(f"value: {value!r}")
     return 0
 
 
@@ -517,10 +514,9 @@ def _cmd_op(args: argparse.Namespace) -> int:
         }[args.operation](x, y)
         _print_sli_number(result)
     else:
-        a = fl(args.x, fmt)
-        b = fl(args.y, fmt)
+        value = fl_op(fl(args.x, fmt), fl(args.y, fmt), args.operation, fmt)
         print(f"format: {fmt.name}")
-        print(f"value: {fl_op(a, b, args.operation, fmt)!r}")
+        print(f"value: {value!r}")
     return 0
 
 

@@ -6,7 +6,9 @@ here only, and give per lane the number of the scalar encode, decode,
 add and mul, or of fl and fl_op.  A float lane is its binary64 value; an
 SLI lane is the int64 core._key of its value, so integer order on keys
 is value order.  Either way -x negates a lane, so a signed format
-subtracts with add(x, -y, fmt).
+subtracts with add(x, -y, fmt).  enumerate_values(fmt, raw) lists every
+word of an SLI or a float format, a block of 2048 words at a time, for
+the value tables.
 
 The SLI lanes follow the scalar code step by step, but take exp and log
 from numpy, whose float64 versions may round differently from libm's
@@ -45,6 +47,7 @@ carried beside every intermediate value:
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -52,11 +55,17 @@ from . import arith, core
 from .core import SliFormat, _EXP_MAX_ARG, _U, _from_key, _key, log_phi10, word_fields
 from .minifloat import FloatFormat
 
-__all__ = ["encode", "decode", "add", "mul"]
+__all__ = ["encode", "decode", "add", "mul", "enumerate_values"]
 
 _TRANS = 2.0 ** -50
 _TINY = 2.0 ** -1022
 _EXP_GONE = 750.0
+
+# Widest format whose every word may be listed (enumerate_values and the
+# value tables).  Words are listed a block at a time, so memory stays flat
+# and the cap bounds run time: 24 bits is 16.8 million rows.
+MAX_TABLE_BITS = 24
+_TABLE_BLOCK = 1 << 11  # words per block of an enumeration
 
 
 def _checked(fmt: SliFormat | FloatFormat | None, *arrays) -> list[np.ndarray]:
@@ -237,9 +246,39 @@ def mul(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
         lambda i: arith.mul(_from_key(fmt, int(x[i])), _from_key(fmt, int(y[i]))))
 
 
+def enumerate_values(fmt: SliFormat | FloatFormat,
+                     raw: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
+    """All 2**width words of an SLI or a float format in word order, a
+    block of 2048 at a time, made as they are iterated.  An SLI block is
+    (bits, values, log10): the words, their decoded values and the
+    base-10 logarithm of each magnitude (log_phi10 of zeta, negated below
+    one), finite past binary64's range.  A float block is (bits, values).
+
+    With raw=True an SLI word decodes through its literal fields, without
+    the zero convention or canonicalization (the all-zeros payload reads
+    as one); otherwise zero payloads give 0.0 and -inf.  raw changes
+    nothing for a float format, whose every word already decodes through
+    its fields: sign (if signed) | exponent | trailing significand, MSB
+    first, for an IEEE-shaped e_max, the all-ones exponent being inf or
+    NaN, and values past binary64 (e_max >= 1024) reading as inf.
+    Formats wider than MAX_TABLE_BITS are refused by the call itself,
+    before any block.
+    """
+    width = fmt.width
+    if width > MAX_TABLE_BITS:
+        raise ValueError(f"refusing to enumerate {width}-bit format {fmt.name}")
+    end = 1 << width
+    words = (np.arange(b0, min(b0 + _TABLE_BLOCK, end)) for b0 in range(0, end, _TABLE_BLOCK))
+    if isinstance(fmt, FloatFormat):
+        return ((bits, _float_values(bits, fmt)) for bits in words)
+    return (_value_block(bits, fmt, raw) for bits in words)
+
+
 # ---------------------------------------------------------------------------
-# Below the checks: keys, the libm map, rounding with the scalar redo, and
-# the kernels per lane, which lanes run through arith's public kernels.
+# Below the public functions: keys, the libm map, the word listings,
+# rounding with the scalar redo, and the kernels per lane.  add and mul
+# enter them through arith's public kernels, whose names the benchmark
+# counts; the lane mul kernel runs the lane add kernel directly.
 
 
 def _lane_map(fn, values: np.ndarray) -> np.ndarray:
@@ -285,6 +324,24 @@ def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarra
     lg = _lane_map(log_phi10, zeta) * reciprocal
     lg[zero] = -math.inf
     return bits, decode(keys, fmt), lg
+
+
+def _float_values(bits: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    w = fmt.exponent_bits
+    t_bits = fmt.precision - 1
+    e_field = bits >> t_bits & ((1 << w) - 1)
+    t = bits & ((1 << t_bits) - 1)
+    # Normals add the implicit bit.  ldexp of an integer below 2**53 is
+    # exact inside binary64's range and overflows to inf past it: on the
+    # all-ones exponent, set below, and on the top normals of e_max >= 1024.
+    m = np.where(e_field == 0, t, t + (1 << t_bits))
+    with np.errstate(over="ignore"):
+        v = np.ldexp(m.astype(np.float64), np.maximum(e_field, 1) - fmt.e_max - t_bits)
+    top = e_field == (1 << w) - 1
+    v[top] = np.where(t[top] == 0, math.inf, math.nan)
+    if fmt.signed:
+        v *= 1 - 2 * (bits >> (fmt.width - 1))
+    return v
 
 
 def _redo(keys: np.ndarray, mask: np.ndarray, op) -> np.ndarray:
@@ -572,7 +629,7 @@ def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
         raise ValueError(f"need finite descriptors >= 1, got {zeta_x[i]}, {zeta_y[i]}")
     # Equal operands need no short cut here: their descriptors cancel
     # exactly in the kernel, giving (1.0, False) as the scalar path does.
-    w, bound = arith.li_add_sub(np.maximum(zeta_x, zeta_y) - 1.0,
-                                np.minimum(zeta_x, zeta_y) - 1.0, divide)
+    w, bound = _li_add_sub_lanes(np.maximum(zeta_x, zeta_y) - 1.0,
+                                 np.minimum(zeta_x, zeta_y) - 1.0, divide)
     w += 1.0
     return w, (zeta_x < zeta_y) & divide, bound + 2 * _U * w

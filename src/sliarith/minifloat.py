@@ -13,17 +13,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
-
-import numpy as np
-
-from .core import _word_blocks
 
 __all__ = [
     "FloatFormat",
     "fl",
     "fl_op",
-    "enumerate_floats",
     "TOY5",
     "BINARY16",
     "BFLOAT16",
@@ -180,38 +174,6 @@ def fl_op(a: float, b: float, op: str, fmt: FloatFormat) -> float:
             else:
                 r = math.copysign(math.inf, a) * math.copysign(1.0, b)
     return fl(r, fmt)
-
-
-def enumerate_floats(fmt: FloatFormat) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """All words of the IEEE-style encoding in raw word order, a block of
-    arrays at a time: the words' bits and their values, made as they are
-    iterated.
-
-    Layout MSB first: sign (if signed) | exponent field | trailing
-    significand.  All-ones exponent encodes infinity (zero trailing
-    bits) or NaN.  Requires an IEEE-shaped e_max; formats wider than
-    MAX_TABLE_BITS are refused by the call itself, before any block.
-    Values past binary64 (e_max >= 1024) read as inf.
-    """
-    return _word_blocks(fmt.width, fmt.name, lambda bits: (bits, _float_values(bits, fmt)))
-
-
-def _float_values(bits: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    w = fmt.exponent_bits
-    t_bits = fmt.precision - 1
-    e_field = bits >> t_bits & ((1 << w) - 1)
-    t = bits & ((1 << t_bits) - 1)
-    # Normals add the implicit bit.  ldexp of an integer below 2**53 is
-    # exact inside binary64's range and overflows to inf past it: on the
-    # all-ones exponent, set below, and on the top normals of e_max >= 1024.
-    m = np.where(e_field == 0, t, t + (1 << t_bits))
-    with np.errstate(over="ignore"):
-        v = np.ldexp(m.astype(np.float64), np.maximum(e_field, 1) - fmt.e_max - t_bits)
-    top = e_field == (1 << w) - 1
-    v[top] = np.where(t[top] == 0, math.inf, math.nan)
-    if fmt.signed:
-        v *= 1 - 2 * (bits >> (fmt.width - 1))
-    return v
 
 
 TOY5 = FloatFormat.from_name("toy5")

@@ -24,14 +24,13 @@ import time
 import numpy as np
 import pytest
 
-from sliarith import arith
+from sliarith import arith, lanes
 from sliarith.core import (
     BitWord,
     SliFormat,
     SliNumber,
     decode,
     encode,
-    enumerate_values,
     log_phi10,
     magnitude_rank,
     next_up,
@@ -545,7 +544,7 @@ def test_09_exhaustive_small_formats():
                     failures.append(f"{fmt.name}: {len(seen)} values, expected {count}")
                 if not signed:
                     values = np.concatenate(
-                        [v for _, v, _ in enumerate_values(fmt, raw=True)]).tolist()
+                        [v for _, v, _ in lanes.enumerate_values(fmt, raw=True)]).tolist()
                     half = 1 << (fmt.width - 1)
                     for a, b in zip(values[:half], values[1:half]):
                         if not (a > b or (a == 0.0 and b == 0.0)):

@@ -20,7 +20,6 @@ from sliarith.core import (
     _materialize,
     decode,
     encode,
-    enumerate_values,
     log_phi10,
     magnitude_rank,
     next_up,
@@ -41,7 +40,7 @@ F13U = SliFormat(1, 3, signed=False)
 
 def _table(fmt: SliFormat, raw: bool = False) -> tuple[np.ndarray, ...]:
     """enumerate_values' blocks joined: every word's bits, value and log10."""
-    return tuple(np.concatenate(column) for column in zip(*enumerate_values(fmt, raw)))
+    return tuple(np.concatenate(column) for column in zip(*lanes.enumerate_values(fmt, raw)))
 
 
 class TestPhiPsi:
@@ -569,7 +568,7 @@ class TestCodec:
         assert lg1[1:].tolist() == lg2[1:].tolist()
 
     def test_blocks_run_through_every_word_in_order(self):
-        blocks = [bits for bits, _, _ in enumerate_values(F212)]
+        blocks = [bits for bits, _, _ in lanes.enumerate_values(F212)]
         assert len(blocks) > 1
         assert np.concatenate(blocks).tolist() == list(range(1 << F212.width))
 
@@ -595,7 +594,7 @@ class TestCodec:
 
     def test_enumerate_cap(self):
         with pytest.raises(ValueError):
-            enumerate_values(SliFormat(6, 18, signed=False))
+            lanes.enumerate_values(SliFormat(6, 18, signed=False))
 
     def test_bitword_parsing(self):
         w = BitWord.from_string("0101")

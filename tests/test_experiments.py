@@ -833,6 +833,16 @@ class TestCliErrors:
         assert cli(["op", "sub", "sli2.12u", "1", "3"]) == 1
         assert "negative difference in unsigned sli2.12u" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["encode", "toy5", "-1"], ["op", "sub", "toy5", "1", "2"],
+        ["encode", "sli2.12u", "-1"], ["op", "sub", "sli2.12u", "1", "3"],
+    ], ids=["encode-float", "op-float", "encode-sli", "op-sli"])
+    def test_domain_error_leaves_stdout_empty(self, argv, capsys):
+        assert cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("sliarith: error: ")
+
     def test_non_finite_encode_is_domain_error(self, capsys):
         assert cli(["encode", "sli2.12", "inf"]) == 1
 

@@ -1,7 +1,9 @@
 """Tests for sliarith.lanes at its boundary: the checks on the arrays,
-empty arrays, the float branches against fl_op, and the import order of
-the modules that bind one another."""
+empty arrays, the float branches against fl_op, the word listing
+against the scalar codec, the import order of the modules that bind one
+another, and the scalar modules' freedom from numpy and lanes."""
 
+import ast
 import math
 import os
 import subprocess
@@ -13,8 +15,8 @@ import pytest
 
 from sliarith import lanes
 from sliarith.arith import li_add_sub, li_mul_div
-from sliarith.core import SliFormat
-from sliarith.minifloat import BFLOAT16, BINARY16, TOY5, fl, fl_op
+from sliarith.core import SliFormat, SliNumber, decode, log_phi10, word_fields
+from sliarith.minifloat import BFLOAT16, BINARY16, TOY5, FloatFormat, fl, fl_op
 
 F212 = SliFormat(2, 12)
 F212U = SliFormat(2, 12, signed=False)
@@ -162,10 +164,60 @@ class TestFloatBranches:
         assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
+class TestEnumerateValues:
+    @pytest.mark.parametrize("raw", [False, True], ids=["cooked", "raw"])
+    @pytest.mark.parametrize("name", ["sli1.3", "sli2.3u", "sli3.2", "sli2.10"])
+    def test_every_word_is_the_scalar_codec_of_its_fields(self, name, raw):
+        fmt = SliFormat.from_name(name)
+        blocks = list(lanes.enumerate_values(fmt, raw))
+        assert all(bits.size <= 2048 for bits, _, _ in blocks)
+        bits, values, lgs = (np.concatenate(column).tolist() for column in zip(*blocks))
+        assert bits == list(range(1 << fmt.width))
+        want_values, want_lgs = [], []
+        for word in bits:
+            sign, reciprocal, level, index_k = word_fields(word, fmt)
+            if not raw and reciprocal < 0 and level == 1 and index_k == 0:
+                want_values.append(0.0)
+                want_lgs.append(-math.inf)
+                continue
+            num = SliNumber.of(fmt, sign, reciprocal, level, index_k)  # raw 1/1 reads as one
+            want_values.append(decode(num))
+            want_lgs.append(log_phi10(num.zeta) * num.reciprocal)
+        assert list(map(float.hex, values)) == list(map(float.hex, want_values))
+        assert list(map(float.hex, lgs)) == list(map(float.hex, want_lgs))
+        # Raw, the all-zeros payload reads as one under either sign bit.
+        zeros = [0, 1 << (fmt.width - 1)] if fmt.signed else [0]
+        assert [values[w] for w in zeros] == [(1.0 - 2.0 * (w > 0)) if raw else 0.0 for w in zeros]
+
+    def test_raw_changes_nothing_for_a_float_format(self):
+        fmt = FloatFormat.from_name("b8e15")
+        cooked, raw = list(lanes.enumerate_values(fmt)), list(lanes.enumerate_values(fmt, raw=True))
+        assert len(cooked) == len(raw) > 1
+        for a, b in zip(cooked, raw):
+            assert [column.tobytes() for column in a] == [column.tobytes() for column in b]
+
+
+@pytest.mark.parametrize("module", ["core", "minifloat"])
+def test_scalar_module_imports_neither_numpy_nor_lanes(module):
+    # The bulk path lives in lanes; core and minifloat work one value at a
+    # time, so neither may pull in numpy or lanes, under any spelling.
+    tree = ast.parse(Path(lanes.__file__).with_name(f"{module}.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names += [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+    bad = [n for n in names if n.split(".")[0] == "numpy" or "lanes" in n.split(".")]
+    assert not bad, f"sliarith.{module} imports {bad}"
+
+
 @pytest.mark.parametrize("module", ["lanes", "core", "arith", "minifloat", "experiments"])
 def test_import_order(module):
-    # core, arith and lanes bind one another at their ends; whichever
-    # is imported first, the package comes up whole.
+    # core and arith bind each other, and so do arith and lanes, one of
+    # each pair at its end; whichever is imported first, the package
+    # comes up whole.
     code = (f"import sliarith.{module}, sys; "
             "assert callable(sys.modules['sliarith'].lanes.encode)")
     env = {**os.environ, "PYTHONPATH": str(Path(lanes.__file__).parents[1])}

@@ -16,7 +16,6 @@ from sliarith.minifloat import (
     BINARY16,
     TOY5,
     FloatFormat,
-    enumerate_floats,
     fl,
     fl_op,
 )
@@ -31,8 +30,8 @@ TOY5_VALUES = [
 
 
 def _table(fmt: FloatFormat) -> tuple[np.ndarray, ...]:
-    """enumerate_floats' blocks joined: every word's bits and value."""
-    return tuple(np.concatenate(column) for column in zip(*enumerate_floats(fmt)))
+    """enumerate_values' blocks joined: every word's bits and value."""
+    return tuple(np.concatenate(column) for column in zip(*lanes.enumerate_values(fmt)))
 
 
 class TestFormats:
@@ -300,7 +299,7 @@ class TestEnumerate:
 
     def test_width_cap(self):
         with pytest.raises(ValueError):
-            enumerate_floats(FloatFormat(24, 2048))
+            lanes.enumerate_values(FloatFormat(24, 2048))
 
 
 class TestAgainstHardwareHalf:
