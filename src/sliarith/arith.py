@@ -47,7 +47,8 @@ __all__ = [
 
 
 def li_add_sub(
-    zeta_x: float, zeta_y: float, subtract: bool = False, *, err=(0.0, 0.0)
+    zeta_x: float, zeta_y: float, subtract: bool = False, *, err=(0.0, 0.0),
+    reciprocal_y: bool = False,
 ) -> float:
     """Magnitude add/subtract on generalized descriptors.
 
@@ -56,16 +57,26 @@ def li_add_sub(
     order).  Returns the descriptor of phi(zeta_x) +/- phi(zeta_y);
     exact cancellation returns 0.0.
 
+    With reciprocal_y, Y is 1/phi(zeta_y) instead, for finite zeta_x >= 1
+    and zeta_y > 1, so Y < 1 <= X: the kernel feeds Y as the raw
+    descriptor a_0 = 1/phi(zeta_y), the foot of Y's own reciprocal ladder.
+
     zeta_x and zeta_y may also be 1-D float64 arrays of one length, with
-    subtract and each err term a scalar or an array of that length (any
-    other shape raises ValueError), the route of sliarith.lanes: then
-    the call returns the descriptors and per element the bound lanes
-    describes on their distance from the scalar call's (inf where the
-    kernel has none), given err bounding the inputs' own distances.
+    subtract, reciprocal_y and each err term a scalar or an array of that
+    length (any other shape raises ValueError), the route of
+    sliarith.lanes: then the call returns the descriptors and per element
+    the bound lanes describes on their distance from the scalar call's
+    (inf where the kernel has none), given err bounding the inputs' own
+    distances.
     """
     if isinstance(zeta_x, np.ndarray):
-        return lanes._li_add_sub_lanes(zeta_x, zeta_y, subtract, err)
-    if not 0.0 <= zeta_y <= zeta_x < math.inf:
+        return lanes._li_add_sub_lanes(zeta_x, zeta_y, subtract, err, reciprocal_y)
+    if reciprocal_y:
+        if not (1.0 <= zeta_x < math.inf and 1.0 < zeta_y < math.inf):
+            raise ValueError(
+                f"need finite descriptors zeta_x >= 1, zeta_y > 1, got {zeta_x}, {zeta_y}")
+        zeta_y = _ladder(zeta_y, 0.0)[0][0]
+    elif not 0.0 <= zeta_y <= zeta_x < math.inf:
         raise ValueError(
             f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x}, {zeta_y}"
         )
@@ -166,10 +177,10 @@ def _mag_add_sub(fmt: SliFormat, rb: int, zb: float, rs: int, zs: float, subtrac
     """sign * (|big| +/- |small|) for nonzero |big| = phi(zb)**rb at least
     |small| = phi(zs)**rs (greater to subtract)."""
     if rb > 0:
-        # A small operand below one is fed as a raw level-0 descriptor,
-        # its a_0.  A raw result w is wrapped as 1 + psi(-ln w), the
-        # descriptor of 1/w; the kernel never emits one below about 2**-53.
-        w = li_add_sub(zb, zs if rs > 0 else _ladder(zs, 0.0)[0][0], subtract)
+        # A small operand below one goes in as a reciprocal Y.  A raw
+        # result w is wrapped as 1 + psi(-ln w), the descriptor of 1/w;
+        # the kernel never emits one below about 2**-53.
+        w = li_add_sub(zb, zs, subtract, reciprocal_y=rs < 0)
         if 0.0 < w < 1.0:
             return _materialize(fmt, sign, -1, 1.0 + psi(-math.log(w)))
         return _materialize(fmt, sign, 1, w)

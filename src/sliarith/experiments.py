@@ -44,7 +44,7 @@ SLI_COLUMN = "level-index"
 # Largest matrix dimension the matvec experiment accepts.  The simulated
 # product keeps one lane per row of every dimension of a group but still
 # walks the columns one after another in Python; at n = 4000, a group of
-# its own, the run takes 15-18 s on a 2-core Xeon VM.
+# its own, the run takes 11-16 s on a 2-core Xeon VM.
 # n = 5000 leaves room past binary16's overflow at n ~ 2620 for entries
 # from uniform(0, 100).
 MAX_DIM = 5000
@@ -57,10 +57,12 @@ MAX_GRID = 1 << 24
 
 # Products simulated per batch: the products of consecutive column
 # steps of a matvec group, one lane per row still summing at each step,
-# as many steps as fit in this many lanes (at least one).  On matrices
-# of n = 50 to 200, throughput levels off from about 1024 lanes;
-# whole-matrix batches were slower and took 11 MB more peak RSS (2-core
-# Xeon VM).
+# as many steps as fit in this many lanes (at least one).  On the
+# matrices of n = 50 to 200 of the matvec-wide benchmark, the sli2.12
+# product took a median of 0.192-0.198 s at 1024 lanes, 0.163-0.173 s at
+# 2048 and 0.165-0.169 s at 4096 (24 interleaved runs at each of two
+# seeds, 2-core Xeon VM); whole-matrix batches were slower and took
+# 11 MB more peak RSS.
 _LANE_BUDGET = 2048
 
 # Rows of |A| summed at a time for the matvec's norm, grid points rounded

@@ -22,6 +22,14 @@ the scalar op's, bit for bit.  The lane decode keeps libm, one element
 at a time: it does no rounding into a format, and its binary64 output
 is what gets printed.
 
+Each add and mul call is one kernel run over all its lanes: per-call
+numpy overhead, not the lane count, sets its cost at the sizes the
+matvec runs.  Where add's small operand is below one and its big one is
+not, the kernel takes the small one as a reciprocal Y (li_add_sub's
+reciprocal_y): its a_0 = 1/phi(zeta) comes from the kernel's own rung
+run, its lanes stacked after those of X's ladders, with the arithmetic
+and bound of a run of its own.
+
 The bound is a running error bound (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 3) on |lane - scalar| for the same inputs,
 carried beside every intermediate value:
@@ -159,34 +167,33 @@ def add(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
     if isinstance(fmt, FloatFormat):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in fl_op
             return encode(x + y, fmt)
-    x_zero, x_sign, x_rec, zx = _key_fields(x, fmt)
-    y_zero, y_sign, y_rec, zy = _key_fields(y, fmt)
+    # Row 0 of each field is x's, row 1 y's.
+    zero, sign, rec, z = _key_fields(np.array((x, y)), fmt)
     # r (zeta - 1) orders magnitudes exactly as magnitude_rank does; big
     # is y where swap, else x, and small the other one.
-    swap = x_rec * (zx - 1.0) < y_rec * (zy - 1.0)
-    bz, sz = np.where(swap, zy, zx), np.where(swap, zx, zy)
-    up = np.where(swap, y_rec, x_rec) > 0
-    subtract = x_sign != y_sign
-    # Kernel operands (big, small) and their bounds, replaced below where
-    # small, or both, are below one.  Equal opposites have equal
-    # descriptors, which the kernel cancels to exactly 0.0.
-    kx, ky, k_sub = bz.copy(), sz.copy(), subtract.copy()
-    ex, ey = np.zeros(bz.shape), np.zeros(bz.shape)
+    order = rec * (z - 1.0)
+    swap = order[0] < order[1]
+    bz, sz = np.where(swap, z[::-1], z)
+    big_rec, small_rec = np.where(swap, rec[::-1], rec)
+    up = big_rec > 0
+    subtract = sign[0] != sign[1]
+    # A small operand below one under a big one at least one is a
+    # reciprocal Y of the kernel, whose a_0 comes from the kernel's own
+    # rung run.  Equal opposites have equal descriptors, which the kernel
+    # cancels to exactly 0.0.
+    chain = up & (small_rec < 0)
+    kx, ky, k_sub, ex, ey = bz, sz, subtract, 0.0, 0.0
     with np.errstate(all="ignore"):  # log 0 and 1/0 on dead lanes
-        # A small operand below one is fed as a raw level-0 descriptor,
-        # its a_0.
-        chain = up & (np.where(swap, x_rec, y_rec) < 0)
-        if np.count_nonzero(chain):
-            a, ra, _, _, deep = _rungs_lanes(sz[chain], 0.0)
-            ky[chain] = a[0]
-            ey[chain] = np.where(deep, math.inf, a[0] * ra[0] + _TINY)
         # Both below one: the kernel takes phi(zb - 1) and ln(1 +/- r),
         # r = b_0 of zb against zs, as in _mag_add_sub.
-        down = ~up & ~(subtract & (bz == sz))
+        down = ~up
+        if np.count_nonzero(down):
+            down &= ~(subtract & (bz == sz))
         n_down = np.count_nonzero(down)
         if n_down:
             u = bz[down] - 1.0
-            *_, deep, b, eb = _ladder_lanes(sz[down], bz[down], 0.0, 0.0)
+            *_, bad, b, eb = _ladder_lanes(sz[down], bz[down], 0.0, 0.0)
+            deep = bad[1:].any(axis=0)  # a rung a step leaves from
             sub_d = subtract[down]
             s = np.where(sub_d, -np.minimum(b, 1.0 - _U), b)
             # log1p's bound is _log's on 1 + s; numpy's log1p and libm's
@@ -199,10 +206,12 @@ def add(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
             lost = deep | ~(np.abs(u - t) > et)
             t[lost] = 0.0
             first = u >= t
+            kx, ky, k_sub = bz.copy(), sz.copy(), subtract.copy()
+            ex, ey = np.zeros(bz.shape), np.zeros(bz.shape)
             kx[down], ky[down] = np.where(first, u, t), np.where(first, t, u)
             ex[down], ey[down] = np.where(first, 0.0, et), np.where(first, et, 0.0)
             k_sub[down] = ~sub_d
-        zeta, err = arith.li_add_sub(kx, ky, k_sub, err=(ex, ey))
+        zeta, err = arith.li_add_sub(kx, ky, k_sub, err=(ex, ey), reciprocal_y=chain)
 
         # A raw w of big at least one is wrapped as the descriptor
         # 1 + psi(-ln w) of 1/w.
@@ -218,13 +227,15 @@ def add(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
             err[down] = np.where(lost, math.inf, err[down] + 2 * _U * zeta[down])
             reciprocal[down] = np.where(sub_d | first, -1, 1)
     # A lane with a zero operand is settled as zero, then takes the other.
+    x_zero, y_zero = zero
     zero = x_zero | y_zero
-    if np.count_nonzero(zero):
+    n_zero = np.count_nonzero(zero)
+    if n_zero:
         zeta[zero] = err[zero] = 0.0
     out = _materialize_lanes(
-        fmt, np.where(swap, y_sign, x_sign), reciprocal, zeta, err,
+        fmt, np.where(swap, sign[1], sign[0]), reciprocal, zeta, err,
         lambda i: arith.add(_from_key(fmt, int(x[i])), _from_key(fmt, int(y[i]))))
-    if np.count_nonzero(zero):
+    if n_zero:
         out = np.where(x_zero, y, np.where(y_zero, x, out))
     return out
 
@@ -235,14 +246,15 @@ def mul(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
     if isinstance(fmt, FloatFormat):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in fl_op
             return encode(x * y, fmt)
-    x_zero, x_sign, x_rec, zx = _key_fields(x, fmt)
-    y_zero, y_sign, y_rec, zy = _key_fields(y, fmt)
+    (x_zero, y_zero), (x_sign, y_sign), (x_rec, y_rec), (zx, zy) = _key_fields(
+        np.array((x, y)), fmt)
     # The kernel run of _mul_signed, whose comment has the case split.
     w, flipped, err = arith.li_mul_div(zx, zy, x_rec != y_rec)
     zero = x_zero | y_zero
+    if np.count_nonzero(zero):
+        w[zero] = err[zero] = 0.0
     return _materialize_lanes(
-        fmt, x_sign * y_sign, np.where(flipped, -x_rec, x_rec),
-        np.where(zero, 0.0, w), np.where(zero, 0.0, err),
+        fmt, x_sign * y_sign, np.where(flipped, -x_rec, x_rec), w, err,
         lambda i: arith.mul(_from_key(fmt, int(x[i])), _from_key(fmt, int(y[i]))))
 
 
@@ -278,7 +290,9 @@ def enumerate_values(fmt: SliFormat | FloatFormat,
 # Below the public functions: keys, the libm map, the word listings,
 # rounding with the scalar redo, and the kernels per lane.  add and mul
 # enter them through arith's public kernels, whose names the benchmark
-# counts; the lane mul kernel runs the lane add kernel directly.
+# counts, once per call; the kernel lanes are checked there, and the lane
+# mul kernel runs the unchecked add kernel _add_sub_lanes directly, on
+# lanes its own check already covered.
 
 
 def _lane_map(fn, values: np.ndarray) -> np.ndarray:
@@ -356,10 +370,10 @@ def _psi_lanes(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
     """psi per lane, for finite values >= 0, and the bound on its
     difference between paths, given err bounding the values'.  psi is
     1-Lipschitz, so each log step carries the bound through _log."""
-    v, e = values, np.broadcast_to(err, values.shape)
+    v, e = values, err
     level = np.zeros(v.shape)
     up = v >= 1.0
-    while up.any():
+    while np.count_nonzero(up):
         lv, le = _log(v, e)
         v, e = np.where(up, lv, v), np.where(up, le, e)
         level += up
@@ -368,8 +382,9 @@ def _psi_lanes(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
     return out, e + 2 * _U * out
 
 
-def _round_index_lanes(zeta: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, np.ndarray]:
-    """round_index per lane, for zeta >= 0 (inf saturates too).
+def _round_index_lanes(zeta: np.ndarray, fmt: SliFormat) -> np.ndarray:
+    """round_index per lane, for zeta >= 0 (inf saturates too), as one
+    int64: level * 2**index_bits + index.
 
     Works on t = zeta * 2**index_bits, exact like round_index's scaled
     fraction, whose integer part carries the level: the rounded t splits
@@ -381,8 +396,7 @@ def _round_index_lanes(zeta: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, np
     r = np.floor(t)
     r += t - r >= 0.5
     r += np.where(zeta < 1.0, scale, 0)
-    r = np.minimum(r, (fmt.max_level + 1) * scale - 1).astype(np.int64)  # saturate
-    return r >> fmt.index_bits, r & (scale - 1)
+    return np.minimum(r, (fmt.max_level + 1) * scale - 1).astype(np.int64)  # saturate
 
 
 def _unsettled(zeta: np.ndarray, err: np.ndarray, fmt: SliFormat) -> np.ndarray:
@@ -402,13 +416,15 @@ def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: 
     SliNumber for lane i; a zero lane is settled only by err 0."""
     zero = zeta <= 0.0
     unsettled = _unsettled(zeta, err, fmt)
-    if np.count_nonzero(zero):
-        unsettled = np.where(zero, err != 0.0, unsettled)
     fill = zero | unsettled  # rounded as 1.0 here, then replaced
     if np.count_nonzero(fill):
         zeta = np.where(fill, 1.0, zeta)
-    level, k = _round_index_lanes(zeta, fmt)
-    return _redo(_lane_keys(fmt, zero, sign, reciprocal, level, k), unsettled, op)
+        if np.count_nonzero(zero):
+            unsettled = np.where(zero, err != 0.0, unsettled)
+    # Level 1 and the index counted from it give the same key as the
+    # rounded level and index.
+    index_k = _round_index_lanes(zeta, fmt) - fmt.index_scale
+    return _redo(_lane_keys(fmt, zero, sign, reciprocal, 1, index_k), unsettled, op)
 
 
 def _kernel_shapes(zeta_x: np.ndarray, zeta_y, *terms) -> None:
@@ -428,38 +444,55 @@ def _kernel_shapes(zeta_x: np.ndarray, zeta_y, *terms) -> None:
 
 
 def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
-                      err=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+                      err=(0.0, 0.0), reciprocal_y=False) -> tuple[np.ndarray, np.ndarray]:
     """li_add_sub per lane, and per lane a bound on the distance from the
     scalar kernel's result, given bounds err on the inputs' distances."""
-    _kernel_shapes(zeta_x, zeta_y, subtract, *err)
+    _kernel_shapes(zeta_x, zeta_y, subtract, reciprocal_y, *err)
+    subtract, reciprocal_y = np.asarray(subtract), np.asarray(reciprocal_y)
     ok = (0.0 <= zeta_y) & (zeta_y <= zeta_x) & (zeta_x < math.inf)
-    if not ok.all():
+    inv = None  # the lanes of a reciprocal Y, if any
+    if np.count_nonzero(reciprocal_y):
+        inv = reciprocal_y.nonzero()[0] if reciprocal_y.ndim else np.arange(zeta_x.size)
+        zx, zy = zeta_x[inv], zeta_y[inv]
+        ok[inv] = (1.0 <= zx) & (zx < math.inf) & (1.0 < zy) & (zy < math.inf)
+    if np.count_nonzero(ok) != ok.size:
         i = int(np.argmin(ok))
         raise ValueError(
-            f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x[i]}, {zeta_y[i]}"
+            f"need finite descriptors zeta_x >= zeta_y >= 0 (zeta_x >= 1 and zeta_y > 1"
+            f" for a reciprocal Y), got {zeta_x[i]}, {zeta_y[i]}"
         )
-    if not zeta_x.size:  # the ladders need a top level
-        return np.zeros(0), np.zeros(0)
-    subtract = np.asarray(subtract)
-    ex, ey = err
-    lad = zeta_x >= 1.0
+    return _add_sub_lanes(zeta_x, zeta_y, subtract, *err, inv)
+
+
+def _pick(v, mask):
+    """v at the lanes mask selects, or v itself if it is a scalar term."""
+    return v[mask] if isinstance(v, np.ndarray) and v.ndim else v
+
+
+def _add_sub_lanes(zeta_x, zeta_y, subtract, ex=0.0, ey=0.0, inv=None):
+    """_li_add_sub_lanes on checked lanes, inv the indices of the lanes
+    of a reciprocal Y (None for none)."""
+    raw = zeta_x < 1.0
+    n_raw = np.count_nonzero(raw)
     with np.errstate(all="ignore"):  # dead lanes divide by zero, log 0, ...
-        if np.count_nonzero(lad) == lad.size:  # the usual case: all climb ladders
-            out, bound = _ladders(zeta_x, zeta_y, subtract, ex, ey)
+        if n_raw < raw.size:
+            # All lanes climb the ladders.  A raw lane, at level 0, sets no
+            # rung or step of another lane, and its values are replaced.
+            out, bound = _ladders(zeta_x, zeta_y, subtract, ex, ey, inv)
         else:
-            out, bound = np.empty(zeta_x.shape), np.empty(zeta_x.shape)
-            subtract, ex, ey = (np.broadcast_to(v, zeta_x.shape) for v in (subtract, ex, ey))
-            if lad.any():
-                out[lad], bound[lad] = _ladders(
-                    zeta_x[lad], zeta_y[lad], subtract[lad], ex[lad], ey[lad])
-            # Both magnitudes are raw values below one.
-            raw = ~lad
+            out, bound = np.empty(raw.shape), np.empty(raw.shape)
+        if n_raw:
+            # Both magnitudes are raw values below one (a reciprocal Y has
+            # zeta_x >= 1).
             zx, zy = zeta_x[raw], zeta_y[raw]
-            v = np.where(subtract[raw], zx - zy, zx + zy)
-            out[raw], bound[raw] = _psi_lanes(v, ex[raw] + ey[raw] + 2 * _U * v)
+            v = np.where(_pick(subtract, raw), zx - zy, zx + zy)
+            out[raw], bound[raw] = _psi_lanes(v, _pick(ex, raw) + _pick(ey, raw) + 2 * _U * v)
         # Equal descriptors subtracted cancel to exactly 0.0; from inexact
-        # inputs the scalar path may not see them equal.
+        # inputs the scalar path may not see them equal.  A reciprocal Y
+        # is below one and X is not, so they never cancel.
         same = subtract & (zeta_x == zeta_y)
+        if inv is not None:
+            same[inv] = False
         if np.count_nonzero(same):
             out[same] = 0.0
             bound[same] = np.where((ex + ey > 0.0) & same, math.inf, 0.0)[same]
@@ -469,8 +502,9 @@ def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
 
 def _rungs_lanes(zx, ex):
     """The reciprocal ladders of _ladder for lanes with zx >= 1, given a
-    bound ex on zx's distance.  Bounds named r* are relative, e* absolute;
-    a deep lane has none, others have a_0 within a_0 ra_0 + _TINY."""
+    bound ex on zx's distance.  Bounds named r* are relative, e* absolute.
+    A bad rung has no relative bound, and no step from it has one; a_0 is
+    within a_0 ra_0 + _TINY, bad or not."""
     n = zx.size
     lev = np.trunc(zx)
     f = zx - lev
@@ -499,17 +533,36 @@ def _rungs_lanes(zx, ex):
             if np.count_nonzero(start):
                 np.copyto(a[j - 1], a_top, where=start)
                 np.copyto(ra[j - 1], ra_top, where=start)
-    # Other rungs below the normal range have no relative bound; a_0
-    # steps to no further rung.
-    deep = (((a[1:] < _TINY) & (ra[1:] != 0.0)) | (ra[1:] > 0.5)).any(axis=0)
-    return a, ra, ia, ria, deep
+    # Other rungs below the normal range have no relative bound.
+    bad = ((a < _TINY) & (ra != 0.0)) | (ra > 0.5)
+    return a, ra, ia, ria, bad
 
 
-def _ladder_lanes(zx, zy, ex, ey):
+def _ladder_lanes(zx, zy, ex, ey, inv=None):
     """_ladder for lanes with zx >= 1 and 0 <= zy <= zx, given bounds ex
     and ey on the inputs' distances: the rungs, the bounds li_add_sub's
-    climb takes from them, and b_0 within eb (a_0 subnormal or not)."""
-    a, ra, ia, ria, deep = _rungs_lanes(zx, ex)
+    climb takes from them, and b_0 within eb (a_0 bad or not).
+
+    A reciprocal Y (zy > 1 in the lanes of the indices inv) is replaced
+    by its a_0, a raw descriptor, first.  Its rungs run stacked after X's
+    in one run: each lane walks down from its own top level, so its rows
+    are those of a run of its own."""
+    ey_0 = ey  # the bound on the raw Y (m = 0) that b_0 starts from
+    if inv is None:
+        a, ra, ia, ria, bad = _rungs_lanes(zx, ex)
+    else:
+        n = zx.size
+        e = np.concatenate((np.full(zx.shape, ex), np.full(zy.shape, ey)[inv]))
+        a, ra, ia, ria, bad = _rungs_lanes(np.concatenate((zx, zy[inv])), e)
+        a_y, ra_y = a[0, n:], ra[0, n:]
+        # Copies: numpy runs whole-ladder ops on strided views about three
+        # times slower.
+        a, ra, ia, ria = (np.ascontiguousarray(v[:, :n]) for v in (a, ra, ia, ria))
+        zy = zy.copy()
+        zy[inv] = a_y
+        ey_0 = np.full(zy.shape, ey)
+        ey_0[inv] = np.where(bad[1:, n:].any(axis=0), math.inf, a_y * ra_y + _TINY)
+        bad = bad[:, :n]
     ia_hi = ia * (1.0 + ria)  # bounds 1/a_j on either path
     ria += 4 * _U  # and the rounding of a product with ia
     ra_hi = 1.0 + ra
@@ -519,7 +572,7 @@ def _ladder_lanes(zx, zy, ex, ey):
     m = np.trunc(zy)
     g = zy - m
     b = a[0] * g
-    eb = b * (ra[0] + 2 * _U) + a[0] * ra_hi[0] * ey + _TINY
+    eb = b * (ra[0] + 2 * _U) + a[0] * ra_hi[0] * ey_0 + _TINY
     m_top = int(m.max())
     if m_top:
         exp_g = np.exp(g)
@@ -554,24 +607,25 @@ def _ladder_lanes(zx, zy, ex, ey):
             b_start = a[j] * exp_g
             np.copyto(eb, b_start * rb_start[j] + _TINY, where=start)
             np.copyto(b, b_start, where=start)
-    return a, ra, ra_hi, ia, ia_hi, ria, deep, b, eb
+    return a, ra, ra_hi, ia, ia_hi, ria, bad, b, eb
 
 
-def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
+def _ladders(zx, zy, sub, ex, ey, inv) -> tuple[np.ndarray, np.ndarray]:
     """li_add_sub for lanes with zx >= 1: the ladders, then the result
     against X, each lane left where the scalar kernel would return.  A
-    lane with a rung that has no relative bound gets inf (or NaN)."""
-    a, ra, ra_hi, ia, ia_hi, ria, deep, b, eb = _ladder_lanes(zx, zy, ex, ey)
+    lane with a rung that has no relative bound gets inf (or NaN).  A
+    lane with zx < 1 sits at level 0, below every rung and step of the
+    others, and gets values of no use."""
+    a, ra, ra_hi, ia, ia_hi, ria, bad, b, eb = _ladder_lanes(zx, zy, ex, ey, inv)
     n, top = zx.size, a.shape[0]
     lev = np.trunc(zx)
     f = zx - lev
-    deep = deep | (a[0] < _TINY) & (ra[0] != 0.0) | (ra[0] > 0.5)
 
     # Result against X, c_0 = 1 -/+ b_0, up the levels of X until c_j < a_j,
     # which an addition (c_j >= 1) never meets.
-    c = np.where(sub, 1.0 - b, 1.0 + b)
-    ec = eb + 4 * _U
     terminate = np.count_nonzero(sub)
+    c = np.where(sub, 1.0 - b, 1.0 + b) if terminate else 1.0 + b
+    ec = eb + 4 * _U
     if terminate:
         res, eres = np.zeros(n), np.zeros(n)
         running = np.ones(n, dtype=bool)
@@ -616,20 +670,22 @@ def _ladders(zx, zy, sub, ex, ey) -> tuple[np.ndarray, np.ndarray]:
     if terminate:
         zeta = np.where(ran_out, zeta, res)
         err = np.where(ran_out, err, eres)
-    err[deep] = math.inf
+    err[bad.any(axis=0)] = math.inf
     return zeta, err
 
 
 def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
     """li_mul_div per lane, with the bound li_add_sub gives."""
     _kernel_shapes(zeta_x, zeta_y, divide)
+    divide = np.asarray(divide)
     ok = (1.0 <= zeta_x) & (zeta_x < math.inf) & (1.0 <= zeta_y) & (zeta_y < math.inf)
-    if not ok.all():
+    if np.count_nonzero(ok) != ok.size:
         i = int(np.argmin(ok))
         raise ValueError(f"need finite descriptors >= 1, got {zeta_x[i]}, {zeta_y[i]}")
     # Equal operands need no short cut here: their descriptors cancel
     # exactly in the kernel, giving (1.0, False) as the scalar path does.
-    w, bound = _li_add_sub_lanes(np.maximum(zeta_x, zeta_y) - 1.0,
-                                 np.minimum(zeta_x, zeta_y) - 1.0, divide)
+    # The shifted descriptors are in li_add_sub's domain by construction.
+    w, bound = _add_sub_lanes(np.maximum(zeta_x, zeta_y) - 1.0,
+                              np.minimum(zeta_x, zeta_y) - 1.0, divide)
     w += 1.0
     return w, (zeta_x < zeta_y) & divide, bound + 2 * _U * w

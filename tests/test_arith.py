@@ -583,6 +583,30 @@ class TestLaneForms:
         equal = subtract & (zx == zy)
         assert equal.any() and np.all(w[equal] == 1.0)
 
+    def test_kernels_take_a_reciprocal_y(self):
+        # With reciprocal_y, Y is 1/phi(zeta_y), which both kernels feed
+        # as its a_0; the array lanes take a_0 from their own rung run and
+        # stay within their bounds of the scalar kernel.
+        rng = np.random.default_rng(13)
+        zx = np.round(rng.uniform(1.0, 6.0, 3000), 3)
+        zy = np.round(rng.uniform(1.001, 6.0, 3000), 3)
+        inverted = rng.random(3000) < 0.5
+        zy[~inverted] = np.minimum(zx, zy)[~inverted]
+        subtract = rng.random(3000) < 0.5
+        got, bound = li_add_sub(zx, zy, subtract, reciprocal_y=inverted)
+        cases = list(zip(zx.tolist(), zy.tolist(), subtract.tolist(), inverted.tolist()))
+        want = np.array([li_add_sub(a, b, s, reciprocal_y=r) for a, b, s, r in cases])
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.isfinite(bound[inverted]).mean() > 0.5
+        a_0 = [arith._ladder(b, 0.0)[0][0] for b in zy.tolist()]
+        assert [w for w, r in zip(want.tolist(), inverted.tolist()) if r] == [
+            li_add_sub(a, y, s) for (a, _, s, r), y in zip(cases, a_0) if r]
+        # 1/phi(1) is one, not a Y below one.
+        with pytest.raises(ValueError, match="zeta_y > 1"):
+            li_add_sub(2.0, 1.0, reciprocal_y=True)
+        with pytest.raises(ValueError, match="zeta_y > 1"):
+            li_add_sub(np.array([2.0]), np.array([1.0]), reciprocal_y=True)
+
     def test_h_clamp_on_a_pinned_pair(self):
         # phi(zx) - phi(zy) = e**0.903... - e**0.383... is one, phi(1), up
         # to rounding: the ladder stops at c_0 = exp(-f) computed, where
@@ -599,27 +623,88 @@ class TestLaneForms:
         with pytest.raises(ValueError, match=">= 1"):
             li_mul_div(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
 
-    @pytest.mark.parametrize("fmt", [SliFormat(1, 4), F, SliFormat(2, 24)],
-                             ids=["sli1.4", "sli2.12", "sli2.24"])
+    @pytest.mark.parametrize("fmt", [SliFormat(1, 4), F, SliFormat(2, 24), SliFormat(3, 8),
+                                     SliFormat(4, 4), SliFormat(6, 2), SliFormat(4, 8, False)],
+                             ids=["sli1.4", "sli2.12", "sli2.24", "sli3.8", "sli4.4",
+                                  "sli6.2", "sli4.8u"])
     def test_add_and_mul_match_scalar_ops(self, fmt):
         if fmt.width <= 8:  # every word pair
             nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
             xs = [x for x in nums for _ in nums]
             ys = [y for _ in nums for y in nums]
-        else:  # random words, each also against its negated upper neighbour
+        else:  # random words, each also against its upper neighbour, negated if signed
             rng = np.random.default_rng(11)
             top = 2 * ((1 << (fmt.level_bits + fmt.index_bits)) - 1)
             ranks = rng.integers(0, top, 3000).tolist()
-            signs = rng.choice([-1, 1], 3000).tolist()
-            xs = [_from_key(fmt, s * (r + 1)) for s, r in zip(signs, ranks)]
-            ys = [_from_key(fmt, -s * (r + 2)) for s, r in zip(signs, ranks)]
+            if fmt.signed:
+                signs = rng.choice([-1, 1], 3000).tolist()
+                xs = [_from_key(fmt, s * (r + 1)) for s, r in zip(signs, ranks)]
+                ys = [_from_key(fmt, -s * (r + 2)) for s, r in zip(signs, ranks)]
+            else:
+                xs = [_from_key(fmt, r + 1) for r in ranks]
+                ys = [_from_key(fmt, r + 2) for r in ranks]
             ys[:1000] = [unpack(BitWord(int(b), fmt.width), fmt)
                          for b in rng.integers(0, 1 << fmt.width, 1000)]
-            ys[1000:1100] = [neg(x) for x in xs[1000:1100]]  # exact cancellation
+            if fmt.signed:
+                ys[1000:1100] = [neg(x) for x in xs[1000:1100]]  # exact cancellation
+            # 30 more lanes: zero against random words and against zero.
+            zero = SliNumber.zero(fmt)
+            words = [unpack(BitWord(int(b), fmt.width), fmt)
+                     for b in rng.integers(0, 1 << fmt.width, 20)]
+            xs += [zero] * 20 + words[:10]
+            ys += words[10:] + [zero] * 20
         for lane_op, op in ((lanes.add, add), (lanes.mul, mul)):
             got = lane_op(self.keys(xs), self.keys(ys), fmt)
             want = [op(x, y) for x, y in zip(xs, ys)]
             assert self.numbers(fmt, got) == want, lane_op.__name__
+
+    @pytest.mark.parametrize("fmt", [F, SliFormat(3, 8)], ids=["sli2.12", "sli3.8"])
+    def test_small_reciprocals_above_every_big_level(self, fmt, monkeypatch):
+        # Every small operand is below one, at a higher level than every
+        # big operand, which is at least one: all lanes are reciprocal Ys
+        # of the kernel, so the top level of lanes.add's one rung run comes
+        # from their stacked lanes.  Sums and differences, either order.
+        rng = np.random.default_rng(23)
+        n, scale = 400, fmt.index_scale
+        big = [SliNumber(fmt, False, int(s), 1, int(lv), int(k)) for s, lv, k in zip(
+            rng.choice([-1, 1], n), rng.integers(1, 3, n), rng.integers(0, scale, n))]
+        small = [SliNumber(fmt, False, int(s), -1, int(lv), int(k)) for s, lv, k in zip(
+            rng.choice([-1, 1], n), rng.integers(3, fmt.max_level + 1, n), rng.integers(0, scale, n))]
+        xs, ys = big[:n // 2] + small[n // 2:], small[:n // 2] + big[n // 2:]
+        tops = []
+        rungs = lanes._rungs_lanes
+
+        def spying(zx, ex):
+            tops.append(int(zx.max()))
+            return rungs(zx, ex)
+
+        monkeypatch.setattr(lanes, "_rungs_lanes", spying)
+        got = lanes.add(self.keys(xs), self.keys(ys), fmt)
+        assert tops == [fmt.max_level]
+        assert self.numbers(fmt, got) == [add(x, y) for x, y in zip(xs, ys)]
+
+    def test_one_rung_run_per_add(self, monkeypatch):
+        # Lanes whose small operand is below one under a big one at least
+        # one (positive sums as in the matvec, small terms among them) take
+        # their a_0 from the kernel's rung run: one run per lanes.add call
+        # unless some lanes have both operands below one.
+        runs = []
+        rungs = lanes._rungs_lanes
+
+        def counting(zx, ex):
+            runs.append(zx.size)
+            return rungs(zx, ex)
+
+        monkeypatch.setattr(lanes, "_rungs_lanes", counting)
+        rng = np.random.default_rng(5)
+        acc = lanes.encode(rng.uniform(1.0, 1e4, 600), F)
+        terms = lanes.encode(rng.uniform(0.0, 100.0, 600) * rng.uniform(0.0, 1.0, 600), F)
+        chain = np.count_nonzero(lanes.decode(terms, F) < 1.0)
+        assert chain > 10
+        got = lanes.add(acc, terms, F)
+        assert runs == [600 + chain]
+        xs, ys = self.numbers(F, acc), self.numbers(F, terms)
+        assert self.numbers(F, got) == [add(x, y) for x, y in zip(xs, ys)]
 
     def test_sums_below_one_with_a_subnormal_rung(self):
         # The ladders of phi(5 + 162/256) and phi(6 + 162/256) have a

@@ -225,7 +225,8 @@ class TestRoundIndex:
         rng = np.random.default_rng(3)
         zeta = np.array(ties + hair + edges + rng.uniform(0.0, 6.0, 500).tolist())
         for f in (fmt, F212):
-            level, k = _round_index_lanes(zeta, f)
+            r = _round_index_lanes(zeta, f)
+            level, k = r >> f.index_bits, r & (f.index_scale - 1)
             assert list(zip(level.tolist(), k.tolist())) == [round_index(z, f) for z in zeta]
 
     def test_unsettled_lanes_are_those_near_ties(self):

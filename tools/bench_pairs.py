@@ -1,0 +1,151 @@
+"""Paired benchmark runs of a parent commit and a change, written to BENCH_<PR>.json.
+
+    python3 tools/bench_pairs.py --parent REV --pr N
+        --workload NAME=PAIRS [--workload NAME=PAIRS ...] [--seconds S]
+        [--seed N] [--traced-pairs K]
+
+Run from the root of a git checkout.  The parent is unpacked from REV
+with git archive into a temporary directory; the change is the working
+tree.  Each pair runs bench/run.py once in each tree, on the same
+workload, seed and --seconds, and the side that runs first alternates
+from pair to pair.
+Pair i of every workload uses seed --seed + i.  --traced-pairs adds K
+more pairs per workload with --trace 1, for the per-layer numbers.
+
+The file records every run (exit code, environment line, result) and,
+per workload and end-to-end metric, each side's median and quartiles
+over the untraced runs, the change's median over the parent's, and the
+pairs the change won (ties count for neither side; better is read from
+BENCHMARK.json).  Progress goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _unpack(rev: str, into: Path) -> str:
+    """The tree of rev, written into the directory into; returns its full hash."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    tar = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(into, filter="data")
+    return commit
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    run = {"exit": proc.returncode, "env": None, "result": None}
+    for line in proc.stdout.splitlines():
+        if line.startswith("env "):
+            run["env"] = json.loads(line[4:])
+        elif line.startswith("{"):
+            run["result"] = json.loads(line)
+    if proc.returncode != 0:
+        run["stderr"] = proc.stderr[-2000:]
+    return run
+
+
+def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric: medians, quartiles, ratio and wins, untraced runs only."""
+    out: dict[str, dict] = {}
+    for pair in pairs:
+        if pair["trace"]:
+            continue
+        sides = {side: (pair[side]["result"] or {}).get("metrics", {})
+                 for side in ("parent", "change")}
+        for name in sides["parent"].keys() & sides["change"].keys():
+            entry = out.setdefault(pair["workload"], {}).setdefault(
+                name, {"parent": [], "change": [], "wins": 0, "losses": 0})
+            p, c = sides["parent"][name]["value"], sides["change"][name]["value"]
+            entry["parent"].append(p)
+            entry["change"].append(c)
+            sign = 1 if better.get(name, "higher") == "higher" else -1
+            entry["wins"] += sign * (c - p) > 0
+            entry["losses"] += sign * (c - p) < 0
+    for metrics in out.values():
+        for entry in metrics.values():
+            for side in ("parent", "change"):
+                values = entry.pop(side)
+                q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+                entry[side] = {"median": statistics.median(values), "q1": q[0], "q3": q[2],
+                               "runs": values}
+            base = entry["parent"]["median"]
+            entry["change_over_parent"] = entry["change"]["median"] / base if base else None
+            entry["pairs"] = len(entry["change"]["runs"])
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<PR>.json")
+    parser.add_argument("--workload", action="append", required=True, metavar="NAME=PAIRS",
+                        help="a workload and its number of pairs; repeat for more")
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--traced-pairs", type=int, default=0)
+    args = parser.parse_args()
+    plan = {}
+    for spec in args.workload:
+        name, _, count = spec.partition("=")
+        plan[name] = int(count or 1)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
+        commits = {"parent": _unpack(args.parent, trees["parent"]),
+                   "change": "working tree of " + _git("rev-parse", "HEAD")}
+        pairs = []
+        for workload, count in plan.items():
+            for i in range(count + args.traced_pairs):
+                trace = int(i >= count)
+                seed = args.seed + i
+                order = ("parent", "change") if len(pairs) % 2 == 0 else ("change", "parent")
+                pair = {"workload": workload, "seed": seed, "seconds": args.seconds,
+                        "trace": trace, "first": order[0]}
+                for side in order:
+                    pair[side] = _run(trees[side], workload, seed, args.seconds, trace)
+                    print(f"{workload} seed {seed} trace {trace} {side}: exit {pair[side]['exit']}",
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
+
+    report = {
+        "what": f"bench/run.py parent/change pairs for PR {args.pr}",
+        "command": "python3 bench/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {args.seconds} [--trace 1]",
+        "made_by": "python3 " + " ".join(sys.argv),
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "trees": commits,
+        "order": "pairs alternate which side runs first (field 'first')",
+        "summary": _summary(pairs, better),
+        "pairs": pairs,
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0 if all(pair[side]["exit"] == 0 for pair in pairs for side in ("parent", "change")) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
