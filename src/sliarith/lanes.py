@@ -382,48 +382,45 @@ def _psi_lanes(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
     return out, e + 2 * _U * out
 
 
-def _round_index_lanes(zeta: np.ndarray, fmt: SliFormat) -> np.ndarray:
-    """round_index per lane, for zeta >= 0 (inf saturates too), as one
-    int64: level * 2**index_bits + index.
-
-    Works on t = zeta * 2**index_bits, exact like round_index's scaled
-    fraction, whose integer part carries the level: the rounded t splits
-    into level and index, and a carry past the last index moves up a
-    level by itself.  zeta below 1 counts as level 1, as in round_index.
-    """
-    scale = fmt.index_scale
-    t = np.minimum(zeta, fmt.max_level + 1) * scale
-    r = np.floor(t)
-    r += t - r >= 0.5
-    r += np.where(zeta < 1.0, scale, 0)
-    return np.minimum(r, (fmt.max_level + 1) * scale - 1).astype(np.int64)  # saturate
-
-
-def _unsettled(zeta: np.ndarray, err: np.ndarray, fmt: SliFormat) -> np.ndarray:
-    """Lanes whose rounding err cannot settle: zeta within err of a tie
-    (level + (k + 1/2)/2**index_bits) of round_index, or err not a number.
-    Past the last tie everything saturates, so no tie is left there."""
-    scale = fmt.index_scale
-    t = zeta * scale  # exact: a power-of-two scaling
-    clear = np.abs(t - np.floor(t) - 0.5) > err * scale
-    return ~(clear | (zeta - err > fmt.max_level + (scale - 0.5) / scale))
-
-
 def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: np.ndarray,
                        op) -> np.ndarray:
-    """_materialize per lane (zeta <= 0 is zero), as keys.  A lane whose
-    rounding err cannot settle is redone by op(i), the scalar op's
-    SliNumber for lane i; a zero lane is settled only by err 0."""
+    """_materialize per lane, as keys, for zeta <= 0 (zero), zeta >= 1 or
+    inf.  No caller has a raw zeta in (0, 1), which _materialize alone
+    rounds as level 1.  A lane whose rounding err cannot settle, NaN
+    among them, is redone by op(i), the scalar op's SliNumber for lane i;
+    a zero lane is settled only by err 0.
+
+    One pass over t = zeta * 2**index_bits, exact like _materialize's
+    scaled fraction, both rounds and tests the ties (Ziv's test).  The
+    integer part of t carries the level, so the rounded t splits into
+    level and index, and a carry past the last index moves up a level by
+    itself.  off = t - floor(t) - 1/2, exact wherever its sign matters
+    (Sterbenz), rounds up where it is >= 0, and settles a lane where |off|
+    exceeds err * 2**index_bits.  zeta is clamped at the top level + 1, which
+    saturates; past the last tie, top + (2**index_bits - 1/2)/2**index_bits,
+    every lane saturates, so a lane whose err keeps it above that settles.
+    """
+    scale = fmt.index_scale
+    top = fmt.max_level
+    off = np.minimum(zeta, top + 1)
+    off *= scale  # t, exact: a power-of-two scaling
+    r = np.floor(off)
+    off -= r
+    off -= 0.5  # in place, so one array holds t and then off
+    unsettled = ~((np.abs(off) > err * scale) | (zeta - err > top + (scale - 0.5) / scale))
     zero = zeta <= 0.0
-    unsettled = _unsettled(zeta, err, fmt)
-    fill = zero | unsettled  # rounded as 1.0 here, then replaced
+    fill = zero | unsettled
     if np.count_nonzero(fill):
-        zeta = np.where(fill, 1.0, zeta)
+        # Level 1, index 0, then replaced by zero's key or the scalar op's.
+        r[fill] = scale
+        off[fill] = -0.5
         if np.count_nonzero(zero):
             unsettled = np.where(zero, err != 0.0, unsettled)
+    r += off >= 0.0
     # Level 1 and the index counted from it give the same key as the
     # rounded level and index.
-    index_k = _round_index_lanes(zeta, fmt) - fmt.index_scale
+    index_k = np.minimum(r, (top + 1) * scale - 1).astype(np.int64) - scale  # saturate
+    del off, r  # freed before _lane_keys' temporaries, which set the peak memory
     return _redo(_lane_keys(fmt, zero, sign, reciprocal, 1, index_k), unsettled, op)
 
 
@@ -449,6 +446,7 @@ def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
     scalar kernel's result, given bounds err on the inputs' distances."""
     _kernel_shapes(zeta_x, zeta_y, subtract, reciprocal_y, *err)
     subtract, reciprocal_y = np.asarray(subtract), np.asarray(reciprocal_y)
+    err = [np.asarray(e, dtype=np.float64) for e in err]
     ok = (0.0 <= zeta_y) & (zeta_y <= zeta_x) & (zeta_x < math.inf)
     inv = None  # the lanes of a reciprocal Y, if any
     if np.count_nonzero(reciprocal_y):

@@ -617,6 +617,21 @@ class TestLaneForms:
         got, bound = li_add_sub(np.array([zx]), np.array([zy]), True)
         assert got.tolist() == [1.0] and bound[0] < 1e-13
 
+    def test_kernel_err_terms_may_be_lists(self):
+        # A list err term of the descriptors' length is taken as its
+        # array; one of another length is refused like an array.
+        zx, zy = np.array([2.5, 3.0]), np.array([1.5, 1.0])
+        subtract = np.array([False, True])
+        ex, ey = [1e-15, 0.0], [0.0, 2e-15]
+        got = li_add_sub(zx, zy, subtract, err=(ex, ey))
+        want = li_add_sub(zx, zy, subtract, err=(np.array(ex), np.array(ey)))
+        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+        got = li_add_sub(zx, zy, err=([0.0, 0.0], 0.0))
+        want = li_add_sub(zx, zy, err=(np.zeros(2), 0.0))
+        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+        with pytest.raises(ValueError, match="1-D descriptor arrays of one length"):
+            li_add_sub(zx, zy, err=([0.0], 0.0))
+
     def test_kernel_domain_holds_for_arrays(self):
         with pytest.raises(ValueError, match="zeta_x >= zeta_y"):
             li_add_sub(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
@@ -716,20 +731,22 @@ class TestLaneForms:
         assert self.numbers(fmt, got) == [add(x, x) for x in xs]
 
     def test_fallback_gives_the_scalar_ops(self, monkeypatch):
-        # Widen the tie band to everything: every lane that rounds is
+        # Widen the bound of every lane that rounds to inf: each one is
         # redone by the scalar op and written back into its lane.
         redone = []
         redo = lanes._redo
+        materialize = lanes._materialize_lanes
 
         def counting(keys, mask, op):
             redone.append(int(np.count_nonzero(mask)))
             return redo(keys, mask, op)
 
-        def everything(zeta, err, fmt):
-            return np.ones(zeta.shape, dtype=bool)
+        def widened(fmt, sign, reciprocal, zeta, err, op):
+            err = np.where(zeta > 0.0, math.inf, err)
+            return materialize(fmt, sign, reciprocal, zeta, err, op)
 
         monkeypatch.setattr(lanes, "_redo", counting)
-        monkeypatch.setattr(lanes, "_unsettled", everything)
+        monkeypatch.setattr(lanes, "_materialize_lanes", widened)
         fmt = SliFormat(1, 4)
         nums = [unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width)]
         xs = [x for x in nums for _ in nums]

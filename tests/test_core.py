@@ -31,7 +31,7 @@ from sliarith.core import (
     unpack,
     word_fields,
 )
-from sliarith.lanes import _key_fields, _lane_keys, _round_index_lanes, _unsettled, _value_block
+from sliarith.lanes import _key_fields, _lane_keys, _materialize_lanes, _value_block
 
 F212 = SliFormat(2, 12)
 F22U = SliFormat(2, 2, signed=False)
@@ -218,26 +218,52 @@ class TestRoundIndex:
         assert _materialize(fmt, 1, -1, 2.0**-30) == SliNumber.one(fmt)
 
     def test_lane_form_matches(self):
+        # Over the lane form's domain, zero, zeta >= 1 and inf, settled
+        # lanes round as _materialize does; with err 0 only the exact ties
+        # are left to the scalar op.
         fmt = SliFormat(2, 3)
         ties = [level + (k + 0.5) / 8.0 for level in (1, 2, 4) for k in range(8)]
+        ties += [1.0 + 4095.5 / 4096.0, 2.0 + 2047.5 / 4096.0]  # sli2.12's
         hair = [2.0 + (2047.5 - 2.0**-39) / 4096.0]
-        edges = [0.0, 0.5, 1.0, 4.0 + 7.7 / 8.0, 5.0, 17.25, math.inf]
+        edges = [0.0, 1.0, 4.0 + 7.7 / 8.0, 5.0, 17.25, math.inf]
         rng = np.random.default_rng(3)
-        zeta = np.array(ties + hair + edges + rng.uniform(0.0, 6.0, 500).tolist())
+        zeta = np.array(ties + hair + edges + rng.uniform(1.0, 6.0, 500).tolist())
+        sign = rng.choice([-1, 1], zeta.size)
+        reciprocal = rng.choice([-1, 1], zeta.size)
         for f in (fmt, F212):
-            r = _round_index_lanes(zeta, f)
-            level, k = r >> f.index_bits, r & (f.index_scale - 1)
-            assert list(zip(level.tolist(), k.tolist())) == [round_index(z, f) for z in zeta]
+            redone = []
+
+            def op(i):
+                redone.append(i)
+                return _materialize(f, int(sign[i]), int(reciprocal[i]), zeta[i].item())
+
+            keys = _materialize_lanes(f, sign, reciprocal, zeta, np.zeros(zeta.size), op)
+            assert keys.tolist() == [_key(_materialize(f, int(s), int(r), z)) for s, r, z in
+                                     zip(sign.tolist(), reciprocal.tolist(), zeta.tolist())]
+            t = np.minimum(zeta, f.max_level + 1) * f.index_scale
+            assert redone == np.flatnonzero(t - np.floor(t) == 0.5).tolist()
+            assert len(redone) > 0
 
     def test_unsettled_lanes_are_those_near_ties(self):
         tie = 2.0 + 2047.5 / 4096.0  # level 2, index (2047 + 1/2)/4096
         zeta = np.array([tie, tie + 3e-12, tie - 3e-12, tie + 1e-9, 2.0 + 7.0 / 4096.0,
-                         3.0, 2.5, 2.5, 5.5])
-        err = np.array([0.0, 1e-11, 1e-11, 1e-11, 1e-11, math.inf, math.nan, 1e-11, 0.25])
+                         3.0, 2.5, 2.5, 5.5, 6.0, math.inf, math.inf, 0.0, 0.0, math.nan])
+        err = np.array([0.0, 1e-11, 1e-11, 1e-11, 1e-11, math.inf, math.nan, 1e-11, 0.25, 1.5,
+                        0.0, math.nan, 0.0, 1e-11, 0.0])
         # Past the last tie of sli2.12 (4 + 4095.5/4096) every lane
-        # saturates, so even a wide bound settles it.
-        assert _unsettled(zeta, err, F212).tolist() == [
-            True, True, True, False, False, True, True, False, False]
+        # saturates, so even a wide bound settles it, unless the bound
+        # reaches below that tie.  A zero lane is settled by err 0 alone.
+        redone = []
+
+        def op(i):
+            redone.append(i)
+            return SliNumber.one(F212)
+
+        keys = _materialize_lanes(F212, 1, 1, zeta, err, op)
+        assert redone == [0, 1, 2, 5, 6, 9, 11, 13, 14]
+        settled = [i for i in range(zeta.size) if i not in redone]
+        assert [keys[i] for i in settled] == [
+            _key(_materialize(F212, 1, 1, zeta[i].item())) for i in settled]
 
 
 class TestEncodeDecode:

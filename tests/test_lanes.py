@@ -15,7 +15,8 @@ import pytest
 
 from sliarith import lanes
 from sliarith.arith import li_add_sub, li_mul_div
-from sliarith.core import SliFormat, SliNumber, decode, log_phi10, word_fields
+from sliarith.core import (BitWord, SliFormat, SliNumber, _key, decode, log_phi10, unpack,
+                           word_fields)
 from sliarith.minifloat import BFLOAT16, BINARY16, TOY5, FloatFormat, fl, fl_op
 
 F212 = SliFormat(2, 12)
@@ -195,6 +196,36 @@ class TestEnumerateValues:
         assert len(cooked) == len(raw) > 1
         for a, b in zip(cooked, raw):
             assert [column.tobytes() for column in a] == [column.tobytes() for column in b]
+
+
+def test_no_raw_zeta_reaches_the_rounding(monkeypatch):
+    # The lane rounding has no raw case: every caller hands it zero, a
+    # zeta >= 1, inf or NaN, never a raw value in (0, 1).  Every word pair
+    # of a signed and an unsigned format, and encode across the range.
+    seen = []
+    materialize = lanes._materialize_lanes
+
+    def spy(fmt, sign, reciprocal, zeta, err, op):
+        seen.append(zeta.copy())
+        return materialize(fmt, sign, reciprocal, zeta, err, op)
+
+    monkeypatch.setattr(lanes, "_materialize_lanes", spy)
+    rng = np.random.default_rng(21)
+    for fmt in (SliFormat(1, 4), SliFormat(2, 4, signed=False)):
+        keys = np.array([_key(unpack(BitWord(b, fmt.width), fmt)) for b in range(1 << fmt.width)])
+        x, y = np.repeat(keys, keys.size), np.tile(keys, keys.size)
+        lanes.add(x, y, fmt)
+        lanes.mul(x, y, fmt)
+        values = 10.0 ** rng.uniform(-323.0, 308.0, 5000)
+        values = np.concatenate((values, [0.0, 1.0, 5e-324, 2.5e-310, 1.0 - 2.0**-53,
+                                          1.0 + 2.0**-52, 1.7e308]))
+        if fmt.signed:
+            values *= rng.choice([-1.0, 1.0], values.size)
+        lanes.encode(values, fmt)
+    zeta = np.concatenate(seen)
+    assert len(seen) == 6 and zeta.size > 2 * (1 << 14)
+    assert np.count_nonzero(zeta == 0.0) and np.count_nonzero(zeta == 1.0)
+    assert not np.count_nonzero((zeta > 0.0) & (zeta < 1.0))
 
 
 @pytest.mark.parametrize("module", ["core", "minifloat"])
