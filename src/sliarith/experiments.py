@@ -291,12 +291,15 @@ def _field_text(v: float) -> str:
 #
 # Texts are built as little-endian uint64 words, eight ASCII bytes each,
 # with NUL bytes where a shorter text leaves room; the NULs are deleted
-# when a block is joined into text.
+# when a block is joined into text.  So no text is shifted: bytes 0..5
+# hold the sign and "0.000" head, digit i of the 17 sits at byte 6 + 2i,
+# and the byte after it is free for the point.
 
-# Values spelled per array pass.  A pass holds about 400 bytes of
-# temporaries per value; of passes of 1024 to 16384 values, 2048 and
-# 3072 ran a sweep's emit_dat fastest on a 2-core Xeon VM.
-_SPELL_VALUES = 1 << 11
+# Values spelled per array pass, about 320 bytes of temporaries each.  Of
+# passes of 1024 to 16384, 4096 ran a sweep's emit_dat fastest on a
+# 2-core Xeon VM with 2 MB of L2 per core: 14% ahead of 2048 (medians of
+# 41 interleaved calls); from 6144 on, a pass outgrew the L2 (+50%).
+_SPELL_VALUES = 1 << 12
 
 # 10^0 .. 10^22, all exact in binary64, and each split into two halves
 # of at most 26 bits for Dekker's exact product.
@@ -314,52 +317,57 @@ def _text_words(texts: Sequence[str], width: int) -> np.ndarray:
 
 
 def _group_words() -> np.ndarray:
-    """Word i spells 0 <= i < 10000 in four digits; word 10000 + i
-    spells it without its trailing zeros."""
+    """Word i spells 0 <= i < 10000 in four digits, each followed by a
+    NUL; word 10000 + i spells it without its trailing zeros."""
     i = np.arange(10000, dtype=np.uint64)
     words = np.zeros_like(i)
-    for b in range(4):  # byte b: the digit of 10^(3 - b)
+    for b in range(4):  # byte 2b: the digit of 10^(3 - b)
         digit = i // np.uint64(10 ** (3 - b)) % np.uint64(10)
-        words |= (digit + np.uint64(ord("0"))) << np.uint64(8 * b)
+        words |= (digit + np.uint64(ord("0"))) << np.uint64(16 * b)
     stripped = words.copy()
-    for b in range(4):  # byte b trails only zeros where 10^(4 - b) divides i
-        stripped[i % np.uint64(10 ** (4 - b)) == 0] &= ~np.uint64(0xFF << 8 * b)
+    for b in range(4):  # digit b trails only zeros where 10^(4 - b) divides i
+        stripped[i % np.uint64(10 ** (4 - b)) == 0] &= ~np.uint64(0xFF << 16 * b)
     return np.concatenate([words, stripped])
 
 
 _GROUPS = _group_words()
 _DECADES = range(-6, 17)  # the decades of the fast path; 23 of them
+# Per decade: 10^f, for the f digits after its integer part.
+_FRACTION = np.array([10 ** (16 - max(d, 0)) for d in _DECADES], np.int64)
 
 
 def _head(negative: bool, d: int) -> str:
     return ("-" if negative else "") + ("0." + "0" * (-d - 1) if -4 <= d < 0 else "")
 
 
+def _frame(point: bool, negative: bool, d: int) -> str:
+    """All of a text's first 40 bytes but its digits: the head, a "0"
+    in the bytes of digit 0 and of the integer part's other digits, to
+    be ORed with the digits, and the point after the integer part where
+    a fraction follows and the head holds none."""
+    q = max(d, 0) + 1  # the integer part's digits
+    return _head(negative, d).ljust(6, "\0") + "".join(
+        ("0" if i < q else "\0") + ("." if point and i == q - 1 and not -4 <= d < 0 else "\0")
+        for i in range(17))
+
+
 def _tail(d: int, sep: str) -> str:
     return (("e-%02d" % -d if d < -4 else "") + sep).rjust(8, "\0")
 
 
-# Per (sign, decade): the text in front of the digits and its length;
-# per (last column, decade): the exponent and separator after them,
-# right-aligned so that their NULs join the digits' NULs.
-_HEADS = _text_words([_head(n, d) for n in (False, True) for d in _DECADES], 8).ravel()
-_HEAD_BITS = np.array([8 * len(_head(n, d)) for n in (False, True) for d in _DECADES],
-                      np.uint64)
+# Per (point, sign, decade): the five words of _frame, one table per
+# word; per (last column, decade): the exponent and separator after the
+# digits.
+_FRAMES = _text_words([_frame(p, n, d) for p in (False, True) for n in (False, True)
+                       for d in _DECADES], 40).T.copy()
 _TAILS = _text_words([_tail(d, sep) for sep in " \n" for d in _DECADES], 8).ravel()
-# _BELOW[j][q]: the bytes of word j below byte q of a text; _POINT[j][q]:
-# a "." at byte q (q >= 1) in word j.
-_BELOW = np.array([[(1 << 8 * min(max(q - 8 * j, 0), 8)) - 1 for q in range(18)]
-                   for j in range(3)], np.uint64)
-_POINT = np.array([[ord(".") << 8 * (q - 8 * j) if q and 0 <= q - 8 * j < 8 else 0
-                    for q in range(18)] for j in range(3)], np.uint64)
-_ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
 
 
-def _spell(block: np.ndarray, prefix: np.ndarray | None = None) -> str:
-    """The rows of a 2-D float64 block as lines of text, each value
-    spelled as _field_text spells it and followed by a space, or by a
-    newline at the end of its row.  A prefix, one row of text words per
-    row of the block as _text_words makes them, leads each line."""
+def _spell(block: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
+    """The rows of a 2-D float64 block as lines of ASCII text, each
+    value spelled as _field_text spells it and followed by a space, or
+    by a newline at the end of its row.  A prefix, one row of text words
+    per row of the block as _text_words makes them, leads each line."""
     v = block.ravel()
     a = np.abs(v)
     fast = (a >= 1e-6) & (a < 1e17)  # False for NaN
@@ -380,52 +388,37 @@ def _spell(block: np.ndarray, prefix: np.ndarray | None = None) -> str:
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     fast &= (digits >= 10**16) & (digits < 10**17) & ((hi != 1e16) | (lo >= 0))
     slow = np.flatnonzero(~fast)
-    digits[slow] = 10**16  # spelled in full below; no head, point or exponent
+    digits[slow] = 10**16  # spelled in full below
     d[slow] = 0
-    # The 17 digits as bytes 0..16 of three words.  A group of four gets
-    # its stripped spelling where all later groups are zero, so the text
-    # ends at its last nonzero digit.
-    g0, r = np.divmod(digits, 10**16)
-    g1, r = np.divmod(r, 10**12)
-    g2, r = np.divmod(r, 10**8)
-    g3, g4 = np.divmod(r, 10**4)
+    decade = d + 6
+    frame = decade + (v < 0) * len(_DECADES)
+    frame += (digits % _FRACTION[decade] != 0) * (2 * len(_DECADES))  # a fraction follows
+    # Digit 0, then the others in groups of four (// and a product are
+    # faster than divmod here).  A group gets its stripped spelling where
+    # all later groups are zero, so the text ends at its last nonzero
+    # digit; the frame puts back the integer part's zeros.
+    g0 = digits // 10**16
+    r = digits - g0 * 10**16
+    g1 = r // 10**12
+    r -= g1 * 10**12
+    g2 = r // 10**8
+    r -= g2 * 10**8
+    g3 = r // 10**4
+    g4 = r - g3 * 10**4
+    out = np.empty((v.size, 6), "<u8")
+    out[:, 0] = _FRAMES[0][frame] | g0.view(np.uint64) << np.uint64(48)
     stripped = 10000
-    spelled = []
-    for g in (g4, g3, g2, g1):
-        spelled.append(_GROUPS[g + stripped])
+    for j, g in ((4, g4), (3, g3), (2, g2), (1, g1)):
+        out[:, j] = _GROUPS[g + stripped] | _FRAMES[j][frame]
         stripped = stripped * (g == 0)
-    w4, w3, w2, w1 = spelled
-    words = (g0.astype(np.uint64) + np.uint64(ord("0")) | w1 << np.uint64(8) | w2 << np.uint64(40),
-             w2 >> np.uint64(24) | w3 << np.uint64(8) | w4 << np.uint64(40),
-             w4 >> np.uint64(24))
-    # The first q digits are the integer part and keep their zeros; the
-    # rest moves up one byte.  A point fills the gap where a fraction
-    # follows, except below 1, whose "0." is in the head; a NUL otherwise.
-    q = np.maximum(d, 0) + 1
-    below_q = [_BELOW[j][q] for j in range(3)]
-    low = [(w | _ZEROS) & m for w, m in zip(words, below_q)]
-    high = [w & ~m for w, m in zip(words, below_q)]
-    point = q * (((high[0] | high[1] | high[2]) != 0) & ((d >= 0) | (d < -4)))
-    # Shift the text up by the head's length and put the head in front.
-    head = (v < 0) * len(_DECADES) + d + 6
-    shift = _HEAD_BITS[head]
-    back = np.uint64(56) - shift
-    out = np.empty((v.size, 4), "<u8")
-    carry = below = np.uint64(0)
-    for j in range(3):
-        text = low[j] | high[j] << np.uint64(8) | carry | _POINT[j][point]
-        carry = high[j] >> np.uint64(56)
-        out[:, j] = text << shift | below
-        below = text >> np.uint64(8) >> back  # text >> (64 - shift) without a 64-bit shift
-    out[:, 0] |= _HEADS[head]
-    tail = (d + 6).reshape(block.shape)
+    tail = decade.reshape(block.shape)
     tail[:, -1] += len(_DECADES)
-    out[:, 3] = _TAILS[tail.ravel()]
+    out[:, 5] = _TAILS[tail.ravel()]
     if slow.size:
-        out[slow, :3] = _text_words([_field_text(x) for x in v[slow].tolist()], 24)
+        out[slow, :5] = _text_words([_field_text(x) for x in v[slow].tolist()], 40)
     if prefix is not None:
         out = np.hstack([prefix, out.reshape(len(block), -1)])
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out.tobytes().translate(None, b"\0")
 
 
 def emit_dat(table: ErrorTable, columns: Sequence[str], path: str | Path) -> None:
@@ -438,16 +431,18 @@ def emit_dat(table: ErrorTable, columns: Sequence[str], path: str | Path) -> Non
     "inf", "-inf" and "nan"), but by array ops: for 1e-6 <= |v| < 1e17
     the decade d comes from log10, |v| * 10^(16 - d) is formed exactly as
     a double-double (Dekker's product with an exact power of ten), and
-    its round-half-even integer gives the 17 digits.  Values outside that
-    range, specials, and values whose decade estimate missed are spelled
-    by _field_text itself.
+    its round-half-even integer gives the 17 digits.  Each piece of the
+    text comes from a table and has a fixed byte among six NUL-padded
+    words, whose NULs are deleted as a block is written; no text is
+    shifted.  Values outside 1e-6..1e17, specials, and values whose
+    decade estimate missed are spelled by _field_text itself.
     """
     if len(columns) != 1 + len(table.values):
         raise ValueError(f"{len(columns)} column names for {1 + len(table.values)} columns")
     cells = [table.key, *table.values.values()]
     rows = max(1, _SPELL_VALUES // len(cells))
-    with open(path, "w", encoding="ascii") as f:
-        f.write(" ".join(columns) + "\n")
+    with open(path, "wb") as f:
+        f.write((" ".join(columns) + "\n").encode("ascii"))
         for r0 in range(0, len(table), rows):
             f.write(_spell(np.column_stack([c[r0:r0 + rows] for c in cells])))
 
@@ -478,7 +473,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for bits, *columns in blocks:  # each row after its bits and a space
         words = _text_words([f"{b:0{fmt.width}b} " for b in bits.tolist()],
                             8 * (fmt.width // 8 + 1))
-        sys.stdout.write(_spell(np.column_stack(columns), words))
+        sys.stdout.write(_spell(np.column_stack(columns), words).decode("ascii"))
     return 0
 
 

@@ -471,6 +471,24 @@ class TestDatFiles:
         assert got[0] == "x" and len(got) == 1 + len(want)
         assert [(x, w) for x, w in zip(got[1:], want) if x != w][:3] == []
 
+    def test_integer_zeros_spelled_as_field_text(self, tmp_path, monkeypatch):
+        # Integer parts whose zeros stay in the text where a fraction's
+        # trailing zeros would go: per decade 0..16, integers ending in
+        # one to all but one zeros and integers with interior zeros, those
+        # below 1e16 also plus one half, and all of either sign.
+        monkeypatch.setattr(experiments, "_SPELL_VALUES", 6)
+        ints = []
+        for d in range(17):
+            ints += [int("12345678912345678"[:d + 1 - z]) * 10**z for z in range(1, d + 1)]
+            ints.append(int("10203040506070808"[:d + 1]))
+        texts = [str(n) for n in ints] + [f"{n}.5" for n in ints if n < 10**16]
+        texts += ["-" + t for t in texts]
+        values = [float(t) for t in texts]
+        assert [_field_text(x) for x in values] == texts  # every value is exact
+        path = tmp_path / "t.dat"
+        emit_dat(ErrorTable(values, {}), ["x"], path)
+        assert path.read_text() == "x\n" + "".join(f"{_field_text(x)}\n" for x in values)
+
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.dat"
         path.write_text("")
@@ -557,6 +575,16 @@ class TestCliCommands:
                 assert nbits == "1" + bits[1:]
                 assert float(nvalue) == -float(value)
                 assert nlg == lg
+
+    def test_table_rows_spelled_as_field_text(self, capsys):
+        # Most of this format's values lie outside 1e-6..1e17, so every
+        # block of rows mixes the speller's two paths behind the bits.
+        fmt = FloatFormat.from_name("b4e255")
+        assert cli(["table", fmt.name]) == 0
+        want = [f"{b:0{fmt.width}b} {_field_text(x)}"
+                for bits, values in lanes.enumerate_values(fmt)
+                for b, x in zip(bits.tolist(), values.tolist())]
+        assert capsys.readouterr().out.splitlines() == ["bits value", *want]
 
     def test_sweep_repr_writes_dat(self, tmp_path, capsys):
         out = tmp_path / "s.dat"

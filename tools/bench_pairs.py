@@ -5,10 +5,14 @@
         [--seed N] [--traced-pairs K]
 
 Run from the root of a git checkout.  The parent is unpacked from REV
-with git archive into a temporary directory; the change is the working
-tree.  Each pair runs bench/run.py once in each tree, on the same
-workload, seed and --seconds, and the side that runs first alternates
-from pair to pair.
+with git archive into a temporary directory, and the change is copied
+into a second one: the working tree's files that git tracks or would
+track (ls-files --cached --others --exclude-standard).  So both sides
+run from the same kind of directory, without the working tree's
+caches and build leftovers, and a metric such as peak RSS does not
+differ by location alone.  Each pair runs bench/run.py once in each
+tree, on the same workload, seed and --seconds, and the side that runs
+first alternates from pair to pair.
 Pair i of every workload uses seed --seed + i.  --traced-pairs adds K
 more pairs per workload with --trace 1, for the per-layer numbers.
 
@@ -34,6 +38,7 @@ import compileall
 import datetime
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,6 +62,18 @@ def _unpack(rev: str, into: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(into, filter="data")
     return commit
+
+
+def _copy_worktree(into: Path) -> None:
+    """The working tree's files that git tracks or would track, copied
+    into the directory into; a tracked file deleted from the tree is
+    left out."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.exists():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, into / name)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -122,9 +139,10 @@ def main() -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {"parent": _unpack(args.parent, trees["parent"]),
                    "change": "working tree of " + _git("rev-parse", "HEAD")}
+        _copy_worktree(trees["change"])
         for tree in trees.values():
             for part in ("src", "bench"):
                 if not compileall.compile_dir(tree / part, quiet=1):
