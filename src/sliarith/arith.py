@@ -209,8 +209,8 @@ def _add_signed(x: SliNumber, y: SliNumber, y_sign: int) -> SliNumber:
     if y.is_zero:
         return x
     rx, zx, ry, zy = x.reciprocal, x.zeta, y.reciprocal, y.zeta
-    # r (zeta - 1) orders magnitudes exactly as magnitude_rank does, as
-    # in lanes.add: zeta - 1 is the rank's offset from one over 2**index_bits.
+    # r (zeta - 1) orders magnitudes exactly as magnitude_rank does: zeta - 1
+    # is the rank's offset from one over 2**index_bits.
     ox, oy = rx * (zx - 1.0), ry * (zy - 1.0)
     subtract = x.sign != y_sign
     if subtract and ox == oy:

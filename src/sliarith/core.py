@@ -517,6 +517,28 @@ def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
     return SliNumber(fmt, False, sign, reciprocal, level, index_k)
 
 
+def _key_of(fmt: SliFormat, sign, reciprocal, level, index_k):
+    """The key of the nonzero value with these fields, given as ints or
+    as int64 arrays: sign * (2**(level_bits + index_bits) + r m), with
+    m = (level - 1) * 2**index_bits + index_k.  Integer order on keys is
+    value order, consecutive values have consecutive keys, and zero, whose
+    key is 0, is left to the caller.  index_k is added, not or-ed, so an
+    index_k counted from level 1 carries into the levels above; 1/1 gets
+    the key of one, as SliNumber.of folds it."""
+    return sign * ((1 << (fmt.level_bits + fmt.index_bits))
+                   + reciprocal * (((level - 1) << fmt.index_bits) + index_k))
+
+
+def _key_fields(keys, fmt: SliFormat) -> tuple:
+    """Inverse of _key_of, for an int key or an int64 array of keys: the
+    zero flag, sign, reciprocal flag, m and zeta (exact, as SliNumber.zeta
+    is).  A zero key reads as one.  Keys are not checked against the
+    ladder."""
+    rm = (abs(keys) - (1 << (fmt.level_bits + fmt.index_bits))) * (keys != 0)
+    m = abs(rm)
+    return keys == 0, 1 - 2 * (keys < 0), 1 - 2 * (rm < 0), m, 1.0 + m / fmt.index_scale
+
+
 def magnitude_rank(num: SliNumber) -> int:
     """Position of |num| in the ascending ladder of positive magnitudes.
 
@@ -528,35 +550,25 @@ def magnitude_rank(num: SliNumber) -> int:
     """
     if num.is_zero:
         raise ValueError("zero has no magnitude rank")
-    fmt = num.fmt
-    m = (num.level - 1) << fmt.index_bits | num.index_k
-    half = 1 << (fmt.level_bits + fmt.index_bits)
-    if num.reciprocal > 0:
-        return half - 1 + m
-    return half - 1 - m
+    return _key_of(num.fmt, 1, num.reciprocal, num.level, num.index_k) - 1
 
 
 def _key(num: SliNumber) -> int:
     """Position of num among all values in ascending order: 0 for zero,
-    sign * (magnitude_rank + 1) otherwise, so consecutive values have
-    consecutive keys.  With m = (level - 1) * 2**index_bits + index_k,
-    that is sign * (2**(level_bits + index_bits) + r m)."""
-    if num.is_zero:
-        return 0
-    return num.sign * (magnitude_rank(num) + 1)
+    sign * (magnitude_rank + 1) otherwise (_key_of)."""
+    fmt, is_zero, sign, reciprocal, level, index_k = num
+    return 0 if is_zero else _key_of(fmt, sign, reciprocal, level, index_k)
 
 
 def _from_key(fmt: SliFormat, key: int) -> SliNumber:
-    """Inverse of _key: the value whose key is key."""
-    if key == 0:
+    """Inverse of _key: the value whose key is key.  A key off the ladder
+    has a level past max_level, or a sign an unsigned format lacks, which
+    the constructor refuses with ValueError."""
+    zero, sign, reciprocal, m, _ = _key_fields(key, fmt)
+    if zero:
         return SliNumber.zero(fmt)
-    half = 1 << (fmt.level_bits + fmt.index_bits)
-    rm = abs(key) - half  # r m, with r = +1 for one
-    if not -half < rm < half:
-        raise ValueError(f"key {key} outside the {fmt.name} ladder")
-    m = abs(rm)
-    return SliNumber(fmt, False, 1 if key > 0 else -1, 1 if rm >= 0 else -1,
-                     (m >> fmt.index_bits) + 1, m & (fmt.index_scale - 1))
+    return SliNumber(fmt, False, sign, reciprocal, (m >> fmt.index_bits) + 1,
+                     m & (fmt.index_scale - 1))
 
 
 def next_up(num: SliNumber) -> SliNumber:

@@ -518,10 +518,10 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 
 def _check_out(path: str) -> None:
-    """Fail as writing path would when its directory is missing or it is
-    a directory itself, but before an experiment's work; the file itself
-    is not touched."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    """Fail as writing path would when it is empty, its directory is
+    missing or it is a directory itself, but before an experiment's work;
+    the file itself is not touched."""
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

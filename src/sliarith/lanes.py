@@ -4,8 +4,9 @@ encode(values, fmt), decode(lanes, fmt), add(x, y, fmt) and mul(x, y,
 fmt) take 1-D arrays of one length and an SLI or a float format, checked
 here only, and give per lane the number of the scalar encode, decode,
 add and mul, or of fl and fl_op.  A float lane is its binary64 value; an
-SLI lane is the int64 core._key of its value, so integer order on keys
-is value order.  Either way -x negates a lane, so a signed format
+SLI lane is the int64 key of its value, written and read by core's
+_key_of and _key_fields as for one value, so integer order on keys is
+value order.  Either way -x negates a lane, so a signed format
 subtracts with add(x, -y, fmt).  enumerate_values(fmt, raw) lists every
 word of an SLI or a float format, a block of 2048 words at a time, for
 the value tables.
@@ -60,7 +61,8 @@ from typing import Iterator
 import numpy as np
 
 from . import arith, core
-from .core import SliFormat, _EXP_MAX_ARG, _U, _from_key, _key, log_phi10, word_fields
+from .core import (SliFormat, _EXP_MAX_ARG, _U, _from_key, _key, _key_fields, _key_of,
+                   log_phi10, word_fields)
 from .minifloat import FloatFormat
 
 __all__ = ["encode", "decode", "add", "mul", "enumerate_values"]
@@ -142,7 +144,7 @@ def decode(lanes, fmt: SliFormat | FloatFormat) -> np.ndarray:
     # Lanes repeat words (a sweep's points share their nearest values), so
     # each distinct magnitude is decoded once and spread back.
     keys, inverse = np.unique(np.abs(lanes), return_inverse=True)
-    zero, _, reciprocal, zeta = _key_fields(keys, fmt)
+    zero, _, reciprocal, _, zeta = _key_fields(keys, fmt)
     # _peel per magnitude: the exact index of zeta, exponentiated once per
     # level, and inf past the guard as in phi.  Zero, read as one, skips
     # that and keeps its index 0 as the value.
@@ -168,10 +170,10 @@ def add(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in fl_op
             return encode(x + y, fmt)
     # Row 0 of each field is x's, row 1 y's.
-    zero, sign, rec, z = _key_fields(np.array((x, y)), fmt)
-    # r (zeta - 1) orders magnitudes exactly as magnitude_rank does; big
-    # is y where swap, else x, and small the other one.
-    order = rec * (z - 1.0)
+    zero, sign, rec, m, z = _key_fields(np.array((x, y)), fmt)
+    # r m orders magnitudes as the keys do; big is y where swap, else x,
+    # and small the other one.
+    order = rec * m
     swap = order[0] < order[1]
     bz, sz = np.where(swap, z[::-1], z)
     big_rec, small_rec = np.where(swap, rec[::-1], rec)
@@ -246,7 +248,7 @@ def mul(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
     if isinstance(fmt, FloatFormat):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in fl_op
             return encode(x * y, fmt)
-    (x_zero, y_zero), (x_sign, y_sign), (x_rec, y_rec), (zx, zy) = _key_fields(
+    (x_zero, y_zero), (x_sign, y_sign), (x_rec, y_rec), _, (zx, zy) = _key_fields(
         np.array((x, y)), fmt)
     # The kernel run of _mul_signed, whose comment has the case split.
     w, flipped, err = arith.li_mul_div(zx, zy, x_rec != y_rec)
@@ -287,7 +289,7 @@ def enumerate_values(fmt: SliFormat | FloatFormat,
 
 
 # ---------------------------------------------------------------------------
-# Below the public functions: keys, the libm map, the word listings,
+# Below the public functions: the libm map, the word listings,
 # rounding with the scalar redo, and the kernels per lane.  add and mul
 # enter them through arith's public kernels, whose names the benchmark
 # counts, once per call; the kernel lanes are checked there, and the lane
@@ -310,31 +312,12 @@ def _log(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
     return out, _TRANS * np.abs(out) - np.log1p(-err / values)
 
 
-def _lane_keys(fmt: SliFormat, zero, sign, reciprocal, level, index_k) -> np.ndarray:
-    """_key per lane, of the values with these fields (zero where zero is
-    set): 1/1 gets the key of one, as SliNumber.of folds it."""
-    m = (level - 1) << fmt.index_bits | index_k
-    keys = sign * ((1 << (fmt.level_bits + fmt.index_bits)) + reciprocal * m)
-    return np.where(zero, 0, keys)
-
-
-def _key_fields(keys: np.ndarray, fmt: SliFormat) -> tuple[np.ndarray, ...]:
-    """Per lane key, the value's zero flag, sign, reciprocal flag and zeta
-    (exact, as SliNumber.zeta is); a zero lane reads as one."""
-    zero = keys == 0
-    rm = np.abs(keys) - (1 << (fmt.level_bits + fmt.index_bits))  # r m, as in _from_key
-    if np.count_nonzero(zero):
-        rm[zero] = 0
-    zeta = 1.0 + np.abs(rm) / fmt.index_scale
-    return zero, np.where(keys < 0, -1, 1), np.where(rm < 0, -1, 1), zeta
-
-
 def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarray, ...]:
     sign, reciprocal, level, index_k = word_fields(bits, fmt)
     zero = (not raw) & (reciprocal < 0) & (level == 1) & (index_k == 0)
     # The raw all-zeros word, 1/phi(1), has the key of one.
-    keys = _lane_keys(fmt, zero, sign, reciprocal, level, index_k)
-    _, _, reciprocal, zeta = _key_fields(keys, fmt)
+    keys = np.where(zero, 0, _key_of(fmt, sign, reciprocal, level, index_k))
+    _, _, reciprocal, _, zeta = _key_fields(keys, fmt)
     lg = _lane_map(log_phi10, zeta) * reciprocal
     lg[zero] = -math.inf
     return bits, decode(keys, fmt), lg
@@ -420,8 +403,8 @@ def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray, err: 
     # Level 1 and the index counted from it give the same key as the
     # rounded level and index.
     index_k = np.minimum(r, (top + 1) * scale - 1).astype(np.int64) - scale  # saturate
-    del off, r  # freed before _lane_keys' temporaries, which set the peak memory
-    return _redo(_lane_keys(fmt, zero, sign, reciprocal, 1, index_k), unsettled, op)
+    del off, r  # freed before the keys' temporaries, which set the peak memory
+    return _redo(np.where(zero, 0, _key_of(fmt, sign, reciprocal, 1, index_k)), unsettled, op)
 
 
 def _kernel_shapes(zeta_x: np.ndarray, zeta_y, *terms) -> None:

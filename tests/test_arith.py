@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliarith import arith, lanes
+from sliarith import arith, core, lanes
 from sliarith.arith import (
     absolute,
     add,
@@ -32,6 +32,7 @@ from sliarith.core import (
     SliNumber,
     _from_key,
     _key,
+    _key_of,
     decode,
     encode,
     magnitude_rank,
@@ -385,8 +386,9 @@ class TestSequenceSanity:
 
 class TestMagnitudeOrder:
     def test_r_zeta_order_is_rank_order(self):
-        # add and sub order their operands by r (zeta - 1), where zeta - 1
-        # is exactly the rank's offset from one over 2**index_bits.
+        # The scalar add and sub order their operands by r (zeta - 1),
+        # where zeta - 1 is exactly the rank's offset from one over
+        # 2**index_bits; lanes.add orders on the keys' r m instead.
         fmt = SliFormat(2, 4)
         nums = [n for n in (unpack(BitWord(b, fmt.width), fmt) for b in range(1 << fmt.width))
                 if not n.is_zero]
@@ -653,6 +655,65 @@ class TestLaneForms:
         # within _TRANS of libm; these bounds must cover such a numpy.
         self.test_kernels_stay_within_their_bounds()
         self.test_kernels_take_a_reciprocal_y()
+
+    @staticmethod
+    def unrounded(scalar_module, lane_call, scalar_calls):
+        """Per lane the zeta and err lane_call() hands _materialize_lanes,
+        and the zeta each of scalar_calls hands scalar_module's
+        _materialize."""
+        lane_round, scalar_round = lanes._materialize_lanes, scalar_module._materialize
+        got, want = [], []
+
+        def lane_spy(fmt, sign, reciprocal, zeta, err, op):
+            got.append((zeta.copy(), err.copy()))
+            return lane_round(fmt, sign, reciprocal, zeta, err, op)
+
+        def scalar_spy(fmt, sign, reciprocal, zeta):
+            want.append(zeta)
+            return scalar_round(fmt, sign, reciprocal, zeta)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lanes, "_materialize_lanes", lane_spy)
+            lane_call()
+            patch.setattr(scalar_module, "_materialize", scalar_spy)
+            for call in scalar_calls:
+                call()
+        (zeta, err), = got
+        assert len(want) == zeta.size
+        return zeta, err, np.array(want)
+
+    @pytest.mark.parametrize("fmt", [F, SliFormat(2, 20)], ids=["sli2.12", "sli2.20"])
+    def test_sums_below_one_stay_within_their_bounds(self, fmt, perturbed_numpy):
+        # lanes.add with both operands below one: t from log1p and psi,
+        # then one kernel run.  Neighbours 1-3 ranks apart, like and
+        # unlike signs, so r = b_0 comes near one and 1 -/+ r near 2 or 0.
+        rng = np.random.default_rng(31)
+        n = 1500
+        m = rng.integers(1, fmt.max_level * fmt.index_scale - 4, n)  # r = -1, from level 1
+        sign = rng.choice([-1, 1], n)
+        x = _key_of(fmt, sign, -1, 1, m)
+        y = _key_of(fmt, sign * rng.choice([-1, 1], n), -1, 1, m + rng.integers(1, 4, n))
+        xs, ys = [_from_key(fmt, k) for k in x.tolist()], [_from_key(fmt, k) for k in y.tolist()]
+        zeta, err, want = self.unrounded(arith, lambda: lanes.add(x, y, fmt),
+                                         [lambda a=a, b=b: add(a, b) for a, b in zip(xs, ys)])
+        finite = np.isfinite(err)
+        assert np.count_nonzero(finite) > n // 2
+        assert np.all(np.abs(zeta - want)[finite] <= err[finite])
+
+    def test_encode_stays_within_its_bound(self, perturbed_numpy):
+        # lanes.encode's psi of |ln |x||, from subnormals to near the top
+        # of binary64, values near one among them.
+        rng = np.random.default_rng(37)
+        values = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-323.5, 308.2, 3000)
+        values[:200] = 1.0 + rng.uniform(-1e-6, 1e-6, 200)
+        values[200:208] = [5e-324, 1e-310, 2.2e-308, 1.7e308, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
+                           math.e, 1 / math.e]
+        for fmt in (F, SliFormat(2, 20)):
+            zeta, err, want = self.unrounded(
+                core, lambda: lanes.encode(values, fmt),
+                [lambda v=v: encode(v, fmt) for v in values.tolist()])
+            assert np.all(np.isfinite(err))
+            assert np.all(np.abs(zeta - want) <= err)
 
     def test_h_clamp_on_a_pinned_pair(self):
         # phi(zx) - phi(zy) = e**0.903... - e**0.383... is one, phi(1), up

@@ -17,6 +17,8 @@ from sliarith.core import (
     SliNumber,
     _from_key,
     _key,
+    _key_fields,
+    _key_of,
     _materialize,
     decode,
     encode,
@@ -31,7 +33,7 @@ from sliarith.core import (
     unpack,
     word_fields,
 )
-from sliarith.lanes import _key_fields, _lane_keys, _materialize_lanes, _value_block
+from sliarith.lanes import _materialize_lanes, _value_block
 
 F212 = SliFormat(2, 12)
 F22U = SliFormat(2, 2, signed=False)
@@ -704,7 +706,8 @@ class TestLadder:
 
 
 class TestKeys:
-    """The lanes' int64 keys against the scalar values, over every word."""
+    """The keys of _key_of and _key_fields, for one int and for int64
+    arrays, against the scalar values, over every word."""
 
     @pytest.mark.parametrize("raw", [False, True], ids=["normal", "raw"])
     @pytest.mark.parametrize("name", ["sli1.3", "sli2.3u", "sli3.2"])
@@ -713,7 +716,7 @@ class TestKeys:
         bits = np.arange(1 << fmt.width)
         sign, reciprocal, level, index_k = word_fields(bits, fmt)
         zero = (reciprocal < 0) & (level == 1) & (index_k == 0) & (not raw)
-        keys = _lane_keys(fmt, zero, sign, reciprocal, level, index_k)
+        keys = np.where(zero, 0, _key_of(fmt, sign, reciprocal, level, index_k))
         # A raw block reads the all-zeros payload as its literal fields,
         # 1/phi(1), which is one.
         nums = [SliNumber.of(fmt, *word_fields(b, fmt)) if raw
@@ -721,13 +724,24 @@ class TestKeys:
         assert keys.dtype == np.int64
         assert keys.tolist() == [_key(n) for n in nums]
         assert [_from_key(fmt, k) for k in keys.tolist()] == nums
+        # One int at a time, the same body gives the same keys, as ints.
+        one_by_one = [0 if z else _key_of(fmt, *f) for z, *f in zip(
+            zero.tolist(), sign.tolist(), reciprocal.tolist(), level.tolist(), index_k.tolist())]
+        assert one_by_one == keys.tolist()
+        assert {type(k) for k in one_by_one} == {int}
 
-        got_zero, got_sign, got_reciprocal, got_zeta = _key_fields(keys, fmt)
+        fields = _key_fields(keys, fmt)
+        assert [f.dtype for f in fields] == [np.bool_] + [np.int64] * 3 + [np.float64]
+        per_key = [_key_fields(k, fmt) for k in keys.tolist()]
+        assert {tuple(map(type, f)) for f in per_key} == {(bool, int, int, int, float)}
+        assert [list(column) for column in zip(*per_key)] == [f.tolist() for f in fields]
+        got_zero, got_sign, got_reciprocal, got_m, got_zeta = fields
         read = [SliNumber.one(fmt) if n.is_zero else n for n in nums]  # zero reads as one
         assert got_zero.tolist() == [n.is_zero for n in nums]
         assert got_zero.any() != raw
         assert got_sign.tolist() == [n.sign for n in read]
         assert got_reciprocal.tolist() == [n.reciprocal for n in read]
+        assert got_m.tolist() == [(n.level - 1) * fmt.index_scale + n.index_k for n in read]
         assert list(map(float.hex, got_zeta.tolist())) == [n.zeta.hex() for n in read]
 
         # Integer order on keys is compare's order, and the decoded

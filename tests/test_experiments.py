@@ -890,8 +890,8 @@ class TestCliErrors:
         assert capsys.readouterr().err.startswith("sliarith: error: ")
 
     @pytest.mark.parametrize("target, message", [
-        ("missing/out.dat", "No such file"), (".", "Is a directory"),
-    ], ids=["missing-directory", "directory"])
+        ("missing/out.dat", "No such file"), (".", "Is a directory"), ("", "No such file"),
+    ], ids=["missing-directory", "directory", "empty"])
     @pytest.mark.parametrize("command", ["sweep-repr", "matvec"])
     def test_unwritable_output_is_domain_error(self, command, target, message, tmp_path,
                                                capsys, monkeypatch):
@@ -900,7 +900,7 @@ class TestCliErrors:
 
         monkeypatch.setattr(experiments, "repr_error_sweep", experiment)
         monkeypatch.setattr(experiments, "matvec_backward_error", experiment)
-        out = tmp_path / target
+        out = tmp_path / target if target else ""  # open("") fails as a missing file
         argv = {"sweep-repr": ["--min", "1", "--max", "2", "--step", "0.5"],
                 "matvec": ["--dims", "2"]}[command]
         assert cli([command, *argv, "--out", str(out)]) == 1

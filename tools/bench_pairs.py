@@ -14,7 +14,9 @@ differ by location alone.  Each pair runs bench/run.py once in each
 tree, on the same workload, seed and --seconds, and the side that runs
 first alternates from pair to pair.
 Pair i of every workload uses seed --seed + i.  --traced-pairs adds K
-more pairs per workload with --trace 1, for the per-layer numbers.
+more pairs per workload with --trace 1, for the per-layer numbers.  A
+NAME that BENCHMARK.json does not list, or PAIRS that is not an integer
+>= 1, is a usage error (exit 2) before any tree is unpacked.
 
 Before the first pair, src/ and bench/ of both trees are byte-compiled
 (compileall, this interpreter).  Python reads bytecode even where
@@ -131,12 +133,20 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--traced-pairs", type=int, default=0)
     args = parser.parse_args()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    workloads = [w["name"] for w in benchmark["workloads"]]
     plan = {}
     for spec in args.workload:
         name, _, count = spec.partition("=")
-        plan[name] = int(count or 1)
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+        if name not in workloads:
+            parser.error(f"--workload {spec}: {name!r} is not one of {', '.join(workloads)}")
+        try:
+            plan[name] = int(count or 1)
+        except ValueError:
+            plan[name] = 0
+        if plan[name] < 1:
+            parser.error(f"--workload {spec}: the pair count must be an integer >= 1")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
