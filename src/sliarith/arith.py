@@ -93,24 +93,23 @@ def li_add_sub(
 
     a, b = _ladder(zeta_x, zeta_y)
     c = 1.0 - b if subtract else 1.0 + b
-    j = 0
-    while True:
+    for j, a_j in enumerate(a):
+        if j:
+            c = 1.0 + a_j * log_c
         if c <= 0.0:
             # The result magnitude is phi(j) on the nose (or full
             # cancellation at j = 0); roundoff cannot sit below this.
             return float(j)
-        if c < a[j]:
+        if c < a_j:
             # phi(zeta_z - j) = c/a_j < 1: result level is j.
-            return j + c / a[j]
-        if j == lev - 1:
-            break
-        j += 1
-        c = 1.0 + a[j] * math.log(c)
+            return j + c / a_j
+        log_c = math.log(c)
 
-    h = f + math.log(c)
+    h = f + log_c
     if h < 0.0:  # roundoff below the a_{l-1} <= c guarantee
         h = 0.0
-    return lev + psi(h)
+    # psi(h), inline: h < 1 + ln 2 (c <= 2), so it takes at most one log.
+    return lev + (h if h < 1.0 else 1.0 + math.log(h))
 
 
 def _ladder(zeta_x: float, zeta_y: float) -> tuple[list[float], float]:
@@ -120,9 +119,9 @@ def _ladder(zeta_x: float, zeta_y: float) -> tuple[list[float], float]:
     lev = int(zeta_x)
     # Reciprocal ladder of X, top level down to a_0 = 1/phi(zeta_x).
     a = [0.0] * lev
-    a[lev - 1] = math.exp(-(zeta_x - lev))
-    for j in range(lev - 1, 0, -1):
-        a[j - 1] = math.exp(-1.0 / a[j]) if a[j] > 0.0 else 0.0
+    a_j = a[lev - 1] = math.exp(-(zeta_x - lev))
+    for j in range(lev - 2, -1, -1):
+        a_j = a[j] = math.exp(-1.0 / a_j) if a_j > 0.0 else 0.0
 
     # Ratio ladder of Y against X, down to b_0 = |Y|/|X|.
     m = int(zeta_y)
@@ -203,20 +202,23 @@ def _mag_add_sub(fmt: SliFormat, rb: int, zb: float, rs: int, zs: float, subtrac
 def _add_signed(x: SliNumber, y: SliNumber, y_sign: int) -> SliNumber:
     """Rounded x + y, with y's sign taken as y_sign (add passes y.sign,
     sub -y.sign), so that no negated y is ever built."""
-    fmt = _require_same_format(x, y)
-    if x.is_zero:
-        return y if y_sign == y.sign else neg(y)
-    if y.is_zero:
+    fmt, x_zero, x_sign, rx, lx, kx = x
+    y_fmt, y_zero, sy, ry, ly, ky = y
+    if y_fmt is not fmt:
+        _require_same_format(x, y)
+    if x_zero:
+        return y if y_sign == sy else neg(y)
+    if y_zero:
         return x
-    rx, zx, ry, zy = x.reciprocal, x.zeta, y.reciprocal, y.zeta
+    zx, zy = lx + kx / fmt.index_scale, ly + ky / fmt.index_scale
     # r (zeta - 1) orders magnitudes exactly as magnitude_rank does: zeta - 1
     # is the rank's offset from one over 2**index_bits.
     ox, oy = rx * (zx - 1.0), ry * (zy - 1.0)
-    subtract = x.sign != y_sign
+    subtract = x_sign != y_sign
     if subtract and ox == oy:
         return SliNumber.zero(fmt)
     if ox >= oy:
-        return _mag_add_sub(fmt, rx, zx, ry, zy, subtract, x.sign)
+        return _mag_add_sub(fmt, rx, zx, ry, zy, subtract, x_sign)
     if y_sign < 0 and not fmt.signed:
         raise ValueError(f"negative difference in unsigned {fmt.name}")
     return _mag_add_sub(fmt, ry, zy, rx, zx, subtract, y_sign)
@@ -237,13 +239,17 @@ def _mul_signed(x: SliNumber, y: SliNumber, y_reciprocal: int) -> SliNumber:
     """Rounded x * y, with y's reciprocal flag taken as y_reciprocal (mul
     passes y.reciprocal, div -y.reciprocal: 1/y flips only that flag, with
     no rounding), so that no inverted y is ever built."""
-    fmt = _require_same_format(x, y)
-    if x.is_zero or y.is_zero:
+    fmt, x_zero, sx, rx, lx, kx = x
+    y_fmt, y_zero, sy, _, ly, ky = y
+    if y_fmt is not fmt:
+        _require_same_format(x, y)
+    if x_zero or y_zero:
         return SliNumber.zero(fmt)
     # With r x's reciprocal flag, x * y is (phi(zeta_x) * phi(zeta_y))**r
     # for like flags and (phi(zeta_x) / phi(zeta_y))**r for unlike ones.
-    w, flipped = li_mul_div(x.zeta, y.zeta, x.reciprocal != y_reciprocal)
-    return _materialize(fmt, x.sign * y.sign, -x.reciprocal if flipped else x.reciprocal, w)
+    scale = fmt.index_scale
+    w, flipped = li_mul_div(lx + kx / scale, ly + ky / scale, rx != y_reciprocal)
+    return _materialize(fmt, sx * sy, -rx if flipped else rx, w)
 
 
 def mul(x: SliNumber, y: SliNumber) -> SliNumber:

@@ -28,6 +28,7 @@ p_i bits.  The all-zeros word is zero by convention.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -137,11 +138,14 @@ class SliFormat:
     index_bits: int = 12
     signed: bool = True
     # Derived once, since the scalar codec reads them for every value:
-    # total bits in a packed word, 2**level_bits, and the denominator of
-    # representable indices, 2**index_bits.
+    # total bits in a packed word, 2**level_bits, the denominator of
+    # representable indices, 2**index_bits, and word_fields' (sign,
+    # reciprocal, level) for each value of a word's bits above the index
+    # (at most 256), which unpack reads with one lookup.
     width: int = field(init=False, repr=False, compare=False)
     max_level: int = field(init=False, repr=False, compare=False)
     index_scale: int = field(init=False, repr=False, compare=False)
+    prefix_fields: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.level_bits <= 6:
@@ -154,6 +158,9 @@ class SliFormat:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "max_level", 1 << self.level_bits)
         object.__setattr__(self, "index_scale", 1 << self.index_bits)
+        object.__setattr__(self, "prefix_fields", tuple(
+            word_fields(prefix << self.index_bits, self)[:3]
+            for prefix in range(1 << (width - self.index_bits))))
 
     @classmethod
     def from_name(cls, name: str) -> "SliFormat":
@@ -225,6 +232,18 @@ class _Value(tuple):
         return cls(*iterable)
 
 
+def _as_ints(kind: str, **fields) -> tuple[int, ...]:
+    """The fields' values as Python ints, for integers of other types
+    (numbers.Integral: bool, numpy integers), whose fixed-width arithmetic
+    pack and the keys must not inherit.  TypeError names every field that
+    is not an integer."""
+    bad = [f"{name}={value!r}" for name, value in fields.items()
+           if not isinstance(value, numbers.Integral)]
+    if bad:
+        raise TypeError(f"{kind} fields must be integers, got {', '.join(bad)}")
+    return tuple(map(int, fields.values()))
+
+
 class _SliFields(NamedTuple):
     fmt: SliFormat
     is_zero: bool
@@ -240,10 +259,10 @@ class SliNumber(_Value, _SliFields):
     index_k is the integer numerator of the index, so the index proper is
     index_k / fmt.index_scale and zeta = level + index.  Zero is carried
     as an explicit flag with neutral fields (+1, +1, level 1, k 0).
-    Construction validates ranges; the non-canonical spelling of one
-    (r = -1, level 1, index 0) is rejected, use SliNumber.of() to build
-    values from raw fields with canonicalization applied.  Values are
-    immutable and compare by field.
+    Construction validates types and ranges; the non-canonical spelling
+    of one (r = -1, level 1, index 0) is rejected, use SliNumber.of() to
+    build values from raw fields with canonicalization applied.  Values
+    are immutable and compare by field.
     """
 
     __slots__ = ()
@@ -252,6 +271,10 @@ class SliNumber(_Value, _SliFields):
         cls, fmt: SliFormat, is_zero: bool, sign: int, reciprocal: int, level: int,
         index_k: int,
     ) -> "SliNumber":
+        if not (type(sign) is int and type(reciprocal) is int and type(level) is int
+                and type(index_k) is int):
+            sign, reciprocal, level, index_k = _as_ints(
+                "SliNumber", sign=sign, reciprocal=reciprocal, level=level, index_k=index_k)
         # Every valid nonzero value passes this one test; anything else
         # (zero included) goes through the checks one by one below.
         if (
@@ -357,6 +380,8 @@ class BitWord(_Value, _BitWordFields):
     __slots__ = ()
 
     def __new__(cls, bits: int, width: int) -> "BitWord":
+        if not (type(bits) is int and type(width) is int):
+            bits, width = _as_ints("BitWord", bits=bits, width=width)
         if 1 <= width <= 64 and 0 <= bits < (1 << width):
             return tuple.__new__(cls, (bits, width))
         if not 1 <= width <= 64:
@@ -399,7 +424,7 @@ def encode(value: float, fmt: SliFormat | None = None) -> SliNumber:
     system has neither.
     """
     if fmt is None:
-        fmt = SliFormat()
+        fmt = _DEFAULT_FORMAT
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"cannot encode non-finite value {value}")
     if value == 0.0:
@@ -436,14 +461,14 @@ def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> Sli
     top = fmt.max_level
     if zeta >= top + 1:  # inf included
         return SliNumber(fmt, False, sign, reciprocal, top, scale - 1)
-    level = int(zeta)
-    frac = zeta - level
-    if level < 1:
-        level, frac = 1, zeta
-    # Scaled index, rounded half away from zero.  The tie test compares
-    # the exact fractional part, not floor(t + 0.5), which misrounds
-    # values like 0.49999999999999994 in binary64.
-    t = frac * scale
+    # Level and scaled index, rounded half away from zero.  The tie test
+    # compares the exact fractional part, not floor(t + 0.5), which
+    # misrounds values like 0.49999999999999994 in binary64.
+    if zeta < 1.0:
+        level, t = 1, zeta * scale
+    else:
+        level = int(zeta)
+        t = (zeta - level) * scale
     k = int(t)
     if t - k >= 0.5:
         k += 1
@@ -501,18 +526,27 @@ def word_fields(bits, fmt: SliFormat) -> tuple:
     )
 
 
-def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
-    """Inverse of pack: word_fields, then one validating construction.
+# encode's format when it is given none, built once: a SliFormat fills
+# its prefix table as it is built.
+_DEFAULT_FORMAT = SliFormat()
 
-    The all-zeros payload is zero regardless of the sign bit, so the
-    negative-zero word of a signed format folds onto plain zero.  It is
-    also the only word whose literal fields spell one as 1/1, so every
-    other word's fields build a SliNumber as they are.
+
+def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
+    """Inverse of pack: the word's fields, then one validating construction.
+
+    The fields above the index come from fmt.prefix_fields, word_fields'
+    own for each prefix, and the index from one mask.  The all-zeros
+    payload is zero regardless of the sign bit, so the negative-zero
+    word of a signed format folds onto plain zero.  It is also the only
+    word whose literal fields spell one as 1/1, so every other word's
+    fields build a SliNumber as they are.
     """
-    if word.width != fmt.width:
-        raise ValueError(f"word width {word.width} does not match {fmt.name} ({fmt.width})")
-    sign, reciprocal, level, index_k = word_fields(word.bits, fmt)
-    if reciprocal < 0 and level == 1 and index_k == 0:
+    bits, width = word
+    if width != fmt.width:
+        raise ValueError(f"word width {width} does not match {fmt.name} ({fmt.width})")
+    index_k = bits & (fmt.index_scale - 1)
+    sign, reciprocal, level = fmt.prefix_fields[bits >> fmt.index_bits]
+    if index_k == 0 and reciprocal < 0 and level == 1:
         return SliNumber.zero(fmt)
     return SliNumber(fmt, False, sign, reciprocal, level, index_k)
 

@@ -139,33 +139,23 @@ def fl(value: float, fmt: FloatFormat) -> float:
     return math.copysign(math.inf, value)  # at or past overflow_threshold
 
 
-_OP_ALIASES = {
-    "+": "+", "add": "+",
-    "-": "-", "sub": "-",
-    "*": "*", "x": "*", "mul": "*",
-    "/": "/", "div": "/",
-}
-
-
 def fl_op(a: float, b: float, op: str, fmt: FloatFormat) -> float:
     """One correctly rounded operation: fl(a op b).
 
-    Operands are taken as given (round them first if they came from
-    outside the format).  The binary64 intermediate is exact or
-    irrelevant at these precisions, so the single final rounding makes
-    the result correctly rounded.  Division follows IEEE: x/0 is a
-    signed infinity and 0/0 is NaN.
+    op is one of + - * / or an alias: add, sub, mul or x, div.  Operands
+    are taken as given (round them first if they came from outside the
+    format).  The binary64 intermediate is exact or irrelevant at these
+    precisions, so the single final rounding makes the result correctly
+    rounded.  Division follows IEEE: x/0 is a signed infinity and 0/0 is
+    NaN.
     """
-    symbol = _OP_ALIASES.get(op)
-    if symbol is None:
-        raise ValueError(f"unknown operation {op!r}")
-    if symbol == "+":
+    if op == "+" or op == "add":
         r = a + b
-    elif symbol == "-":
+    elif op == "-" or op == "sub":
         r = a - b
-    elif symbol == "*":
+    elif op == "*" or op == "mul" or op == "x":
         r = a * b
-    else:
+    elif op == "/" or op == "div":
         try:
             r = a / b
         except ZeroDivisionError:
@@ -173,6 +163,8 @@ def fl_op(a: float, b: float, op: str, fmt: FloatFormat) -> float:
                 r = math.nan
             else:
                 r = math.copysign(math.inf, a) * math.copysign(1.0, b)
+    else:
+        raise ValueError(f"unknown operation {op!r}")
     return fl(r, fmt)
 
 

@@ -8,6 +8,7 @@ correctness bar wherever the kernel result is not forced exactly.
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from sliarith.core import (
     decode,
     encode,
     magnitude_rank,
+    next_up,
     pack,
     phi,
     psi,
@@ -529,17 +531,79 @@ class TestExhaustiveSmallFormats:
     def test_packed_results_are_pinned(self, name):
         fmt = SliFormat.from_name(name)
         nums = [unpack(BitWord(bits, fmt.width), fmt) for bits in range(1 << fmt.width)]
-        h = hashlib.sha256()
-        for op in (add, sub, mul, div):
-            for x in nums:
-                for y in nums:
-                    try:
-                        h.update(pack(op(x, y)).bits.to_bytes(2, "big"))
-                    except ZeroDivisionError:
-                        h.update(b"Z")
-                    except ValueError:
-                        h.update(b"N")
-        assert h.hexdigest() == self.DIGESTS[name]
+        assert _packed_results_digest([(x, y) for x in nums for y in nums]) == self.DIGESTS[name]
+
+
+def _packed_results_digest(pairs) -> str:
+    """sha256 of add, sub, mul and div over the (x, y) pairs, op by op:
+    each result's packed word in two bytes, b"Z" for ZeroDivisionError
+    and b"N" for the ValueError of a negative unsigned result."""
+    h = hashlib.sha256()
+    for op in (add, sub, mul, div):
+        for x, y in pairs:
+            try:
+                h.update(pack(op(x, y)).bits.to_bytes(2, "big"))
+            except ZeroDivisionError:
+                h.update(b"Z")
+            except ValueError:
+                h.update(b"N")
+    return h.hexdigest()
+
+
+class TestSampledSli212:
+    """The four scalar ops over a seeded sample of sli2.12 word pairs.
+
+    sli2.12 (16 bits) is too wide to run every pair, so the sample takes
+    uniform words (levels 1 to 4, both reciprocal halves, both signs),
+    each against its upper neighbour with like and unlike signs (near
+    cancellation in sub and add), zero and negative-zero operands, each
+    against itself and its negation (exact cancellation), and words of
+    the top and bottom 64 magnitudes (products and quotients that
+    saturate).  The digest, as TestExhaustiveSmallFormats takes it, was
+    recorded before unpack read its fields from a table.
+    """
+
+    DIGEST = "e974be437bf05d562f38c566b859a8741b0b464e52f00a59e141914ed93d6a2d"
+
+    @staticmethod
+    def pairs() -> list[tuple[SliNumber, SliNumber]]:
+        fmt = SliFormat(2, 12)
+        # random() is the one stream Python keeps the same across versions.
+        rng = random.Random(2412)
+
+        def word(n: int = 1 << 16, base: int = 0) -> SliNumber:
+            return unpack(BitWord(base + int(rng.random() * n), 16), fmt)
+
+        def signed(num: SliNumber) -> SliNumber:
+            return neg(num) if rng.random() < 0.5 else num
+
+        pairs = [(word(), word()) for _ in range(1200)]
+        for _ in range(300):
+            x = word(0x7FFF, 1)  # below the top, so next_up exists
+            if x.is_zero:
+                continue
+            y = next_up(x)
+            pairs += [(x, y), (x, neg(y)), (y, x)]
+        for zero in (0, 0x8000):
+            z = unpack(BitWord(zero, 16), fmt)
+            pairs += [(z, z)]
+            for _ in range(40):
+                x = word()
+                pairs += [(z, x), (x, z)]
+        for _ in range(200):
+            x = word()
+            pairs += [(x, x), (x, neg(x))]
+
+        def extreme(high: int) -> SliNumber:  # one of the 64 magnitudes up to high's
+            return signed(word(64, high - 63))
+
+        ends = (0x7FFF, 0x3FFF)  # the largest and the smallest magnitude
+        for _ in range(50):
+            pairs += [(extreme(a), extreme(b)) for a in ends for b in ends]
+        return pairs
+
+    def test_packed_results_are_pinned(self):
+        assert _packed_results_digest(self.pairs()) == self.DIGEST
 
 
 class _PerturbedNumpy:

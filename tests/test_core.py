@@ -1,5 +1,6 @@
 """Codec, conversion, and rounding tests for the core module."""
 
+import dataclasses
 import math
 import operator
 import re
@@ -156,6 +157,29 @@ class TestSliFormat:
         with pytest.raises(ValueError):
             SliFormat(2, 53)
 
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("level_bits", range(1, 7))
+    def test_prefix_fields_are_word_fields_own(self, level_bits, signed):
+        fmt = SliFormat(level_bits, 3, signed)
+        table = fmt.prefix_fields
+        assert len(table) == 1 << (fmt.width - fmt.index_bits) <= 256
+        assert list(table) == [word_fields(p << fmt.index_bits, fmt)[:3]
+                               for p in range(len(table))]
+
+    def test_prefix_fields_leave_equality_hash_and_repr(self):
+        a, b = SliFormat(3, 5), SliFormat(3, 5)
+        assert a == b and hash(a) == hash(b) and a.prefix_fields is not b.prefix_fields
+        assert hash(a) == hash((3, 5, True))
+        assert repr(a) == "SliFormat(level_bits=3, index_bits=5, signed=True)"
+        assert a != SliFormat(3, 5, signed=False)
+
+    def test_replace_rebuilds_prefix_fields(self):
+        fmt = dataclasses.replace(F212, level_bits=3, signed=False)
+        assert fmt == SliFormat(3, 12, signed=False)
+        assert fmt.prefix_fields == SliFormat(3, 12, signed=False).prefix_fields
+        assert len(fmt.prefix_fields) == 16 and len(F212.prefix_fields) == 16
+        assert fmt.prefix_fields != F212.prefix_fields
+
     def test_range_endpoints(self):
         assert F13U.max_zeta == 2.875
         assert F13U.max_value == pytest.approx(11.010785517010257, rel=1e-12)
@@ -272,6 +296,9 @@ class TestEncodeDecode:
     def test_encode_defaults_to_sli2_12(self):
         assert encode(math.pi) == encode(math.pi, SliFormat(2, 12))
         assert encode(math.pi).fmt == SliFormat()
+
+    def test_encode_builds_its_default_format_once(self):
+        assert encode(math.pi).fmt is encode(-2.5).fmt is encode(0.0).fmt
 
     def test_lane_form_matches_encode(self):
         rng = np.random.default_rng(5)
@@ -509,6 +536,40 @@ class TestConstructionChecks:
     def test_sli_number(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SliNumber(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((F212, False, 1, 1, 2, 0.5), "index_k=0.5"),
+        ((F212, False, 1, 1, 2.0, 5), "level=2.0"),
+        ((F212, False, 1.0, -1.0, 2, 5), "sign=1.0, reciprocal=-1.0"),
+        ((F212, True, 1, 1, 1, 0.0), "index_k=0.0"),
+        ((F212, False, 1, 1, np.float64(3.0), "7"), f"level={np.float64(3.0)!r}, index_k='7'"),
+    ])
+    def test_sli_number_fields_are_integers(self, args, message):
+        with pytest.raises(TypeError, match=f"^SliNumber fields must be integers, got "
+                                            f"{re.escape(message)}$"):
+            SliNumber(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((3.5, 16), "bits=3.5"),
+        ((3, 16.0), "width=16.0"),
+        ((1e300, 64), "bits=1e+300"),
+    ])
+    def test_bit_word_fields_are_integers(self, args, message):
+        with pytest.raises(TypeError, match=f"^BitWord fields must be integers, got "
+                                            f"{re.escape(message)}$"):
+            BitWord(*args)
+
+    def test_numpy_integer_fields_become_ints(self):
+        # An int8 level once made pack raise OverflowError: its bit arithmetic ran in int8.
+        num = SliNumber(F212, False, np.int64(1), np.int8(-1), np.int8(2), np.uint16(5))
+        assert num == SliNumber(F212, False, 1, -1, 2, 5)
+        assert all(type(v) is int for v in num[2:])
+        assert pack(num) == pack(SliNumber(F212, False, 1, -1, 2, 5))
+        assert SliNumber(F212, True, 1, np.int64(1), 1, np.int64(0)).is_zero
+        word = BitWord(np.int64(5), np.int32(16))
+        assert word == BitWord(5, 16) and type(word.bits) is int is type(word.width)
+        with pytest.raises(ValueError, match="do not fit"):
+            BitWord(np.int64(16), 4)
 
     @pytest.mark.parametrize("args, message", [
         ((0, 0), "width must be in 1..64, got 0"),

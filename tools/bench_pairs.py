@@ -15,8 +15,10 @@ tree, on the same workload, seed and --seconds, and the side that runs
 first alternates from pair to pair.
 Pair i of every workload uses seed --seed + i.  --traced-pairs adds K
 more pairs per workload with --trace 1, for the per-layer numbers.  A
-NAME that BENCHMARK.json does not list, or PAIRS that is not an integer
->= 1, is a usage error (exit 2) before any tree is unpacked.
+NAME that BENCHMARK.json does not list, PAIRS that is not an integer
+>= 1, --seconds outside the 1..MAX_SECONDS that bench/run.py accepts, a
+negative --seed or a negative --traced-pairs is a usage error (exit 2)
+before any tree is unpacked.
 
 Before the first pair, src/ and bench/ of both trees are byte-compiled
 (compileall, this interpreter).  Python reads bytecode even where
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import datetime
+import importlib.util
 import io
 import json
 import shutil
@@ -54,6 +57,14 @@ ROOT = Path(__file__).resolve().parent.parent
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _max_seconds() -> int:
+    """MAX_SECONDS of this checkout's bench/run.py, the largest --seconds it takes."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.MAX_SECONDS
 
 
 def _unpack(rev: str, into: Path) -> str:
@@ -133,6 +144,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--traced-pairs", type=int, default=0)
     args = parser.parse_args()
+    max_seconds = _max_seconds()
+    if not 1 <= args.seconds <= max_seconds:
+        parser.error(f"--seconds {args.seconds}: bench/run.py takes 1 to {max_seconds}")
+    if args.seed < 0:
+        parser.error(f"--seed {args.seed}: must be >= 0")
+    if args.traced_pairs < 0:
+        parser.error(f"--traced-pairs {args.traced_pairs}: must be >= 0")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     workloads = [w["name"] for w in benchmark["workloads"]]
