@@ -199,17 +199,22 @@ def _mag_add_sub(fmt: SliFormat, rb: int, zb: float, rs: int, zs: float, subtrac
     return _materialize(fmt, sign, -1 if subtract or u >= t else 1, 1.0 + w)
 
 
-def _add_signed(x: SliNumber, y: SliNumber, y_sign: int) -> SliNumber:
-    """Rounded x + y, with y's sign taken as y_sign (add passes y.sign,
-    sub -y.sign), so that no negated y is ever built."""
+def _add_signed(x: SliNumber, y: SliNumber, negate_y: bool) -> SliNumber:
+    """Rounded x + y, or x + (-y) for negate_y, so that no negated y is
+    ever built.  Other operands than a SliNumber (a plain tuple) are
+    first built into one, checked."""
+    if x.__class__ is not SliNumber or y.__class__ is not SliNumber:
+        x, y = SliNumber(*x), SliNumber(*y)  # checked: _materialize trusts their signs
     fmt, x_zero, x_sign, rx, lx, kx = x
-    y_fmt, y_zero, sy, ry, ly, ky = y
+    y_fmt, y_zero, y_sign, ry, ly, ky = y
     if y_fmt is not fmt:
         _require_same_format(x, y)
     if x_zero:
-        return y if y_sign == sy else neg(y)
+        return neg(y) if negate_y else y
     if y_zero:
         return x
+    if negate_y:
+        y_sign = -y_sign
     zx, zy = lx + kx / fmt.index_scale, ly + ky / fmt.index_scale
     # r (zeta - 1) orders magnitudes exactly as magnitude_rank does: zeta - 1
     # is the rank's offset from one over 2**index_bits.
@@ -226,43 +231,44 @@ def _add_signed(x: SliNumber, y: SliNumber, y_sign: int) -> SliNumber:
 
 def add(x: SliNumber, y: SliNumber) -> SliNumber:
     """Rounded sum.  Exact cancellation of equal opposites gives zero."""
-    return _add_signed(x, y, y.sign)
+    return _add_signed(x, y, False)
 
 
 def sub(x: SliNumber, y: SliNumber) -> SliNumber:
     """Rounded difference x + (-y).  In an unsigned format it raises
     ValueError only where y > x, when the difference is negative."""
-    return _add_signed(x, y, -y.sign)
+    return _add_signed(x, y, True)
 
 
-def _mul_signed(x: SliNumber, y: SliNumber, y_reciprocal: int) -> SliNumber:
-    """Rounded x * y, with y's reciprocal flag taken as y_reciprocal (mul
-    passes y.reciprocal, div -y.reciprocal: 1/y flips only that flag, with
-    no rounding), so that no inverted y is ever built."""
+def _mul_signed(x: SliNumber, y: SliNumber, invert_y: bool) -> SliNumber:
+    """Rounded x * y, or x * (1/y) for invert_y (1/y flips only y's
+    reciprocal flag, with no rounding), so that no inverted y is ever
+    built.  Mixed formats are refused before a zero divisor."""
+    if x.__class__ is not SliNumber or y.__class__ is not SliNumber:
+        x, y = SliNumber(*x), SliNumber(*y)  # checked: _materialize trusts their signs
     fmt, x_zero, sx, rx, lx, kx = x
-    y_fmt, y_zero, sy, _, ly, ky = y
+    y_fmt, y_zero, sy, ry, ly, ky = y
     if y_fmt is not fmt:
         _require_same_format(x, y)
+    if y_zero and invert_y:
+        raise ZeroDivisionError("SLI division by zero")
     if x_zero or y_zero:
         return SliNumber.zero(fmt)
     # With r x's reciprocal flag, x * y is (phi(zeta_x) * phi(zeta_y))**r
     # for like flags and (phi(zeta_x) / phi(zeta_y))**r for unlike ones.
     scale = fmt.index_scale
-    w, flipped = li_mul_div(lx + kx / scale, ly + ky / scale, rx != y_reciprocal)
+    w, flipped = li_mul_div(lx + kx / scale, ly + ky / scale, (rx != ry) != invert_y)
     return _materialize(fmt, sx * sy, -rx if flipped else rx, w)
 
 
 def mul(x: SliNumber, y: SliNumber) -> SliNumber:
     """Rounded product.  Saturates at the format boundary, never overflows."""
-    return _mul_signed(x, y, y.reciprocal)
+    return _mul_signed(x, y, False)
 
 
 def div(x: SliNumber, y: SliNumber) -> SliNumber:
     """Rounded quotient x * (1/y).  Any zero divisor raises ZeroDivisionError."""
-    if y.is_zero:
-        _require_same_format(x, y)  # mixed formats are refused first
-        raise ZeroDivisionError("SLI division by zero")
-    return _mul_signed(x, y, -y.reciprocal)
+    return _mul_signed(x, y, True)
 
 
 def neg(x: SliNumber) -> SliNumber:

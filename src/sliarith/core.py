@@ -194,6 +194,12 @@ class SliFormat:
         return self.name
 
 
+# The bare build of a value, _bare(SliNumber or BitWord, fields): the
+# tuple alone, without the constructor's checks.  Only for fields that
+# already pass them by construction; each call site names why they do.
+_bare = tuple.__new__
+
+
 class _Value(tuple):
     """Tuple base of the immutable value types, without tuple semantics.
 
@@ -259,10 +265,11 @@ class SliNumber(_Value, _SliFields):
     index_k is the integer numerator of the index, so the index proper is
     index_k / fmt.index_scale and zeta = level + index.  Zero is carried
     as an explicit flag with neutral fields (+1, +1, level 1, k 0).
-    Construction validates types and ranges; the non-canonical spelling
-    of one (r = -1, level 1, index 0) is rejected, use SliNumber.of() to
-    build values from raw fields with canonicalization applied.  Values
-    are immutable and compare by field.
+    Construction validates types and ranges: fmt must be a SliFormat,
+    is_zero a bool and the other fields integers (TypeError otherwise),
+    and the non-canonical spelling of one (r = -1, level 1, index 0) is
+    rejected, use SliNumber.of() to build values from raw fields with
+    canonicalization applied.  Values are immutable and compare by field.
     """
 
     __slots__ = ()
@@ -278,13 +285,18 @@ class SliNumber(_Value, _SliFields):
         # Every valid nonzero value passes this one test; anything else
         # (zero included) goes through the checks one by one below.
         if (
-            not is_zero
+            is_zero is False
+            and type(fmt) is SliFormat
             and (sign == 1 or (sign == -1 and fmt.signed))
             and (reciprocal == 1 or (reciprocal == -1 and (level != 1 or index_k != 0)))
             and 1 <= level <= fmt.max_level
             and 0 <= index_k < fmt.index_scale
         ):
-            return tuple.__new__(cls, (fmt, is_zero, sign, reciprocal, level, index_k))
+            return _bare(cls, (fmt, is_zero, sign, reciprocal, level, index_k))
+        if not isinstance(fmt, SliFormat):
+            raise TypeError(f"SliNumber fmt must be a SliFormat, got {fmt!r}")
+        if type(is_zero) is not bool:
+            raise TypeError(f"SliNumber is_zero must be a bool, got {is_zero!r}")
         if sign not in (1, -1) or reciprocal not in (1, -1):
             raise ValueError("sign and reciprocal must be +1 or -1")
         if not fmt.signed and sign < 0:
@@ -305,7 +317,7 @@ class SliNumber(_Value, _SliFields):
                 raise ValueError(
                     "non-canonical spelling of one (r=-1, zeta=1); use SliNumber.of"
                 )
-        return tuple.__new__(cls, (fmt, is_zero, sign, reciprocal, level, index_k))
+        return _bare(cls, (fmt, is_zero, sign, reciprocal, level, index_k))
 
     @classmethod
     def zero(cls, fmt: SliFormat) -> "SliNumber":
@@ -383,7 +395,7 @@ class BitWord(_Value, _BitWordFields):
         if not (type(bits) is int and type(width) is int):
             bits, width = _as_ints("BitWord", bits=bits, width=width)
         if 1 <= width <= 64 and 0 <= bits < (1 << width):
-            return tuple.__new__(cls, (bits, width))
+            return _bare(cls, (bits, width))
         if not 1 <= width <= 64:
             raise ValueError(f"width must be in 1..64, got {width}")
         raise ValueError(f"bits 0x{bits:x} do not fit in {width} bits")
@@ -460,26 +472,34 @@ def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> Sli
     scale = fmt.index_scale
     top = fmt.max_level
     if zeta >= top + 1:  # inf included
-        return SliNumber(fmt, False, sign, reciprocal, top, scale - 1)
-    # Level and scaled index, rounded half away from zero.  The tie test
-    # compares the exact fractional part, not floor(t + 0.5), which
-    # misrounds values like 0.49999999999999994 in binary64.
-    if zeta < 1.0:
-        level, t = 1, zeta * scale
+        level, k = top, scale - 1
     else:
-        level = int(zeta)
-        t = (zeta - level) * scale
-    k = int(t)
-    if t - k >= 0.5:
-        k += 1
-        if k == scale:
-            k = 0
-            level += 1
-            if level > top:
-                level, k = top, scale - 1
-    if reciprocal < 0 and level == 1 and k == 0:
-        reciprocal = 1
-    return SliNumber(fmt, False, sign, reciprocal, level, k)
+        # Level and scaled index, rounded half away from zero.  The tie
+        # test compares the exact fractional part, not floor(t + 0.5),
+        # which misrounds values like 0.49999999999999994 in binary64.
+        if zeta < 1.0:
+            level, t = 1, zeta * scale
+        else:
+            level = int(zeta)
+            t = (zeta - level) * scale
+        k = int(t)
+        if t - k >= 0.5:
+            k += 1
+            if k == scale:
+                k = 0
+                level += 1
+                if level > top:
+                    level, k = top, scale - 1
+        if reciprocal < 0 and level == 1 and k == 0:
+            reciprocal = 1
+    if sign < 0 and not fmt.signed:
+        # The one field the rounding does not prove; the checked
+        # constructor refuses it with its own message.
+        return SliNumber(fmt, False, sign, reciprocal, level, k)
+    # Valid by construction: level in 1..top and k in 0..scale - 1 through
+    # carries and saturation, 1/1 folded onto one, and sign and reciprocal
+    # the +1/-1 ints of encode's own choice or of the ops' checked operands.
+    return _bare(SliNumber, (fmt, False, sign, reciprocal, level, k))
 
 
 def decode(num: SliNumber) -> float:
@@ -498,16 +518,23 @@ def decode(num: SliNumber) -> float:
 
 
 def pack(num: SliNumber) -> BitWord:
-    """Pack into sign | reciprocal | level-1 | index bits (MSB first)."""
+    """Pack into sign | reciprocal | level-1 | index bits (MSB first).
+
+    Other 6-tuples than a SliNumber are first built into one, checked.
+    """
+    if num.__class__ is not SliNumber:
+        num = SliNumber(*num)
     fmt, is_zero, sign, reciprocal, level, index_k = num
+    # Valid by construction: a SliNumber's fields fill at most fmt.width
+    # bits, and a format's width (at most 32) is inside BitWord's 1..64.
     if is_zero:
-        return BitWord(0, fmt.width)
+        return _bare(BitWord, (0, fmt.width))
     bits = (level - 1) << fmt.index_bits | index_k
     if reciprocal > 0:
         bits |= 1 << (fmt.level_bits + fmt.index_bits)
     if sign < 0:  # a validated value is negative only in a signed format
         bits |= 1 << (fmt.width - 1)
-    return BitWord(bits, fmt.width)
+    return _bare(BitWord, (bits, fmt.width))
 
 
 def word_fields(bits, fmt: SliFormat) -> tuple:
@@ -532,15 +559,18 @@ _DEFAULT_FORMAT = SliFormat()
 
 
 def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
-    """Inverse of pack: the word's fields, then one validating construction.
+    """Inverse of pack: the word's fields, checked against fmt's width.
 
     The fields above the index come from fmt.prefix_fields, word_fields'
     own for each prefix, and the index from one mask.  The all-zeros
     payload is zero regardless of the sign bit, so the negative-zero
     word of a signed format folds onto plain zero.  It is also the only
     word whose literal fields spell one as 1/1, so every other word's
-    fields build a SliNumber as they are.
+    fields form a valid SliNumber as they are.  Other pairs than a
+    BitWord are first built into one, checked.
     """
+    if word.__class__ is not BitWord:
+        word = BitWord(*word)
     bits, width = word
     if width != fmt.width:
         raise ValueError(f"word width {width} does not match {fmt.name} ({fmt.width})")
@@ -548,7 +578,9 @@ def unpack(word: BitWord, fmt: SliFormat) -> SliNumber:
     sign, reciprocal, level = fmt.prefix_fields[bits >> fmt.index_bits]
     if index_k == 0 and reciprocal < 0 and level == 1:
         return SliNumber.zero(fmt)
-    return SliNumber(fmt, False, sign, reciprocal, level, index_k)
+    # Valid by construction: a nonzero payload's fields, as the format's
+    # own table gives them for a word of its width.
+    return _bare(SliNumber, (fmt, False, sign, reciprocal, level, index_k))
 
 
 def _key_of(fmt: SliFormat, sign, reciprocal, level, index_k):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliarith import lanes
-from sliarith.arith import compare
+from sliarith.arith import add, compare, div, mul, sub
 from sliarith.core import (
     BitWord,
     SliFormat,
@@ -550,6 +550,34 @@ class TestConstructionChecks:
             SliNumber(*args)
 
     @pytest.mark.parametrize("args, message", [
+        ((F212, "yes", 1, 1, 1, 0), "SliNumber is_zero must be a bool, got 'yes'"),
+        ((F212, None, 1, 1, 2, 5), "SliNumber is_zero must be a bool, got None"),
+        ((F212, 1.0, 1, 1, 1, 0), "SliNumber is_zero must be a bool, got 1.0"),
+        ((F212, 0, 1, 1, 2, 5), "SliNumber is_zero must be a bool, got 0"),
+        ((F212, np.True_, 1, 1, 1, 0), f"SliNumber is_zero must be a bool, got {np.True_!r}"),
+        (("sli2.12", False, 1, 1, 2, 5), "SliNumber fmt must be a SliFormat, got 'sli2.12'"),
+        ((None, True, 1, 1, 1, 0), "SliNumber fmt must be a SliFormat, got None"),
+    ])
+    def test_sli_number_flag_and_format_types(self, args, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SliNumber(*args)
+
+    def test_zero_and_one_check_what_they_are_given(self):
+        with pytest.raises(TypeError, match="^SliNumber fmt must be a SliFormat, got 'sli2.12'$"):
+            SliNumber.zero("sli2.12")
+        with pytest.raises(TypeError, match="^SliNumber fmt must be a SliFormat, got 'sli2.12'$"):
+            SliNumber.one("sli2.12")
+        for sign, error, message in ((-1, ValueError, "sli2.2u is unsigned, sign must be +1"),
+                                     (0, ValueError, "sign and reciprocal must be +1 or -1"),
+                                     (1.0, TypeError, "SliNumber fields must be integers, got "
+                                                      "sign=1.0")):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                SliNumber.one(F22U, sign)
+        one = SliNumber.one(F212, np.int8(-1))
+        assert one == SliNumber(F212, False, -1, 1, 1, 0) and type(one.sign) is int
+        assert type(SliNumber.one(F212, True).sign) is int
+
+    @pytest.mark.parametrize("args, message", [
         ((3.5, 16), "bits=3.5"),
         ((3, 16.0), "width=16.0"),
         ((1e300, 64), "bits=1e+300"),
@@ -606,6 +634,93 @@ class TestConstructionChecks:
         assert SliNumber(F22U, True, 1, 1, 1, 0).is_zero
         assert SliNumber(F212, False, 1, -1, 1, 1).index_k == 1
         assert BitWord((1 << 64) - 1, 64).width == 64
+
+
+def _assert_checked_alike(num: SliNumber) -> BitWord:
+    """num, a value the library built, is what the checked constructors
+    build from its fields, and so is its packed word, which is returned."""
+    assert type(num) is SliNumber and type(num.fmt) is SliFormat
+    assert type(num.is_zero) is bool and all(type(v) is int for v in num[2:]), num
+    assert num == SliNumber(*num)
+    word = pack(num)
+    assert type(word) is BitWord and all(type(v) is int for v in word)
+    assert word == BitWord(*word) and word.width == num.fmt.width
+    return word
+
+
+class TestBuiltValuesAreValid:
+    """unpack, pack and _materialize build the values they have proven
+    valid without the constructors' checks: each result must equal the
+    checked constructors' build of its own fields."""
+
+    @pytest.mark.parametrize("name", ["sli1.3", "sli2.3u", "sli3.2", "sli2.12"])
+    def test_every_word(self, name):
+        fmt = SliFormat.from_name(name)
+        negative_zero = 1 << (fmt.width - 1) if fmt.signed else None
+        for bits in range(1 << fmt.width):
+            word = BitWord(bits, fmt.width)
+            num = unpack(word, fmt)
+            assert num.fmt is fmt
+            # Only the negative-zero word packs back to another word, zero's.
+            want = BitWord(0, fmt.width) if bits == negative_zero else word
+            assert _assert_checked_alike(num) == want, bits
+
+    @pytest.mark.parametrize("name", ["sli1.3", "sli2.3u", "sli3.2", "sli2.12"])
+    def test_every_rounding_edge(self, name):
+        fmt = SliFormat.from_name(name)
+        scale, top = fmt.index_scale, fmt.max_level
+        zetas = [0.0, 2.0**-30, 0.4 / scale, 0.5 / scale, 0.3, 0.5, (scale - 0.5) / scale,
+                 math.nextafter(1.0, 0.0), top + 1.0, top + 1.5, 17.25, math.inf]
+        for level in range(1, top + 1):
+            zetas += [level + k / scale for k in (0, 1, scale - 1)]
+            # Ties (the last one carries), a hair either side of one, and
+            # carries into the next level, or past the top.
+            zetas += [level + (k + 0.5) / scale for k in (0, scale // 2, scale - 1)]
+            zetas += [level + (scale // 2 + 0.5 + d) / scale for d in (-2.0**-30, 2.0**-30)]
+            zetas += [level + (scale - 0.25) / scale, math.nextafter(level + 1.0, 0.0)]
+        signs = (1, -1) if fmt.signed else (1,)
+        for zeta in zetas:
+            for sign in signs:
+                for reciprocal in (1, -1):
+                    num = _materialize(fmt, sign, reciprocal, zeta)
+                    assert num.is_zero == (zeta == 0.0), zeta
+                    _assert_checked_alike(num)
+                    if zeta >= top + 1:
+                        assert (num.level, num.index_k) == (top, scale - 1)
+
+    def test_negative_in_an_unsigned_format_is_refused(self):
+        fmt = SliFormat.from_name("sli2.12u")
+        with pytest.raises(ValueError, match=r"^sli2\.12u is unsigned, sign must be \+1$"):
+            _materialize(fmt, -1, 1, 2.5)
+        with pytest.raises(ValueError, match=r"^sli2\.12u is unsigned, sign must be \+1$"):
+            _materialize(fmt, -1, 1, math.inf)
+        assert _materialize(fmt, -1, 1, 0.0).is_zero
+
+    def test_other_tuples_are_built_checked(self):
+        # unpack and pack trust only a BitWord's and a SliNumber's fields.
+        num = unpack((np.int64(21034), np.int32(16)), F212)
+        assert num == unpack(BitWord(21034, 16), F212) == _pi_number()
+        assert all(type(v) is int for v in num[2:])
+        with pytest.raises(ValueError, match=r"^bits 0x-1 do not fit in 16 bits$"):
+            unpack((-1, 16), F212)
+        assert pack(tuple(_pi_number())) == BitWord(21034, 16)
+        with pytest.raises(ValueError, match=r"^level 9 outside 1\.\.4 for sli2\.12$"):
+            pack((F212, False, 1, 1, 9, 0))
+
+    @pytest.mark.parametrize("op", [add, sub, mul, div], ids=lambda op: op.__name__)
+    def test_ops_build_other_operands_checked(self, op):
+        # The ops hand their operands' signs and flags to _materialize's
+        # bare build, so a plain-tuple operand is built checked first.
+        pi, bad = _pi_number(), (F212, False, 3, 1, 2, 5)
+        for x, y in ((bad, pi), (pi, bad), (bad, tuple(pi))):
+            with pytest.raises(ValueError, match=r"^sign and reciprocal must be \+1 or -1$"):
+                op(x, y)
+        got = op((F212, False, np.int64(-1), np.int8(1), 2, 5), tuple(pi))
+        assert got == op(SliNumber(F212, False, -1, 1, 2, 5), pi)
+        assert type(got) is SliNumber and all(type(v) is int for v in got[2:])
+        if op is not div:  # the zero operand comes back as given, built
+            got = op(tuple(pi), SliNumber.zero(F212))
+            assert got == op(pi, SliNumber.zero(F212)) and type(got) is SliNumber
 
 
 class TestCodec:

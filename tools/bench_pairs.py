@@ -30,9 +30,10 @@ from bytecode over 9 runs each.
 
 The file records every run (exit code, environment line, result) and,
 per workload and end-to-end metric, each side's median and quartiles
-over the untraced runs, the change's median over the parent's, and the
-pairs the change won (ties count for neither side; better is read from
-BENCHMARK.json).  Progress goes to stderr.
+over the untraced runs, the change's median over the parent's, the
+pairs the change won (ties count for neither side) and a verdict: gain,
+regression, unresolved or within bound (see _verdict; better and bound
+are read from BENCHMARK.json).  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -104,25 +105,61 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
     return run
 
 
-def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: medians, quartiles, ratio and wins, untraced runs only."""
+# The fewest pairs from which a gain can be read.
+MIN_GAIN_PAIRS = 10
+
+
+def _sign(metric: dict) -> int:
+    """+1 for a metric whose higher values are better, -1 for lower."""
+    return 1 if metric["better"] == "higher" else -1
+
+
+def _verdict(parent: dict, change: dict, wins: int, bound: float, sign: int) -> str:
+    """The reading of one metric on one workload, from both sides' runs.
+
+    gain: at least MIN_GAIN_PAIRS pairs, the change won nine tenths of
+    them or more, and the medians differ in the better direction by more than the
+    parent's interquartile range.  regression: the change's median is worse
+    than the parent's by more than bound, a share of the parent's median.
+    unresolved: the parent's interquartile range is wider than that bound,
+    and not every change run is better than every parent run.  Anything
+    else is within bound.  sign is +1 where higher is better, else -1 (_sign).
+    """
+    pairs = len(change["runs"])
+    ahead = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    allowed = bound * abs(parent["median"])
+    if pairs >= MIN_GAIN_PAIRS and 10 * wins >= 9 * pairs and ahead > spread:
+        return "gain"
+    if -ahead > allowed:
+        return "regression"
+    if spread > allowed and (min(sign * v for v in change["runs"])
+                             <= max(sign * v for v in parent["runs"])):
+        return "unresolved"
+    return "within bound"
+
+
+def _summary(pairs: list[dict], end_to_end: dict[str, dict]) -> dict:
+    """Per workload and end-to-end metric (BENCHMARK.json's entries, by
+    name, with their better and bound): medians, quartiles, ratio, wins
+    and verdict, untraced runs only."""
     out: dict[str, dict] = {}
     for pair in pairs:
         if pair["trace"]:
             continue
         sides = {side: (pair[side]["result"] or {}).get("metrics", {})
                  for side in ("parent", "change")}
-        for name in sides["parent"].keys() & sides["change"].keys():
+        for name in sides["parent"].keys() & sides["change"].keys() & end_to_end.keys():
             entry = out.setdefault(pair["workload"], {}).setdefault(
                 name, {"parent": [], "change": [], "wins": 0, "losses": 0})
             p, c = sides["parent"][name]["value"], sides["change"][name]["value"]
             entry["parent"].append(p)
             entry["change"].append(c)
-            sign = 1 if better.get(name, "higher") == "higher" else -1
+            sign = _sign(end_to_end[name])
             entry["wins"] += sign * (c - p) > 0
             entry["losses"] += sign * (c - p) < 0
     for metrics in out.values():
-        for entry in metrics.values():
+        for name, entry in metrics.items():
             for side in ("parent", "change"):
                 values = entry.pop(side)
                 q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
@@ -131,6 +168,9 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
             base = entry["parent"]["median"]
             entry["change_over_parent"] = entry["change"]["median"] / base if base else None
             entry["pairs"] = len(entry["change"]["runs"])
+            entry["bound"] = end_to_end[name]["bound"]
+            entry["verdict"] = _verdict(entry["parent"], entry["change"], entry["wins"],
+                                        entry["bound"], _sign(end_to_end[name]))
     return out
 
 
@@ -152,7 +192,7 @@ def main() -> int:
     if args.traced_pairs < 0:
         parser.error(f"--traced-pairs {args.traced_pairs}: must be >= 0")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     workloads = [w["name"] for w in benchmark["workloads"]]
     plan = {}
     for spec in args.workload:
@@ -197,7 +237,7 @@ def main() -> int:
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "trees": commits,
         "order": "pairs alternate which side runs first (field 'first')",
-        "summary": _summary(pairs, better),
+        "summary": _summary(pairs, end_to_end),
         "pairs": pairs,
     }
     out = ROOT / f"BENCH_{args.pr}.json"
