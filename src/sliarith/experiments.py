@@ -15,8 +15,9 @@ import argparse
 import errno
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,8 +29,9 @@ from .minifloat import FloatFormat, fl, fl_op
 
 __all__ = [
     "ErrorTable",
-    "ExperimentConfig",
+    "MatvecConfig",
     "SLI_COLUMN",
+    "SweepConfig",
     "repr_error_sweep",
     "matvec_backward_error",
     "emit_dat",
@@ -110,34 +112,48 @@ class ErrorTable:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Shared knobs for the sweep and matvec experiments.
-
-    systems are format names, resolved lazily.  The sweep walks
-    sweep_min + i*sweep_step up to sweep_max inclusive.  The matvec
-    experiment draws A from uniform(lo, hi) and x from uniform(0, 1),
-    one independent substream per (seed, n).
-    """
+class _Config:
+    """The knob every experiment has: systems, the format names it
+    compares, resolved lazily.  Every float knob must be finite."""
 
     systems: tuple[str, ...] = ("binary16", "sli2.12")
-    sweep_min: float = 1e-2
-    sweep_max: float = 8.0
-    sweep_step: float = 1e-5
+
+    def __post_init__(self) -> None:
+        if not self.systems:
+            raise ValueError("need at least one system")
+        for knob in fields(self):  # knob.type is the annotation's text
+            if knob.type == "float" and not math.isfinite(getattr(self, knob.name)):
+                raise ValueError(f"{knob.name} must be finite, got {getattr(self, knob.name)}")
+
+
+@dataclass(frozen=True)
+class SweepConfig(_Config):
+    """The sweep's grid: min + i*step up to max inclusive."""
+
+    min: float = 1e-2
+    max: float = 8.0
+    step: float = 1e-5
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.step > 0.0:
+            raise ValueError(f"step must be > 0, got {self.step}")
+        if not self.min <= self.max:
+            raise ValueError("min must not exceed max")
+
+
+@dataclass(frozen=True)
+class MatvecConfig(_Config):
+    """A ~ uniform(lo, hi) and x ~ uniform(0, 1), for each n of dims from
+    the (seed, n) substream."""
+
     dims: tuple[int, ...] = (10, 100, 1000)
     lo: float = 0.0
     hi: float = 1.0
     seed: int = 2024
 
     def __post_init__(self) -> None:
-        if not self.systems:
-            raise ValueError("need at least one system")
-        for key in ("sweep_min", "sweep_max", "sweep_step", "lo", "hi"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        if not self.sweep_step > 0.0:
-            raise ValueError(f"sweep_step must be > 0, got {self.sweep_step}")
-        if not self.sweep_min <= self.sweep_max:
-            raise ValueError("sweep_min must not exceed sweep_max")
+        super().__post_init__()
         if list(self.dims) != sorted(self.dims):
             raise ValueError("dims must be sorted ascending")
         for n in self.dims:
@@ -151,23 +167,23 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def repr_error_sweep(cfg: ExperimentConfig) -> ErrorTable:
+def repr_error_sweep(cfg: SweepConfig) -> ErrorTable:
     """Relative representation error |round(x) - x| / |x| over a grid.
 
-    The grid is sweep_min + i*sweep_step, of at most MAX_GRID points,
+    The grid is min + i*step, of at most MAX_GRID points,
     and must exclude zero.  Every system rounds all points at once,
     through lanes.encode and lanes.decode; a non-finite rounding (float
     overflow) records math.inf.
     """
     systems = [(name, resolve_system(name)) for name in cfg.systems]
-    if cfg.sweep_min <= 0.0 <= cfg.sweep_max:
+    if cfg.min <= 0.0 <= cfg.max:
         raise ValueError("sweep range must exclude zero (relative error)")
-    steps = (cfg.sweep_max - cfg.sweep_min) / cfg.sweep_step + 1e-9
+    steps = (cfg.max - cfg.min) / cfg.step + 1e-9
     if not steps < MAX_GRID:  # also an overflow to inf
         raise ValueError(f"sweep grid has more than {MAX_GRID} points; "
                          "widen the step or narrow the range")
-    x = cfg.sweep_min + np.arange(math.floor(steps) + 1) * cfg.sweep_step
-    if not x.all():  # the last point may pass sweep_max by 1e-9 steps
+    x = cfg.min + np.arange(math.floor(steps) + 1) * cfg.step
+    if not x.all():  # the last point may pass max by 1e-9 steps
         raise ValueError("sweep grid must exclude zero (relative error)")
     values = {name: np.empty_like(x) for name, _ in systems}
     for r0 in range(0, x.size, _CHUNK_ROWS):
@@ -240,16 +256,17 @@ def _matvec_groups(dims: Sequence[int]) -> list[list[int]]:
     return groups
 
 
-def matvec_backward_error(cfg: ExperimentConfig) -> ErrorTable:
+def matvec_backward_error(cfg: MatvecConfig) -> ErrorTable:
     """Normwise relative backward error of simulated y = A x per dimension.
 
     For each n in cfg.dims: draw A ~ uniform(lo, hi)^(n x n) and
     x ~ uniform(0, 1)^n in binary64 from the (seed, n) substream,
     simulate the product in each system, and record
     max_i |yhat_i - y_i| / (norm_inf(A) * max_j |x_j|) against the
-    binary64 reference.  Any non-finite component flags inf.  The
-    products of a group of dimensions (_matvec_groups) are simulated
-    together.
+    binary64 reference.  Any non-finite component flags inf.  A
+    reference that overflows binary64 is refused before any product is
+    simulated.  The products of a group of dimensions (_matvec_groups)
+    are simulated together.
     """
     systems = [(name, resolve_system(name)) for name in cfg.systems]
     values: dict[str, list[float]] = {name: [] for name, _ in systems}
@@ -262,10 +279,14 @@ def matvec_backward_error(cfg: ExperimentConfig) -> ErrorTable:
             # Row sums of |A| a block of rows at a time: each row sums as
             # it would in one np.abs(a).sum(axis=1), without a second
             # n x n array.
-            norm_a = max(np.abs(a[r0:r0 + _ROW_BLOCK]).sum(axis=1).max()
-                         for r0 in range(0, n, _ROW_BLOCK))
+            with np.errstate(over="ignore"):
+                norm_a = max(np.abs(a[r0:r0 + _ROW_BLOCK]).sum(axis=1).max()
+                             for r0 in range(0, n, _ROW_BLOCK))
+                y_ref, denom = a @ x, float(norm_a * np.abs(x).max())
+            if not (math.isfinite(denom) and np.isfinite(y_ref).all()):
+                raise ValueError(f"the binary64 reference overflows at n = {n}; narrow lo..hi")
             problems.append((a, x))
-            refs.append((a @ x, float(norm_a * np.abs(x).max())))
+            refs.append((y_ref, denom))
         for name, fmt in systems:
             for y_hat, (y_ref, denom) in zip(_simulate_matvec(fmt, problems), refs):
                 if np.isfinite(y_hat).all():
@@ -503,13 +524,7 @@ def _cmd_op(args: argparse.Namespace) -> int:
     if isinstance(fmt, SliFormat):
         x = encode(args.x, fmt)
         y = encode(args.y, fmt)
-        result = {
-            "add": arith.add,
-            "sub": arith.sub,
-            "mul": arith.mul,
-            "div": arith.div,
-        }[args.operation](x, y)
-        _print_sli_number(result)
+        _print_sli_number(getattr(arith, args.operation)(x, y))
     else:
         value = fl_op(fl(args.x, fmt), fl(args.y, fmt), args.operation, fmt)
         print(f"format: {fmt.name}")
@@ -525,35 +540,6 @@ def _check_out(path: str) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-
-
-def _cmd_sweep_repr(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        systems=(args.float, args.sli),
-        sweep_min=args.min,
-        sweep_max=args.max,
-        sweep_step=args.step,
-    )
-    _check_out(args.out)
-    records = repr_error_sweep(cfg)
-    emit_dat(records, ["x", args.float, SLI_COLUMN], args.out)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
-def _cmd_matvec(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        systems=(args.float, args.sli),
-        dims=args.dims,
-        lo=args.lo,
-        hi=args.hi,
-        seed=args.seed,
-    )
-    _check_out(args.out)
-    records = matvec_backward_error(cfg)
-    emit_dat(records, ["n", args.float, SLI_COLUMN], args.out)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
 
 
 def _format_name(resolve: Callable[[str], SliFormat | FloatFormat]) -> Callable[[str], str]:
@@ -581,30 +567,41 @@ def _dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from None
 
 
-# The flags of the experiment commands, flag -> (type, default), with
-# ExperimentConfig's defaults.  The parser declares them from here, and a
-# --config file may set any of them by the same name, converted by the
-# same type.
-_DEFAULT = ExperimentConfig()
-_SYSTEM_FLAGS = {"sli": (_sli_name, _DEFAULT.systems[1]),
-                 "float": (_float_name, _DEFAULT.systems[0])}
-_FLAGS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
-    "sweep-repr": {
-        **_SYSTEM_FLAGS,
-        "min": (float, _DEFAULT.sweep_min),
-        "max": (float, _DEFAULT.sweep_max),
-        "step": (float, _DEFAULT.sweep_step),
-        "out": (str, "sweep-repr.dat"),
-    },
-    "matvec": {
-        **_SYSTEM_FLAGS,
-        "dims": (_dims, _DEFAULT.dims),
-        "lo": (float, _DEFAULT.lo),
-        "hi": (float, _DEFAULT.hi),
-        "seed": (int, _DEFAULT.seed),
-        "out": (str, "matvec.dat"),
-    },
+_KNOB_TYPES = {"float": float, "int": int, "tuple[int, ...]": _dims}  # by annotation text
+
+
+# Each experiment command: help text, config, run function by name (a module
+# global looked up at each run, so that a rebinding is seen) and key column.
+_EXPERIMENTS = {
+    "sweep-repr": ("representation-error sweep to a .dat file", SweepConfig,
+                   "repr_error_sweep", "x"),
+    "matvec": ("matrix-vector backward error to a .dat file", MatvecConfig,
+               "matvec_backward_error", "n"),
 }
+
+
+def _flags(command: str) -> dict[str, tuple[Callable[[str], object], object]]:
+    """An experiment command's flags, flag -> (type, default): --sli,
+    --float, one per other knob of its config, and --out, with the
+    config's defaults.  The parser and --config both read them."""
+    _, config, _, _ = _EXPERIMENTS[command]
+    default = config()
+    return {"sli": (_sli_name, default.systems[1]), "float": (_float_name, default.systems[0]),
+            **{f.name: (_KNOB_TYPES[f.type], getattr(default, f.name))
+               for f in fields(config)[1:]},  # the knobs after systems
+            "out": (str, f"{command}.dat")}
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Any experiment command: config, output check, run, .dat."""
+    _, config, run, key = _EXPERIMENTS[args.command]
+    knobs = {f.name: getattr(args, f.name) for f in fields(config)[1:]}
+    cfg = config(systems=(args.float, args.sli), **knobs)
+    _check_out(args.out)
+    records = globals()[run](cfg)
+    emit_dat(records, [key, args.float, SLI_COLUMN], args.out)
+    print(f"wrote {len(records)} records to {args.out}")
+    return 0
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -612,7 +609,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     path = getattr(args, "config", None)
     if path is None:
         return
-    flags = _FLAGS[args.command]
+    flags = _flags(args.command)
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -654,17 +651,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("y", type=float)
     p.set_defaults(func=_cmd_op)
 
-    for command, func, text in (
-        ("sweep-repr", _cmd_sweep_repr, "representation-error sweep to a .dat file"),
-        ("matvec", _cmd_matvec, "matrix-vector backward error to a .dat file"),
-    ):
+    for command, (text, *_) in _EXPERIMENTS.items():
         p = sub.add_parser(command, help=text)
-        for flag, (kind, default) in _FLAGS[command].items():
+        for flag, (kind, default) in _flags(command).items():
             p.add_argument(f"--{flag}", type=kind, default=default)
         p.add_argument("--config", type=str, default=None,
                        help="key=value file overriding the flags above")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_experiment)
 
+    # Python 3.11's argparse takes only the -1 and -1.5 forms for negative
+    # numbers; any other float spelling (-1e-3, -inf) would be a flag.
+    number = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.I)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = number
     return parser
 
 

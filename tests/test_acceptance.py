@@ -40,7 +40,8 @@ from sliarith.core import (
     unpack,
 )
 from sliarith.experiments import (
-    ExperimentConfig,
+    MatvecConfig,
+    SweepConfig,
     cli,
     matvec_backward_error,
     repr_error_sweep,
@@ -331,11 +332,11 @@ def test_07_representation_error_sweep():
     t0 = time.perf_counter()
     failures: list[str] = []
 
-    cfg = ExperimentConfig(
+    cfg = SweepConfig(
         systems=("binary16", "sli2.12"),
-        sweep_min=1.0,
-        sweep_max=math.e,
-        sweep_step=1e-4,
+        min=1.0,
+        max=math.e,
+        step=1e-4,
     )
     table = repr_error_sweep(cfg)
     b16 = float(table.values["binary16"].max())
@@ -351,7 +352,7 @@ def test_07_representation_error_sweep():
     _report("07 (representation error sweep)", failures, t0, 10.0)
 
 
-def _matvec_inputs(cfg: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _matvec_inputs(cfg: MatvecConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     """A and x as matvec_backward_error draws them for (cfg.seed, n)."""
     rng = np.random.default_rng([cfg.seed, n])
     a = rng.uniform(cfg.lo, cfg.hi, size=(n, n))
@@ -431,7 +432,7 @@ def test_08_matvec_backward_error():
 
     overflowed = set()
     for hi, dims in ((100.0, (10, 100, 500, 1000)), (1e4, (10, 100))):
-        cfg = ExperimentConfig(
+        cfg = MatvecConfig(
             systems=("binary16", "sli2.12"), dims=dims, lo=0.0, hi=hi, seed=2024
         )
         sli_errs = []
@@ -495,7 +496,7 @@ def test_08_matvec_backward_error():
     # with n, across independent seeds.
     for seed in range(2024, 2029):
         table = matvec_backward_error(
-            ExperimentConfig(
+            MatvecConfig(
                 systems=("binary16", "sli2.12"),
                 dims=(10, 100, 1000),
                 lo=0.0,

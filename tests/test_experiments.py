@@ -21,7 +21,8 @@ from sliarith.experiments import (
     MAX_DIM,
     SLI_COLUMN,
     ErrorTable,
-    ExperimentConfig,
+    MatvecConfig,
+    SweepConfig,
     _field_text,
     _simulate_matvec,
     cli,
@@ -70,35 +71,51 @@ class TestErrorTable:
 
 
 class TestExperimentConfig:
+    """The per-experiment configs: each refuses what its own knobs may
+    not be."""
+
     def test_defaults_valid(self):
-        cfg = ExperimentConfig()
-        assert cfg.systems == ("binary16", "sli2.12")
-        assert cfg.dims == (10, 100, 1000)
+        assert SweepConfig().systems == MatvecConfig().systems == ("binary16", "sli2.12")
+        assert MatvecConfig().dims == (10, 100, 1000)
 
     def test_validation(self):
+        for config in (SweepConfig, MatvecConfig):
+            with pytest.raises(ValueError, match="need at least one system"):
+                config(systems=())
+        with pytest.raises(ValueError, match="step must be > 0"):
+            SweepConfig(step=0.0)
+        with pytest.raises(ValueError, match="min must not exceed max"):
+            SweepConfig(min=2.0, max=1.0)
         with pytest.raises(ValueError):
-            ExperimentConfig(systems=())
+            MatvecConfig(dims=(100, 10))
         with pytest.raises(ValueError):
-            ExperimentConfig(sweep_step=0.0)
+            MatvecConfig(dims=(0,))
         with pytest.raises(ValueError):
-            ExperimentConfig(sweep_min=2.0, sweep_max=1.0)
+            MatvecConfig(dims=(MAX_DIM + 1,))
         with pytest.raises(ValueError):
-            ExperimentConfig(dims=(100, 10))
-        with pytest.raises(ValueError):
-            ExperimentConfig(dims=(0,))
-        with pytest.raises(ValueError):
-            ExperimentConfig(dims=(MAX_DIM + 1,))
-        with pytest.raises(ValueError):
-            ExperimentConfig(lo=2.0, hi=1.0)
+            MatvecConfig(lo=2.0, hi=1.0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            ExperimentConfig(seed=-1)
+            MatvecConfig(seed=-1)
+
+    @pytest.mark.parametrize("config, knob", [
+        (SweepConfig, "min"), (SweepConfig, "max"), (SweepConfig, "step"),
+        (MatvecConfig, "lo"), (MatvecConfig, "hi"),
+    ])
+    def test_float_knobs_must_be_finite(self, config, knob):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{knob} must be finite"):
+                config(**{knob: bad})
+
+    def test_each_config_takes_only_its_own_knobs(self):
+        with pytest.raises(TypeError):
+            SweepConfig(dims=(3,))
+        with pytest.raises(TypeError):
+            MatvecConfig(step=0.5)
 
 
 class TestReprSweep:
     def test_exact_points_have_zero_error(self):
-        cfg = ExperimentConfig(
-            systems=("binary16", "sli2.12"), sweep_min=1.0, sweep_max=1.0, sweep_step=1.0
-        )
+        cfg = SweepConfig(systems=("binary16", "sli2.12"), min=1.0, max=1.0, step=1.0)
         t = repr_error_sweep(cfg)
         assert len(t) == 1
         assert {k: v.tolist() for k, v in t.values.items()} == {
@@ -106,46 +123,34 @@ class TestReprSweep:
 
     def test_e_is_exact_in_sli(self):
         # psi(e) = 2 exactly, a grid point of every SLI format
-        cfg = ExperimentConfig(
-            systems=("sli2.12",), sweep_min=math.e, sweep_max=math.e, sweep_step=1.0
-        )
+        cfg = SweepConfig(systems=("sli2.12",), min=math.e, max=math.e, step=1.0)
         t = repr_error_sweep(cfg)
         assert t.values["sli2.12"].tolist() == [0.0]
 
     def test_grid_walk(self):
-        cfg = ExperimentConfig(
-            systems=("binary16",), sweep_min=1.0, sweep_max=2.0, sweep_step=0.5
-        )
+        cfg = SweepConfig(systems=("binary16",), min=1.0, max=2.0, step=0.5)
         t = repr_error_sweep(cfg)
         assert t.key.tolist() == [1.0, 1.5, 2.0]
 
     def test_zero_in_range_rejected(self):
-        cfg = ExperimentConfig(systems=("binary16",), sweep_min=-1.0, sweep_max=1.0)
+        cfg = SweepConfig(systems=("binary16",), min=-1.0, max=1.0)
         with pytest.raises(ValueError):
             repr_error_sweep(cfg)
-        # The grid's last point may pass sweep_max by 1e-9 steps, here onto 0.
-        cfg = ExperimentConfig(
-            systems=("binary16",), sweep_min=-1.0, sweep_max=-1e-12, sweep_step=1.0)
+        # The grid's last point may pass max by 1e-9 steps, here onto 0.
+        cfg = SweepConfig(systems=("binary16",), min=-1.0, max=-1e-12, step=1.0)
         with pytest.raises(ValueError, match="exclude zero"):
             repr_error_sweep(cfg)
 
     def test_grid_cap_counts_points(self, monkeypatch):
         monkeypatch.setattr(experiments, "MAX_GRID", 11)
-        cfg = ExperimentConfig(systems=("binary16",), sweep_min=1.0, sweep_max=2.0,
-                               sweep_step=0.1)
+        cfg = SweepConfig(systems=("binary16",), min=1.0, max=2.0, step=0.1)
         assert len(repr_error_sweep(cfg)) == 11
-        cfg = ExperimentConfig(systems=("binary16",), sweep_min=1.0, sweep_max=2.0,
-                               sweep_step=0.09)
+        cfg = SweepConfig(systems=("binary16",), min=1.0, max=2.0, step=0.09)
         with pytest.raises(ValueError, match="more than 11 points"):
             repr_error_sweep(cfg)
 
     def test_float_overflow_flags_inf(self):
-        cfg = ExperimentConfig(
-            systems=("toy5", "sli2.12u"),
-            sweep_min=14.5,
-            sweep_max=16.0,
-            sweep_step=0.5,
-        )
+        cfg = SweepConfig(systems=("toy5", "sli2.12u"), min=14.5, max=16.0, step=0.5)
         t = repr_error_sweep(cfg)
         flags = np.isinf(t.values["toy5"]).tolist()
         assert flags == [False, True, True, True]  # overflow starts at 15.0
@@ -162,7 +167,7 @@ class TestReprSweep:
     def test_matches_scalar_rounding_bit_for_bit(self, systems, lo, hi, step, monkeypatch):
         # Several chunks of 300 points, the last one partial.
         monkeypatch.setattr(experiments, "_CHUNK_ROWS", 300)
-        cfg = ExperimentConfig(systems=systems, sweep_min=lo, sweep_max=hi, sweep_step=step)
+        cfg = SweepConfig(systems=systems, min=lo, max=hi, step=step)
         t = repr_error_sweep(cfg)
         steps = int(math.floor((hi - lo) / step + 1e-9))
         x = [lo + i * step for i in range(steps + 1)]
@@ -181,9 +186,7 @@ class TestReprSweep:
             assert np.isfinite(t.values["sli1.4"]).all()
 
     def test_sli_error_bounded_by_index_quantum(self):
-        cfg = ExperimentConfig(
-            systems=("sli2.12",), sweep_min=0.5, sweep_max=4.0, sweep_step=0.01
-        )
+        cfg = SweepConfig(systems=("sli2.12",), min=0.5, max=4.0, step=0.01)
         for err in repr_error_sweep(cfg).values["sli2.12"]:
             assert err <= math.e * 2.0**-13 * 1.01
 
@@ -274,7 +277,7 @@ class TestSimulateMatvec:
             return redo(keys, mask, op)
 
         monkeypatch.setattr(lanes, "_redo", counting)
-        matvec_backward_error(ExperimentConfig(systems=("sli2.12",), dims=(200,), hi=100.0))
+        matvec_backward_error(MatvecConfig(systems=("sli2.12",), dims=(200,), hi=100.0))
         roundings = sum(m.size for m in masks)
         assert roundings > 3 * 200 * 200  # x, A, the products and the sums
         assert sum(map(np.count_nonzero, masks)) < 1e-3 * roundings
@@ -307,24 +310,24 @@ class TestSimulateMatvec:
 
 class TestMatvecBackwardError:
     def test_deterministic(self):
-        cfg = ExperimentConfig(systems=("binary16", "sli2.12"), dims=(3, 7))
+        cfg = MatvecConfig(systems=("binary16", "sli2.12"), dims=(3, 7))
         a = matvec_backward_error(cfg)
         b = matvec_backward_error(cfg)
         assert _rows(a) == _rows(b)
 
     def test_substreams_are_per_dimension(self):
         solo = matvec_backward_error(
-            ExperimentConfig(systems=("binary16",), dims=(4,))
+            MatvecConfig(systems=("binary16",), dims=(4,))
         )
         pair = matvec_backward_error(
-            ExperimentConfig(systems=("binary16",), dims=(2, 4))
+            MatvecConfig(systems=("binary16",), dims=(2, 4))
         )
         assert _rows(pair)[1] == _rows(solo)[0]
 
     @pytest.mark.parametrize("system", ["sli2.12", "binary16"])
     def test_split_groups_match_solo_runs(self, system, monkeypatch):
         dims = (2, 3, 5, 5, 7, 9, 12)
-        solo = [_rows(matvec_backward_error(ExperimentConfig(systems=(system,), dims=(n,))))[0]
+        solo = [_rows(matvec_backward_error(MatvecConfig(systems=(system,), dims=(n,))))[0]
                 for n in dims]
         monkeypatch.setattr(experiments, "_GROUP_ENTRIES", 64)
         groups = []
@@ -335,7 +338,7 @@ class TestMatvecBackwardError:
             return simulate(fmt, problems)
 
         monkeypatch.setattr(experiments, "_simulate_matvec", recording)
-        table = matvec_backward_error(ExperimentConfig(systems=(system,), dims=dims))
+        table = matvec_backward_error(MatvecConfig(systems=(system,), dims=dims))
         assert groups == [[2, 3, 5, 5], [7], [9], [12]]
         assert _rows(table) == solo
 
@@ -355,17 +358,17 @@ class TestMatvecBackwardError:
                         assert entries + after[0] ** 2 > budget
 
     def test_errors_are_small_at_toy_size(self):
-        cfg = ExperimentConfig(systems=("binary16", "sli2.12"), dims=(5,))
+        cfg = MatvecConfig(systems=("binary16", "sli2.12"), dims=(5,))
         ((_, *errs),) = _rows(matvec_backward_error(cfg))
         for v in errs:
             assert 0.0 <= v < 1e-2
 
     def test_seed_changes_data(self):
         a = matvec_backward_error(
-            ExperimentConfig(systems=("binary16",), dims=(6,), seed=1)
+            MatvecConfig(systems=("binary16",), dims=(6,), seed=1)
         )
         b = matvec_backward_error(
-            ExperimentConfig(systems=("binary16",), dims=(6,), seed=2)
+            MatvecConfig(systems=("binary16",), dims=(6,), seed=2)
         )
         assert _rows(a) != _rows(b)
 
@@ -814,8 +817,7 @@ options:
         self, command, flag, text, value, tmp_path, monkeypatch
     ):
         seen = []
-        monkeypatch.setattr(experiments, "_cmd_" + command.replace("-", "_"),
-                            lambda args: seen.append(args) or 0)
+        monkeypatch.setattr(experiments, "_cmd_experiment", lambda args: seen.append(args) or 0)
         conf = tmp_path / "run.conf"
         conf.write_text(f"{flag} = {text}\n")
         assert cli([command]) == 0
@@ -823,6 +825,31 @@ options:
         assert cli([command, "--config", str(conf)]) == 0
         default, from_flag, from_config = (getattr(args, flag) for args in seen)
         assert from_flag == from_config == value != default
+
+    def test_rebound_functions_are_reached(self, tmp_path, monkeypatch, capsys):
+        # A tracer wraps a function by rebinding the module attribute, so
+        # the command body must look up the experiment's run function and
+        # emit_dat when it runs, and pass emit_dat the path third.
+        calls = []
+
+        def recording(name, fn):
+            def record(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return fn(*args, **kwargs)
+            return record
+
+        for name in ("repr_error_sweep", "matvec_backward_error", "emit_dat"):
+            monkeypatch.setattr(experiments, name, recording(name, getattr(experiments, name)))
+        for argv, run in ((["sweep-repr", "--min", "1", "--max", "2", "--step", "0.5"],
+                           "repr_error_sweep"),
+                          (["matvec", "--dims", "2,3"], "matvec_backward_error")):
+            out = str(tmp_path / f"{argv[0]}.dat")
+            calls.clear()
+            assert cli([*argv, "--out", out]) == 0
+            assert [(name, len(args), kwargs) for name, args, kwargs in calls] == [
+                (run, 1, {}), ("emit_dat", 3, {})]
+            assert calls[1][1][2] == out
+        capsys.readouterr()
 
     def test_every_flag_is_covered(self, capsys):
         covered = {(command, flag) for command, flag, _, _ in self.FLAG_VALUES}
@@ -873,6 +900,39 @@ class TestCliErrors:
 
     def test_non_finite_encode_is_domain_error(self, capsys):
         assert cli(["encode", "sli2.12", "inf"]) == 1
+
+    def test_negative_values_in_exponent_notation_are_values(self, tmp_path, capsys):
+        # argparse on Python 3.11 takes only -1 and -1.5 forms as numbers
+        # unless the parser says otherwise; these were refused as flags.
+        for argv, same in ((["op", "add", "sli2.12", "-1e-3", "1"],
+                            ["op", "add", "sli2.12", "-0.001", "1"]),
+                           (["encode", "sli2.12", "-2.5e3"], ["encode", "sli2.12", "-2500"])):
+            assert cli(same) == 0
+            want = capsys.readouterr().out
+            assert cli(argv) == 0
+            assert capsys.readouterr().out == want
+        a, b = tmp_path / "a.dat", tmp_path / "b.dat"
+        assert cli(["sweep-repr", "--min", "-1e-3", "--max", "-1e-4", "--step", "1e-4",
+                    "--out", str(a)]) == 0
+        assert capsys.readouterr().out == f"wrote 10 records to {a}\n"
+        assert cli(["sweep-repr", "--min=-1e-3", "--max=-1e-4", "--step", "1e-4",
+                    "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+        assert cli(["encode", "sli2.12", "-inf"]) == 1
+        assert capsys.readouterr().err == "sliarith: error: cannot encode non-finite value -inf\n"
+        assert cli(["encode", "sli2.12", "-e3"]) == 2  # not a number: still an unknown flag
+
+    def test_overflowing_matvec_reference_is_domain_error(self, tmp_path, capsys):
+        # Entries near 1e308 overflow the binary64 reference A x and
+        # norm(A); the run is refused without numpy's RuntimeWarnings,
+        # which tier-1 turns into errors.
+        out = tmp_path / "m.dat"
+        assert cli(["matvec", "--dims", "3,40", "--lo", "0", "--hi", "1e308",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "sliarith: error: the binary64 reference overflows at n = 3; narrow lo..hi\n")
+        assert not out.exists()
 
     def test_unsorted_dims_is_domain_error(self, capsys):
         assert cli(["matvec", "--dims", "5,2", "--out", "/dev/null"]) == 1
