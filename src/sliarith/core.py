@@ -148,12 +148,7 @@ class SliFormat:
     prefix_fields: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.level_bits <= 6:
-            raise ValueError(f"level_bits must be in 1..6, got {self.level_bits}")
-        if not 1 <= self.index_bits <= MAX_INDEX_BITS:
-            raise ValueError(
-                f"index_bits must be in 1..{MAX_INDEX_BITS}, got {self.index_bits}"
-            )
+        _format_fields(self, level_bits=(1, 6), index_bits=(1, MAX_INDEX_BITS))
         width = (1 if self.signed else 0) + 1 + self.level_bits + self.index_bits
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "max_level", 1 << self.level_bits)
@@ -250,6 +245,21 @@ def _as_ints(kind: str, **fields) -> tuple[int, ...]:
     return tuple(map(int, fields.values()))
 
 
+def _format_fields(fmt, **ranges: tuple[int, int]) -> None:
+    """Check a frozen format's fields as the value constructors check
+    theirs: signed must be a bool (TypeError), and each named field an
+    integer (_as_ints), stored as a Python int, in its range lo..hi
+    (ValueError)."""
+    kind = type(fmt).__name__
+    if type(fmt.signed) is not bool:
+        raise TypeError(f"{kind} signed must be a bool, got {fmt.signed!r}")
+    values = _as_ints(kind, **{name: getattr(fmt, name) for name in ranges})
+    for (name, (lo, hi)), value in zip(ranges.items(), values):
+        if not lo <= value <= hi:
+            raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
+        object.__setattr__(fmt, name, value)
+
+
 class _SliFields(NamedTuple):
     fmt: SliFormat
     is_zero: bool
@@ -282,17 +292,6 @@ class SliNumber(_Value, _SliFields):
                 and type(index_k) is int):
             sign, reciprocal, level, index_k = _as_ints(
                 "SliNumber", sign=sign, reciprocal=reciprocal, level=level, index_k=index_k)
-        # Every valid nonzero value passes this one test; anything else
-        # (zero included) goes through the checks one by one below.
-        if (
-            is_zero is False
-            and type(fmt) is SliFormat
-            and (sign == 1 or (sign == -1 and fmt.signed))
-            and (reciprocal == 1 or (reciprocal == -1 and (level != 1 or index_k != 0)))
-            and 1 <= level <= fmt.max_level
-            and 0 <= index_k < fmt.index_scale
-        ):
-            return _bare(cls, (fmt, is_zero, sign, reciprocal, level, index_k))
         if not isinstance(fmt, SliFormat):
             raise TypeError(f"SliNumber fmt must be a SliFormat, got {fmt!r}")
         if type(is_zero) is not bool:
@@ -394,11 +393,11 @@ class BitWord(_Value, _BitWordFields):
     def __new__(cls, bits: int, width: int) -> "BitWord":
         if not (type(bits) is int and type(width) is int):
             bits, width = _as_ints("BitWord", bits=bits, width=width)
-        if 1 <= width <= 64 and 0 <= bits < (1 << width):
-            return _bare(cls, (bits, width))
         if not 1 <= width <= 64:
             raise ValueError(f"width must be in 1..64, got {width}")
-        raise ValueError(f"bits 0x{bits:x} do not fit in {width} bits")
+        if not 0 <= bits < (1 << width):
+            raise ValueError(f"bits 0x{bits:x} do not fit in {width} bits")
+        return _bare(cls, (bits, width))
 
     @classmethod
     def from_string(cls, text: str) -> "BitWord":

@@ -315,10 +315,10 @@ def _log(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
 def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarray, ...]:
     sign, reciprocal, level, index_k = word_fields(bits, fmt)
     zero = (not raw) & (reciprocal < 0) & (level == 1) & (index_k == 0)
-    # The raw all-zeros word, 1/phi(1), has the key of one.
+    # The raw all-zeros word, 1/phi(1), has the key of one, and its
+    # log10, -0.0 from its literal r = -1, gets one's 0.0 from the + 0.0.
     keys = np.where(zero, 0, _key_of(fmt, sign, reciprocal, level, index_k))
-    _, _, reciprocal, _, zeta = _key_fields(keys, fmt)
-    lg = _lane_map(log_phi10, zeta) * reciprocal
+    lg = _lane_map(log_phi10, level + index_k / fmt.index_scale) * reciprocal + 0.0
     lg[zero] = -math.inf
     return bits, decode(keys, fmt), lg
 

@@ -14,6 +14,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .core import _format_fields
+
 __all__ = [
     "FloatFormat",
     "fl",
@@ -49,10 +51,7 @@ class FloatFormat:
     overflow_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.precision <= 53:
-            raise ValueError(f"precision must be in 1..53, got {self.precision}")
-        if not 1 <= self.e_max <= 4096:
-            raise ValueError(f"e_max must be in 1..4096, got {self.e_max}")
+        _format_fields(self, precision=(1, 53), e_max=(1, 4096))
         object.__setattr__(self, "overflow_threshold",
                            _scaled(2.0 - 2.0 ** -self.precision, self.e_max))
 

@@ -620,6 +620,28 @@ class TestConstructionChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SliFormat(*args)
 
+    @pytest.mark.parametrize("args, message", [
+        ((2.0, 12), "SliFormat fields must be integers, got level_bits=2.0"),
+        ((2, 12.5), "SliFormat fields must be integers, got index_bits=12.5"),
+        (("2", None), "SliFormat fields must be integers, got level_bits='2', index_bits=None"),
+        ((2, 12, "no"), "SliFormat signed must be a bool, got 'no'"),
+        ((2, 12, 1), "SliFormat signed must be a bool, got 1"),
+        ((2, 12, np.True_), f"SliFormat signed must be a bool, got {np.True_!r}"),
+    ])
+    def test_sli_format_field_types(self, args, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SliFormat(*args)
+
+    def test_sli_format_integer_fields_become_ints(self):
+        # A numpy int8 pair once built a format with index_scale 0, and an
+        # int64 level_bits made unpack bare-build values of numpy fields.
+        fmt = SliFormat(np.int8(2), np.int8(12))
+        assert fmt == F212 and hash(fmt) == hash(F212) and fmt.index_scale == 4096
+        assert type(fmt.level_bits) is int is type(fmt.index_bits)
+        num = unpack(BitWord(0x5234, 16), SliFormat(np.int64(2), 12))
+        assert all(type(v) is int for v in num[2:]) and num == unpack(BitWord(0x5234, 16), F212)
+        assert SliFormat(True, 12).name == "sli1.12"
+
     def test_tuple_helpers_validate(self):
         # _make and _replace come with the NamedTuple base; they must not
         # be a way around the checks.

@@ -76,6 +76,25 @@ class TestFormats:
         with pytest.raises(ValueError, match=re.escape(message)):
             FloatFormat(precision, e_max)
 
+    @pytest.mark.parametrize("args, message", [
+        ((11.0, 15), "FloatFormat fields must be integers, got precision=11.0"),
+        ((11, 15.5), "FloatFormat fields must be integers, got e_max=15.5"),
+        (("11", "15"), "FloatFormat fields must be integers, got precision='11', e_max='15'"),
+        ((11, 15, "no"), "FloatFormat signed must be a bool, got 'no'"),
+        ((11, 15, 0), "FloatFormat signed must be a bool, got 0"),
+        ((11, 15, np.False_), f"FloatFormat signed must be a bool, got {np.False_!r}"),
+    ])
+    def test_field_types(self, args, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            FloatFormat(*args)
+
+    def test_integer_fields_become_ints(self):
+        f = FloatFormat(np.int16(11), np.uint8(15))
+        assert f == BINARY16 and f.name == "binary16" and hash(f) == hash(BINARY16)
+        assert type(f.precision) is int is type(f.e_max)
+        assert fl(0.1, f) == fl(0.1, BINARY16)
+        assert FloatFormat(True, 3).name == "b1e3"
+
     def test_non_power_of_two_bias_has_no_bit_layout(self):
         f = FloatFormat(3, 4)
         with pytest.raises(ValueError):
