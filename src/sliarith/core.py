@@ -141,11 +141,13 @@ class SliFormat:
     # total bits in a packed word, 2**level_bits, the denominator of
     # representable indices, 2**index_bits, and word_fields' (sign,
     # reciprocal, level) for each value of a word's bits above the index
-    # (at most 256), which unpack reads with one lookup.
+    # (at most 256), which unpack reads with one lookup; pack reads the
+    # inverse, those bits in place for each such triple.
     width: int = field(init=False, repr=False, compare=False)
     max_level: int = field(init=False, repr=False, compare=False)
     index_scale: int = field(init=False, repr=False, compare=False)
     prefix_fields: tuple = field(init=False, repr=False, compare=False)
+    prefix_bits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _format_fields(self, level_bits=(1, 6), index_bits=(1, MAX_INDEX_BITS))
@@ -156,6 +158,8 @@ class SliFormat:
         object.__setattr__(self, "prefix_fields", tuple(
             word_fields(prefix << self.index_bits, self)[:3]
             for prefix in range(1 << (width - self.index_bits))))
+        object.__setattr__(self, "prefix_bits", dict(zip(
+            self.prefix_fields, range(0, 1 << width, self.index_scale))))
 
     @classmethod
     def from_name(cls, name: str) -> "SliFormat":
@@ -524,15 +528,9 @@ def pack(num: SliNumber) -> BitWord:
     if num.__class__ is not SliNumber:
         num = SliNumber(*num)
     fmt, is_zero, sign, reciprocal, level, index_k = num
+    bits = 0 if is_zero else fmt.prefix_bits[sign, reciprocal, level] | index_k
     # Valid by construction: a SliNumber's fields fill at most fmt.width
     # bits, and a format's width (at most 32) is inside BitWord's 1..64.
-    if is_zero:
-        return _bare(BitWord, (0, fmt.width))
-    bits = (level - 1) << fmt.index_bits | index_k
-    if reciprocal > 0:
-        bits |= 1 << (fmt.level_bits + fmt.index_bits)
-    if sign < 0:  # a validated value is negative only in a signed format
-        bits |= 1 << (fmt.width - 1)
     return _bare(BitWord, (bits, fmt.width))
 
 
@@ -639,14 +637,18 @@ def _from_key(fmt: SliFormat, key: int) -> SliNumber:
 def next_up(num: SliNumber) -> SliNumber:
     """Smallest representable value strictly greater than num.
 
-    Raises ValueError at the positive top of the range; there is no
-    infinity to step onto.
+    Raises ValueError at the format's largest value, which has no next
+    value: there is no infinity to step onto.
     """
-    return _from_key(num.fmt, _key(num) + 1)
+    fmt, key = num.fmt, _key(num) + 1
+    if key == 2 << (fmt.level_bits + fmt.index_bits):  # past the top key
+        raise ValueError(f"{num} is the largest value of {fmt.name}; it has no next value")
+    return _from_key(fmt, key)
 
 
 def spacing(num: SliNumber) -> float:
-    """Gap to the next value up, as a binary64 (inf if decode overflows)."""
+    """Gap to the next value up, as a binary64 (inf if decode overflows);
+    ValueError at the format's largest value, as next_up."""
     return decode(next_up(num)) - decode(num)
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import arith, lanes
-from .core import SliFormat, SliNumber, decode, encode, pack
+from .core import SliFormat, decode, encode, pack
 from .minifloat import FloatFormat, fl, fl_op
 
 __all__ = [
@@ -498,37 +498,34 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_sli_number(n: SliNumber) -> None:
-    print(f"format: {n.fmt.name}")
-    print(f"bits: {pack(n)}")
-    print(f"sign: {'+1' if n.sign > 0 else '-1'}")
-    print(f"reciprocal: {'+1' if n.reciprocal > 0 else '-1'}")
-    print(f"level: {n.level}")
-    print(f"index: {n.index:.15f}")
-    print(f"value: {decode(n)!r}")
+def _print_value(fmt: SliFormat | FloatFormat, value) -> None:
+    """Print a rounded value of fmt: its format, an SLI value's word and
+    fields, then the value (decoded, for SLI)."""
+    print(f"format: {fmt.name}")
+    if isinstance(fmt, SliFormat):
+        print(f"bits: {pack(value)}")
+        print(f"sign: {'+1' if value.sign > 0 else '-1'}")
+        print(f"reciprocal: {'+1' if value.reciprocal > 0 else '-1'}")
+        print(f"level: {value.level}")
+        print(f"index: {value.index:.15f}")
+        value = decode(value)
+    print(f"value: {value!r}")
 
 
+# Both round inputs and result before printing, so an error prints nothing.
 def _cmd_encode(args: argparse.Namespace) -> int:
     fmt = resolve_system(args.format)
-    if isinstance(fmt, SliFormat):
-        _print_sli_number(encode(args.value, fmt))
-    else:
-        value = fl(args.value, fmt)  # rounded first, so an error prints nothing
-        print(f"format: {fmt.name}")
-        print(f"value: {value!r}")
+    _print_value(fmt, (encode if isinstance(fmt, SliFormat) else fl)(args.value, fmt))
     return 0
 
 
 def _cmd_op(args: argparse.Namespace) -> int:
     fmt = resolve_system(args.format)
     if isinstance(fmt, SliFormat):
-        x = encode(args.x, fmt)
-        y = encode(args.y, fmt)
-        _print_sli_number(getattr(arith, args.operation)(x, y))
+        value = getattr(arith, args.operation)(encode(args.x, fmt), encode(args.y, fmt))
     else:
         value = fl_op(fl(args.x, fmt), fl(args.y, fmt), args.operation, fmt)
-        print(f"format: {fmt.name}")
-        print(f"value: {value!r}")
+    _print_value(fmt, value)
     return 0
 
 

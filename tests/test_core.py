@@ -165,6 +165,10 @@ class TestSliFormat:
         assert len(table) == 1 << (fmt.width - fmt.index_bits) <= 256
         assert list(table) == [word_fields(p << fmt.index_bits, fmt)[:3]
                                for p in range(len(table))]
+        # pack's table is the inverse: each triple's bits above the
+        # index, and no two prefixes share a triple.
+        assert fmt.prefix_bits == {f: p << fmt.index_bits for p, f in enumerate(table)}
+        assert len(fmt.prefix_bits) == len(table)
 
     def test_prefix_fields_leave_equality_hash_and_repr(self):
         a, b = SliFormat(3, 5), SliFormat(3, 5)
@@ -675,7 +679,10 @@ class TestBuiltValuesAreValid:
     valid without the constructors' checks: each result must equal the
     checked constructors' build of its own fields."""
 
-    @pytest.mark.parametrize("name", ["sli1.3", "sli2.3u", "sli3.2", "sli2.12"])
+    # The last four have level widths 4 to 6 and the widest prefix
+    # tables, up to 256 entries.
+    @pytest.mark.parametrize("name", ["sli1.3", "sli2.3u", "sli3.2", "sli2.12",
+                                      "sli6.2", "sli6.1u", "sli5.3", "sli4.1u"])
     def test_every_word(self, name):
         fmt = SliFormat.from_name(name)
         negative_zero = 1 << (fmt.width - 1) if fmt.signed else None
@@ -892,9 +899,17 @@ class TestLadder:
         assert next_up(small).is_zero
 
     def test_next_up_top_errors(self):
-        top = SliNumber.of(F212, 1, 1, 4, 4095)
-        with pytest.raises(ValueError):
-            next_up(top)
+        for fmt in (F212, F13U):
+            top = SliNumber.of(fmt, 1, 1, fmt.max_level, fmt.index_scale - 1)
+            assert decode(top) == fmt.max_value
+            message = (rf"^{re.escape(str(top))} is the largest value of {fmt.name}; "
+                       "it has no next value$")
+            with pytest.raises(ValueError, match=message):
+                next_up(top)
+            with pytest.raises(ValueError, match=message):
+                spacing(top)
+            # One step below the top still has its next value: the top.
+            assert next_up(_from_key(fmt, _key(top) - 1)) == top
 
     def test_spacing(self):
         one = SliNumber.one(F212)

@@ -1,8 +1,9 @@
 """The four ops against bench/oracle.py, the 80-digit reference that
 rounds once (nearest index, ties away) as the README promises: a seeded
-sli2.12 sample through the scalar ops and the lanes, and every sli2.4
-pair through the lanes against the oracle's pinned digest.  The oracle
-is imported from bench/, not copied."""
+sli2.12 sample through the scalar ops and the lanes, every sli2.4 pair
+through the lanes against the oracle's pinned digest, and the sli2.20
+and sli2.24 near-tie corpus.  The oracle is imported from bench/, not
+copied."""
 
 import importlib.util
 import random
@@ -160,3 +161,64 @@ class TestSli24Exhaustive:
                     pytest.fail(f"{op} {x:#04x} {y:#04x}: the lanes give {got:#04x}, "
                                 f"the oracle {want:#04x}")
         pytest.fail("every pair is the oracle's word, but the digest differs from the pin")
+
+
+class TestNearTies:
+    """The near-tie corpus of tests/near_ties.txt: sli2.20 and sli2.24
+    add/sub pairs whose unrounded result lies within 1e-11 of a rounding
+    tie, found by tools/near_ties.py in 10**7 seeded pairs of each
+    format.  There a lane must not settle on the wrong side of the tie."""
+
+    PATH = Path(__file__).with_name("near_ties.txt")
+
+    @pytest.fixture(scope="class")
+    def corpus(self) -> dict[str, tuple]:
+        """Per format the pairs' keys x and y, the scalar add's keys and
+        the pinned misses: the (x, y) whose line ends in "miss"."""
+        lines = {}
+        for line in self.PATH.read_text().splitlines():
+            if not line.startswith("#"):
+                name, *fields = line.split()
+                lines.setdefault(name, []).append(fields)
+        corpus = {}
+        for name, rows in lines.items():
+            fmt = SliFormat.from_name(name)
+            x, y = np.array([row[:2] for row in rows], dtype=np.int64).T
+            want = [_key(add(_from_key(fmt, a), _from_key(fmt, b)))
+                    for a, b in zip(x.tolist(), y.tolist())]
+            pinned = {(int(a), int(b)) for a, b, *miss in rows if miss == ["miss"]}
+            corpus[name] = fmt, x, y, np.array(want), pinned
+        return corpus
+
+    def test_corpus_shape(self, corpus):
+        assert {name: (x.size, len(pinned)) for name, (_, x, _, _, pinned) in corpus.items()} == {
+            "sli2.20": (160, 3), "sli2.24": (2394, 172)}
+
+    def test_lanes_give_the_scalar_ops(self, corpus, perturbed_numpy, monkeypatch):
+        # Under a numpy 4 ulps off libm, every lane is the scalar op's,
+        # settled or redone; some near ties are too close to settle.
+        redone = []
+        redo = lanes._redo
+
+        def spy(keys, mask, op):
+            redone.append(np.count_nonzero(mask))
+            return redo(keys, mask, op)
+
+        monkeypatch.setattr(lanes, "_redo", spy)
+        for name, (fmt, x, y, want, _) in corpus.items():
+            bad = np.flatnonzero(lanes.add(x, y, fmt) != want)
+            assert not bad.size, f"{name}: {bad.size} lanes differ, first x={x[bad[0]]} y={y[bad[0]]}"
+        assert sum(redone) > 0
+
+    def test_scalar_misses_are_pinned(self, corpus):
+        # The scalar add against the oracle: a miss off the pin is a
+        # regression, and a pinned pair that now matches is a correction,
+        # whose "miss" mark is then dropped.
+        for name, (fmt, x, y, want, pinned) in corpus.items():
+            oracle = SliOracle(fmt.level_bits, fmt.index_bits)
+            word = {k: pack(_from_key(fmt, k)).bits
+                    for k in np.concatenate((x, y, want)).tolist()}
+            misses = {(a, b) for a, b, w in zip(x.tolist(), y.tolist(), want.tolist())
+                      if oracle.op("add", word[a], word[b]) != word[w]}
+            assert not misses - pinned, f"{name}: new misses {sorted(misses - pinned)}"
+            assert not pinned - misses, f"{name}: now the oracle's {sorted(pinned - misses)}"
