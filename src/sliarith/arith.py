@@ -150,6 +150,8 @@ def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[floa
     >= 1; flipped is True when the division came out below one, i.e.
     the caller must flip the reciprocal sign.  Equal operands divide to
     exactly (1.0, False): their shifted descriptors cancel in the kernel.
+    li_add_sub checks the shifted pair, so its ValueError, naming that
+    pair, refuses a descriptor that is not finite and >= 1.
 
     Takes 1-D float64 arrays of one length too, with divide a scalar or
     an array of that length, the route of sliarith.lanes, and then
@@ -158,8 +160,6 @@ def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[floa
     """
     if isinstance(zeta_x, np.ndarray):
         return lanes._li_mul_div_lanes(zeta_x, zeta_y, divide)
-    if not (1.0 <= zeta_x < math.inf and 1.0 <= zeta_y < math.inf):
-        raise ValueError(f"need finite descriptors >= 1, got {zeta_x}, {zeta_y}")
     if zeta_x < zeta_y:
         return li_add_sub(zeta_y - 1.0, zeta_x - 1.0, divide) + 1.0, divide
     return li_add_sub(zeta_x - 1.0, zeta_y - 1.0, divide) + 1.0, False

@@ -446,7 +446,8 @@ def emit_dat(table: ErrorTable, columns: Sequence[str], path: str | Path) -> Non
     """Write a table as space-separated text: one header line of column
     names, then key and per-system errors with 17 significant digits,
     non-finite entries as the "inf" sentinel.  Parsing the file back
-    reproduces every value bit-exactly.
+    reproduces every value bit-exactly but -0.0, which is spelled "0",
+    as +0.0 is, and so reads back as +0.0.
 
     Every value is spelled as _field_text spells it ("%.17g", with "0",
     "inf", "-inf" and "nan"), but by array ops: for 1e-6 <= |v| < 1e17
@@ -469,7 +470,8 @@ def emit_dat(table: ErrorTable, columns: Sequence[str], path: str | Path) -> Non
 
 
 def read_dat(path: str | Path) -> tuple[list[str], list[list[float]]]:
-    """Inverse of emit_dat: header names and rows of parsed binary64."""
+    """Inverse of emit_dat: header names and rows of parsed binary64,
+    with +0.0 for a -0.0 that emit_dat wrote as "0"."""
     text = Path(path).read_text(encoding="ascii").splitlines()
     if not text:
         raise ValueError(f"empty data file {path}")
@@ -624,6 +626,8 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, built once at import.  Each command names its
+    body (func), looked up at each run, so that a rebinding is seen."""
     parser = argparse.ArgumentParser(
         prog="sliarith",
         description="Level-index arithmetic tables and error experiments.",
@@ -634,19 +638,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("format", type=_any_system, help="SLI or float format name")
     p.add_argument("--raw", action="store_true",
                    help="decode raw fields, ignoring the zero convention")
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func="_cmd_table")
 
     p = sub.add_parser("encode", help="round one value into a format")
     p.add_argument("format", type=_any_system)
     p.add_argument("value", type=float)
-    p.set_defaults(func=_cmd_encode)
+    p.set_defaults(func="_cmd_encode")
 
     p = sub.add_parser("op", help="one rounded arithmetic operation")
     p.add_argument("operation", choices=("add", "sub", "mul", "div"))
     p.add_argument("format", type=_any_system)
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
-    p.set_defaults(func=_cmd_op)
+    p.set_defaults(func="_cmd_op")
 
     for command, (text, *_) in _EXPERIMENTS.items():
         p = sub.add_parser(command, help=text)
@@ -654,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", type=kind, default=default)
         p.add_argument("--config", type=str, default=None,
                        help="key=value file overriding the flags above")
-        p.set_defaults(func=_cmd_experiment)
+        p.set_defaults(func="_cmd_experiment")
 
     # Python 3.11's argparse takes only the -1 and -1.5 forms for negative
     # numbers; any other float spelling (-1e-3, -inf) would be a flag.
@@ -664,11 +668,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def cli(argv: Sequence[str] | None = None) -> int:
     """Run the command line; returns the exit code (0 ok, 2 usage, 1 domain)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
@@ -677,7 +683,7 @@ def cli(argv: Sequence[str] | None = None) -> int:
         print(f"sliarith: config error: {e}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except BrokenPipeError:
         raise  # the reader of stdout went away; main exits quietly
     except (OSError, ValueError, ZeroDivisionError) as e:

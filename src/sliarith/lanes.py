@@ -292,9 +292,9 @@ def enumerate_values(fmt: SliFormat | FloatFormat,
 # Below the public functions: the libm map, the word listings,
 # rounding with the scalar redo, and the kernels per lane.  add and mul
 # enter them through arith's public kernels, whose names the benchmark
-# counts, once per call; the kernel lanes are checked there, and the lane
-# mul kernel runs the unchecked add kernel _add_sub_lanes directly, on
-# lanes its own check already covered.
+# counts, once per call.  _li_add_sub_lanes is the one add/sub entry and
+# checks its lanes; the mul kernel hands it the shifted pair, so that
+# check is mul's too.
 
 
 def _lane_map(fn, values: np.ndarray) -> np.ndarray:
@@ -429,7 +429,7 @@ def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
     scalar kernel's result, given bounds err on the inputs' distances."""
     _kernel_shapes(zeta_x, zeta_y, subtract, reciprocal_y, *err)
     subtract, reciprocal_y = np.asarray(subtract), np.asarray(reciprocal_y)
-    err = [np.asarray(e, dtype=np.float64) for e in err]
+    ex, ey = (np.asarray(e, dtype=np.float64) for e in err)
     ok = (0.0 <= zeta_y) & (zeta_y <= zeta_x) & (zeta_x < math.inf)
     inv = None  # the lanes of a reciprocal Y, if any
     if np.count_nonzero(reciprocal_y):
@@ -442,17 +442,6 @@ def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
             f"need finite descriptors zeta_x >= zeta_y >= 0 (zeta_x >= 1 and zeta_y > 1"
             f" for a reciprocal Y), got {zeta_x[i]}, {zeta_y[i]}"
         )
-    return _add_sub_lanes(zeta_x, zeta_y, subtract, *err, inv)
-
-
-def _pick(v, mask):
-    """v at the lanes mask selects, or v itself if it is a scalar term."""
-    return v[mask] if isinstance(v, np.ndarray) and v.ndim else v
-
-
-def _add_sub_lanes(zeta_x, zeta_y, subtract, ex=0.0, ey=0.0, inv=None):
-    """_li_add_sub_lanes on checked lanes, inv the indices of the lanes
-    of a reciprocal Y (None for none)."""
     raw = zeta_x < 1.0
     n_raw = np.count_nonzero(raw)
     with np.errstate(all="ignore"):  # dead lanes divide by zero, log 0, ...
@@ -479,6 +468,11 @@ def _add_sub_lanes(zeta_x, zeta_y, subtract, ex=0.0, ey=0.0, inv=None):
             bound[same] = np.where((ex + ey > 0.0) & same, math.inf, 0.0)[same]
     np.copyto(bound, math.inf, where=np.isnan(bound))
     return out, bound
+
+
+def _pick(v: np.ndarray, mask: np.ndarray):
+    """v at the lanes mask selects, or v itself if it is a scalar term."""
+    return v[mask] if v.ndim else v
 
 
 def _rungs_lanes(zx, ex):
@@ -657,16 +651,13 @@ def _ladders(zx, zy, sub, ex, ey, inv) -> tuple[np.ndarray, np.ndarray]:
 
 def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
     """li_mul_div per lane, with the bound li_add_sub gives."""
-    _kernel_shapes(zeta_x, zeta_y, divide)
+    _kernel_shapes(zeta_x, zeta_y, divide)  # before np.maximum broadcasts a bad shape
     divide = np.asarray(divide)
-    ok = (1.0 <= zeta_x) & (zeta_x < math.inf) & (1.0 <= zeta_y) & (zeta_y < math.inf)
-    if np.count_nonzero(ok) != ok.size:
-        i = int(np.argmin(ok))
-        raise ValueError(f"need finite descriptors >= 1, got {zeta_x[i]}, {zeta_y[i]}")
     # Equal operands need no short cut here: their descriptors cancel
     # exactly in the kernel, giving (1.0, False) as the scalar path does.
-    # The shifted descriptors are in li_add_sub's domain by construction.
-    w, bound = _add_sub_lanes(np.maximum(zeta_x, zeta_y) - 1.0,
-                              np.minimum(zeta_x, zeta_y) - 1.0, divide)
+    # The add/sub lanes check the shifted pair, whose rule is finite
+    # descriptors >= 1 here; np.maximum and np.minimum pass NaN on.
+    w, bound = _li_add_sub_lanes(np.maximum(zeta_x, zeta_y) - 1.0,
+                                 np.minimum(zeta_x, zeta_y) - 1.0, divide)
     w += 1.0
     return w, (zeta_x < zeta_y) & divide, bound + 2 * _U * w

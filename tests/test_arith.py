@@ -152,10 +152,17 @@ class TestKernelMulDiv:
         assert li_mul_div(2.7, 1.3) == li_mul_div(1.3, 2.7)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            li_mul_div(0.5, 2.0)
-        with pytest.raises(ValueError):
-            li_mul_div(2.0, math.nan)
+        # Finite descriptors >= 1 only: li_add_sub refuses the shifted pair,
+        # in either order, for the scalar kernel and for one bad lane among
+        # good ones.
+        for bad in (math.nextafter(1.0, 0.0), 0.5, 0.0, -1.0, math.inf, -math.inf, math.nan):
+            for divide, good in ((False, 1.0), (False, 2.0), (True, 1.0), (True, 2.0)):
+                for x, y in ((bad, good), (good, bad)):
+                    with pytest.raises(ValueError, match="zeta_x >= zeta_y >= 0"):
+                        li_mul_div(x, y, divide)
+                    with pytest.raises(ValueError, match="zeta_x >= zeta_y >= 0"):
+                        li_mul_div(np.array([2.0, 1.0, x, 3.5]), np.array([1.5, 1.0, y, 3.5]),
+                                   divide)
 
 
 class TestAddSub:
@@ -766,7 +773,7 @@ class TestLaneForms:
     def test_kernel_domain_holds_for_arrays(self):
         with pytest.raises(ValueError, match="zeta_x >= zeta_y"):
             li_add_sub(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(ValueError, match="zeta_x >= zeta_y >= 0"):  # the shifted pair's
             li_mul_div(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("fmt", [SliFormat(1, 4), F, SliFormat(2, 24), SliFormat(3, 8),

@@ -1,5 +1,6 @@
 """Tests for the experiment harness, .dat serialization, and the CLI."""
 
+import argparse
 import hashlib
 import math
 import os
@@ -828,8 +829,9 @@ options:
 
     def test_rebound_functions_are_reached(self, tmp_path, monkeypatch, capsys):
         # A tracer wraps a function by rebinding the module attribute, so
-        # the command body must look up the experiment's run function and
-        # emit_dat when it runs, and pass emit_dat the path third.
+        # cli must look up the command body, and the body the experiment's
+        # run function and emit_dat, when it runs, and pass emit_dat the
+        # path third.
         calls = []
 
         def recording(name, fn):
@@ -838,8 +840,16 @@ options:
                 return fn(*args, **kwargs)
             return record
 
-        for name in ("repr_error_sweep", "matvec_backward_error", "emit_dat"):
+        for name in ("_cmd_table", "_cmd_encode", "_cmd_op", "_cmd_experiment",
+                     "repr_error_sweep", "matvec_backward_error", "emit_dat"):
             monkeypatch.setattr(experiments, name, recording(name, getattr(experiments, name)))
+        for argv, body in ((["table", "sli1.2"], "_cmd_table"),
+                           (["encode", "sli2.12", "1.5"], "_cmd_encode"),
+                           (["op", "mul", "sli2.12", "1.5", "2"], "_cmd_op")):
+            calls.clear()
+            assert cli(argv) == 0
+            assert [(name, len(args), kwargs) for name, args, kwargs in calls] == [
+                (body, 1, {})]
         for argv, run in ((["sweep-repr", "--min", "1", "--max", "2", "--step", "0.5"],
                            "repr_error_sweep"),
                           (["matvec", "--dims", "2,3"], "matvec_backward_error")):
@@ -847,8 +857,26 @@ options:
             calls.clear()
             assert cli([*argv, "--out", out]) == 0
             assert [(name, len(args), kwargs) for name, args, kwargs in calls] == [
-                (run, 1, {}), ("emit_dat", 3, {})]
-            assert calls[1][1][2] == out
+                ("_cmd_experiment", 1, {}), (run, 1, {}), ("emit_dat", 3, {})]
+            assert calls[2][1][2] == out
+        capsys.readouterr()
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        # The parser is built at import: cli calls construct none.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert cli(["encode", "sli2.12", "1.5"]) == 0
+        assert cli(["sweep-repr", "--min", "1", "--max", "1", "--step", "1",
+                    "--out", str(tmp_path / "s.dat")]) == 0
+        assert built == []
+        argparse.ArgumentParser(prog="probe")  # the spy sees a construction
+        assert built == ["probe"]
         capsys.readouterr()
 
     def test_every_flag_is_covered(self, capsys):

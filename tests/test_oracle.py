@@ -1,12 +1,11 @@
 """The four ops against bench/oracle.py, the 80-digit reference that
 rounds once (nearest index, ties away) as the README promises: a seeded
-sli2.12 sample through the scalar ops and the lanes, every sli2.4 pair
-through the lanes against the oracle's pinned digest, and the sli2.20
-and sli2.24 near-tie corpus.  The oracle is imported from bench/, not
-copied."""
+sli2.12 sample through the scalar ops and the lanes and every sli2.4
+pair through the lanes, each against the oracle's pinned digest, and
+the sli2.20 and sli2.24 near-tie corpus.  The oracle is imported from
+bench/, not copied."""
 
 import importlib.util
-import random
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 
 from sliarith import lanes
 from sliarith.arith import add, div, mul, sub
-from sliarith.core import BitWord, SliFormat, _from_key, _key, next_up, pack, unpack
+from sliarith.core import BitWord, SliFormat, _from_key, _key, pack, unpack
 
 _spec = importlib.util.spec_from_file_location(
     "oracle_digest", Path(__file__).resolve().parents[1] / "tools" / "oracle_digest.py")
@@ -47,92 +46,73 @@ def _lane_op(op: str, x: np.ndarray, y: np.ndarray, fmt: SliFormat) -> np.ndarra
     return (lanes.mul if op in ("mul", "div") else lanes.add)(x, y, fmt)
 
 
+def _check_pin(fmt: SliFormat, pin: str, op_pairs: dict[str, list[tuple[int, int]]],
+               results: dict[str, list[int]], who: str) -> None:
+    """Pass where the digest of results, each op's words over its pairs in
+    op_pairs, is the pin that tools/oracle_digest.py prints; else run the
+    oracle, and fail at the first pair whose word is not the oracle's."""
+    ops = oracle_digest.OPS
+    if oracle_digest.digest([results[op] for op in ops], fmt.width) == pin:
+        return
+    oracle = SliOracle(fmt.level_bits, fmt.index_bits)
+    hex_width = 2 + fmt.width // 4
+    for op in ops:
+        for (x, y), got in zip(op_pairs[op], results[op]):
+            want = oracle.op(op, x, y)
+            if got != want:
+                pytest.fail(f"{op} {x:#0{hex_width}x} {y:#0{hex_width}x}: {who} give "
+                            f"{got:#0{hex_width}x}, the oracle {want:#0{hex_width}x}")
+    pytest.fail("every pair is the oracle's word, but the digest differs from the pin")
+
+
 class TestSli212Sample:
-    """20 000 seeded sli2.12 ops, word for word against the oracle."""
+    """20 000 seeded sli2.12 ops, the sample of tools/oracle_digest.py,
+    against the digest of the oracle's words that the tool prints.  The
+    oracle takes about 3 s for them, so only a mismatch runs it, to name
+    the first pair that differs."""
 
-    FMT = SliFormat(2, 12)
-
-    @staticmethod
-    def pairs() -> list[tuple[int, int]]:
-        """Half uniform word pairs, half a word against its next_up with
-        random sign flips (near and exact-neighbour cancellation), then a
-        zero or negative zero against random words, and pairs of the 16
-        largest and 16 smallest magnitudes (products and quotients that
-        saturate): 5 000 pairs."""
-        fmt = TestSli212Sample.FMT
-        rng = random.Random(17)
-
-        def word(n: int = 1 << 16, base: int = 0) -> int:
-            return base + int(rng.random() * n)
-
-        def signed(w: int) -> int:
-            return w ^ 0x8000 if rng.random() < 0.5 else w
-
-        pairs = [(word(), word()) for _ in range(2400)]
-        for _ in range(2400):
-            x = word(0x7FFE, 1)  # positive and below the top, so next_up exists
-            y = pack(next_up(unpack(BitWord(x, 16), fmt))).bits
-            pairs.append((signed(x), signed(y)))
-        for zero in (0, 0x8000):
-            for _ in range(25):
-                w = word()
-                pairs += [(zero, w), (w, zero)]
-        ends = (0x7FFF, 0x3FFF)  # the largest and the smallest magnitude
-        for _ in range(25):
-            pairs += [(signed(word(16, a - 15)), signed(word(16, b - 15)))
-                      for a in ends for b in ends]
-        return pairs
+    FMT = oracle_digest.SAMPLE_FMT
+    DIGEST = "10732d78fe86f064672ad0b6faac7dd4e8bedea82349751d264d7145999fc6b2"
 
     @pytest.fixture(scope="class")
-    def sample(self) -> tuple[list[tuple[int, int]], dict[str, list[int | None]]]:
-        """The pairs and the oracle's word for each op, None for x / 0."""
-        oracle = SliOracle(2, 12)
-        pairs = self.pairs()
-        want = {}
-        for op in OPS:
-            want[op] = []
-            for x, y in pairs:
-                try:
-                    want[op].append(oracle.op(op, x, y))
-                except ZeroDivisionError:
-                    want[op].append(None)
-        return pairs, want
+    def sample(self) -> tuple[list[tuple[int, int]], dict[str, list[tuple[int, int]]]]:
+        """The pairs, and per op the pairs it takes: div takes none with a
+        zero divisor."""
+        pairs = oracle_digest.sample_pairs()
+        return pairs, {op: oracle_digest.divisible(op, pairs, self.FMT.width) for op in OPS}
 
-    def test_sample_shape(self, sample):
-        pairs, want = sample
-        assert len(pairs) * len(OPS) == 20_000
-        assert want["div"].count(None) == sum(y & 0x7FFF == 0 for _, y in pairs) > 0
-        top, bottom = 0x7FFF, 0x3FFF  # saturation at both ends
-        assert top in want["mul"] and bottom in want["mul"]
-        assert 0 in want["sub"]  # exact cancellation
-
-    def test_scalar_ops_match_the_oracle(self, sample):
-        pairs, want = sample
+    @pytest.fixture(scope="class")
+    def scalar_words(self, sample) -> dict[str, list[int]]:
+        """The scalar ops' word for each op's pairs."""
+        pairs, op_pairs = sample
         nums = {w: unpack(BitWord(w, 16), self.FMT) for pair in pairs for w in pair}
-        misses = []
-        for op, fn in OPS.items():
-            for (x, y), w in zip(pairs, want[op]):
-                try:
-                    got = pack(fn(nums[x], nums[y])).bits
-                except ZeroDivisionError:
-                    got = None
-                if got != w:
-                    misses.append(f"{op} {x:#06x} {y:#06x}: {got} != oracle {w}")
-        assert not misses, f"{len(misses)} misses, first {misses[:5]}"
+        return {op: [pack(fn(nums[x], nums[y])).bits for x, y in op_pairs[op]]
+                for op, fn in OPS.items()}
+
+    def test_sample_shape(self, sample, scalar_words):
+        pairs, op_pairs = sample
+        assert len(pairs) * len(OPS) == 20_000
+        assert len(pairs) - len(op_pairs["div"]) == sum(y & 0x7FFF == 0 for _, y in pairs) > 0
+        top, bottom = 0x7FFF, 0x3FFF  # saturation at both ends
+        assert top in scalar_words["mul"] and bottom in scalar_words["mul"]
+        assert 0 in scalar_words["sub"]  # exact cancellation
+
+    def test_scalar_ops_match_the_oracle(self, sample, scalar_words):
+        pairs, op_pairs = sample
+        for x, y in pairs:
+            if not y & 0x7FFF:  # the oracle refuses these too
+                with pytest.raises(ZeroDivisionError):
+                    div(unpack(BitWord(x, 16), self.FMT), unpack(BitWord(y, 16), self.FMT))
+        _check_pin(self.FMT, self.DIGEST, op_pairs, scalar_words, "the scalar ops")
 
     def test_lanes_match_the_oracle(self, sample):
-        pairs, want = sample
-        x, y = np.array(pairs).T
-        misses = []
+        _, op_pairs = sample
+        results = {}
         for op in OPS:
-            live = (y & 0x7FFF != 0) if op == "div" else np.ones(len(pairs), bool)
-            got = _words(_lane_op(op, _keys(x[live], self.FMT), _keys(y[live], self.FMT),
-                                  self.FMT), self.FMT)
-            w = np.array(want[op], dtype=object)[live].astype(np.int64)
-            for i in np.flatnonzero(got != w):
-                misses.append(f"{op} {x[live][i]:#06x} {y[live][i]:#06x}: "
-                              f"{got[i]} != oracle {w[i]}")
-        assert not misses, f"{len(misses)} misses, first {misses[:5]}"
+            x, y = np.array(op_pairs[op]).T
+            results[op] = _words(_lane_op(op, _keys(x, self.FMT), _keys(y, self.FMT), self.FMT),
+                                 self.FMT).tolist()
+        _check_pin(self.FMT, self.DIGEST, op_pairs, results, "the lanes")
 
 
 class TestSli24Exhaustive:
@@ -146,21 +126,12 @@ class TestSli24Exhaustive:
 
     def test_lane_results_are_the_oracles_words(self):
         keys = _keys(range(1 << self.FMT.width), self.FMT)
-        results = []
-        for op in oracle_digest.OPS:
-            x, y = np.array(oracle_digest.pairs(op)).T
-            results.append(_words(_lane_op(op, keys[x], keys[y], self.FMT), self.FMT)
-                           .astype(np.uint8))
-        if oracle_digest.digest(results) == self.DIGEST:
-            return
-        oracle = SliOracle(self.FMT.level_bits, self.FMT.index_bits)
-        for op, words in zip(oracle_digest.OPS, results):
-            for (x, y), got in zip(oracle_digest.pairs(op), words.tolist()):
-                want = oracle.op(op, x, y)
-                if got != want:
-                    pytest.fail(f"{op} {x:#04x} {y:#04x}: the lanes give {got:#04x}, "
-                                f"the oracle {want:#04x}")
-        pytest.fail("every pair is the oracle's word, but the digest differs from the pin")
+        op_pairs = {op: oracle_digest.pairs(op) for op in oracle_digest.OPS}
+        results = {}
+        for op, pairs in op_pairs.items():
+            x, y = np.array(pairs).T
+            results[op] = _words(_lane_op(op, keys[x], keys[y], self.FMT), self.FMT).tolist()
+        _check_pin(self.FMT, self.DIGEST, op_pairs, results, "the lanes")
 
 
 class TestNearTies:
