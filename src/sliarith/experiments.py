@@ -53,7 +53,7 @@ MAX_DIM = 5000
 
 # Most grid points the sweep accepts, refused before any allocation.
 # The sweep keeps the grid and one error column per system in memory:
-# 2**24 points against two systems peak at 450 MB RSS and take 34 s
+# 2**24 points against two systems peak at 450 MB RSS and take 10-12 s
 # (2-core Xeon VM), against 57 MB for the default 799 001 points.
 MAX_GRID = 1 << 24
 
@@ -312,14 +312,19 @@ def _field_text(v: float) -> str:
 #
 # Texts are built as little-endian uint64 words, eight ASCII bytes each,
 # with NUL bytes where a shorter text leaves room; the NULs are deleted
-# when a block is joined into text.  So no text is shifted: bytes 0..5
-# hold the sign and "0.000" head, digit i of the 17 sits at byte 6 + 2i,
-# and the byte after it is free for the point.
+# when a block is joined into text.  A value takes four words: bytes 0..5
+# hold the sign and "0.000" head, byte 6 digit 0 and byte 7 the point
+# after it, bytes 8..23 digits 1..16, and bytes 24..31 the exponent and
+# separator.  Only where 10 <= |v| < 1e17 and a fraction follows is the
+# point elsewhere: digits 1..d of the integer part move down one byte,
+# into the point's byte, and the point follows them.
 
-# Values spelled per array pass, about 320 bytes of temporaries each.  Of
-# passes of 1024 to 16384, 4096 ran a sweep's emit_dat fastest on a
-# 2-core Xeon VM with 2 MB of L2 per core: 14% ahead of 2048 (medians of
-# 41 interleaved calls); from 6144 on, a pass outgrew the L2 (+50%).
+# Values spelled per array pass, about 270 bytes of temporaries each.  Of
+# passes of 2048 to 16384 over the 239 700 values of a sweep of step
+# 1e-4, 4096 to 5120 ran fastest on a 2-core Xeon VM with 2 MB of L2 per
+# core: 21.7-21.9 ms for all passes (best of 5 interleaved rounds of 15),
+# against 27.9 ms at 2048 and 37-39 ms from 6144 on, where a pass
+# outgrew the L2.
 _SPELL_VALUES = 1 << 12
 
 # 10^0 .. 10^22, all exact in binary64, and each split into two halves
@@ -338,23 +343,22 @@ def _text_words(texts: Sequence[str], width: int) -> np.ndarray:
 
 
 def _group_words() -> np.ndarray:
-    """Word i spells 0 <= i < 10000 in four digits, each followed by a
-    NUL; word 10000 + i spells it without its trailing zeros."""
-    i = np.arange(10000, dtype=np.uint64)
+    """Entry i spells 0 <= i < 10000 in four digits, four ASCII bytes of
+    a little-endian uint32; entry 10000 + i spells it without its
+    trailing zeros."""
+    i = np.arange(10000, dtype=np.uint32)
     words = np.zeros_like(i)
-    for b in range(4):  # byte 2b: the digit of 10^(3 - b)
-        digit = i // np.uint64(10 ** (3 - b)) % np.uint64(10)
-        words |= (digit + np.uint64(ord("0"))) << np.uint64(16 * b)
+    for b in range(4):  # byte b: the digit of 10^(3 - b)
+        digit = i // np.uint32(10 ** (3 - b)) % np.uint32(10)
+        words |= (digit + np.uint32(ord("0"))) << np.uint32(8 * b)
     stripped = words.copy()
     for b in range(4):  # digit b trails only zeros where 10^(4 - b) divides i
-        stripped[i % np.uint64(10 ** (4 - b)) == 0] &= ~np.uint64(0xFF << 16 * b)
+        stripped[i % np.uint32(10 ** (4 - b)) == 0] &= ~np.uint32(0xFF << 8 * b)
     return np.concatenate([words, stripped])
 
 
 _GROUPS = _group_words()
 _DECADES = range(-6, 17)  # the decades of the fast path; 23 of them
-# Per decade: 10^f, for the f digits after its integer part.
-_FRACTION = np.array([10 ** (16 - max(d, 0)) for d in _DECADES], np.int64)
 
 
 def _head(negative: bool, d: int) -> str:
@@ -362,33 +366,48 @@ def _head(negative: bool, d: int) -> str:
 
 
 def _frame(point: bool, negative: bool, d: int) -> str:
-    """All of a text's first 40 bytes but its digits: the head, a "0"
-    in the bytes of digit 0 and of the integer part's other digits, to
-    be ORed with the digits, and the point after the integer part where
-    a fraction follows and the head holds none."""
-    q = max(d, 0) + 1  # the integer part's digits
-    return _head(negative, d).ljust(6, "\0") + "".join(
-        ("0" if i < q else "\0") + ("." if point and i == q - 1 and not -4 <= d < 0 else "\0")
-        for i in range(17))
+    """A text's first word but for digit 0: the head, a "0" in digit
+    0's byte, to be ORed with the digit, and the point after it where a
+    fraction follows and d is 0 or below -4 (for -4 <= d < 0 the head
+    holds the point; for d > 0 _spell places it)."""
+    return _head(negative, d).ljust(6, "\0") + "0" + (
+        "." if point and (d == 0 or d < -4) else "\0")
 
 
 def _tail(d: int, sep: str) -> str:
     return (("e-%02d" % -d if d < -4 else "") + sep).rjust(8, "\0")
 
 
-# Per (point, sign, decade): the five words of _frame, one table per
-# word; per (last column, decade): the exponent and separator after the
-# digits.
+def _whole_masks() -> list[np.ndarray]:
+    """Per (fraction, d) for d = 0..16, masks of the first three words
+    of a text with d > 0: the bytes kept, the bytes taken from one byte
+    further on, and the bytes ORed in.  Without a fraction, the integer
+    part's zeros in its digits 1..d; with one, digits 1..d move down
+    into the point's byte and the point follows them."""
+    keep = np.full((2, 17, 24), 0xFF, np.uint8)
+    move = np.zeros_like(keep)
+    put = np.zeros_like(keep)
+    for d in range(17):
+        put[0, d, 8:8 + d] = ord("0")
+        keep[1, d, 7:8 + d] = 0
+        move[1, d, 7:7 + d] = 0xFF
+        put[1, d, 7 + d] = ord(".")
+    return [m.reshape(34, 24).view("<u8") for m in (keep, move, put)]
+
+
+# Per (point, sign, decade): the first word; per (last column, decade):
+# the exponent and separator after the digits.
 _FRAMES = _text_words([_frame(p, n, d) for p in (False, True) for n in (False, True)
-                       for d in _DECADES], 40).T.copy()
+                       for d in _DECADES], 8).ravel()
 _TAILS = _text_words([_tail(d, sep) for sep in " \n" for d in _DECADES], 8).ravel()
+_KEEP, _MOVE, _PUT = _whole_masks()
 
 
 def _spell(block: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
     """The rows of a 2-D float64 block as lines of ASCII text, each
     value spelled as _field_text spells it and followed by a space, or
     by a newline at the end of its row.  A prefix, one row of text words
-    per row of the block as _text_words makes them, leads each line."""
+    per row of the block, leads each line."""
     v = block.ravel()
     a = np.abs(v)
     fast = (a >= 1e-6) & (a < 1e17)  # False for NaN
@@ -412,31 +431,42 @@ def _spell(block: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
     digits[slow] = 10**16  # spelled in full below
     d[slow] = 0
     decade = d + 6
-    frame = decade + (v < 0) * len(_DECADES)
-    frame += (digits % _FRACTION[decade] != 0) * (2 * len(_DECADES))  # a fraction follows
     # Digit 0, then the others in groups of four (// and a product are
     # faster than divmod here).  A group gets its stripped spelling where
     # all later groups are zero, so the text ends at its last nonzero
-    # digit; the frame puts back the integer part's zeros.
+    # digit.  The frame's point flag, digits 1..16 not all zero, is a
+    # fraction's where d <= 0; where d > 0 the frame has no point.
     g0 = digits // 10**16
     r = digits - g0 * 10**16
+    frame = decade + (v < 0) * len(_DECADES) + (r != 0) * (2 * len(_DECADES))
     g1 = r // 10**12
     r -= g1 * 10**12
     g2 = r // 10**8
     r -= g2 * 10**8
     g3 = r // 10**4
     g4 = r - g3 * 10**4
-    out = np.empty((v.size, 6), "<u8")
-    out[:, 0] = _FRAMES[0][frame] | g0.view(np.uint64) << np.uint64(48)
+    out = np.empty((v.size, 4), "<u8")
+    out[:, 0] = _FRAMES[frame] | g0.view(np.uint64) << np.uint64(48)
+    groups = out.view("<u4")  # columns 2..5: digits 1..16, four each
     stripped = 10000
-    for j, g in ((4, g4), (3, g3), (2, g2), (1, g1)):
-        out[:, j] = _GROUPS[g + stripped] | _FRAMES[j][frame]
+    for j, g in ((5, g4), (4, g3), (3, g2), (2, g1)):
+        groups[:, j] = _GROUPS[g + stripped]
         stripped = stripped * (g == 0)
+    whole = np.flatnonzero(d > 0)  # digits 1..d are the integer part's
+    if whole.size:
+        # np.take: numpy's fancy indexing of rows costs several times more.
+        dw = d[whole]
+        t = dw + 17 * (digits[whole] % 10 ** (16 - dw) != 0)  # with a fraction
+        x = out.take(whole, 0)[:, :3]
+        y = x >> np.uint64(8)  # the 24 bytes, each from one byte further on
+        y[:, 0] |= x[:, 1] << np.uint64(56)
+        y[:, 1] |= x[:, 2] << np.uint64(56)
+        out[whole, :3] = x & _KEEP.take(t, 0) | y & _MOVE.take(t, 0) | _PUT.take(t, 0)
     tail = decade.reshape(block.shape)
     tail[:, -1] += len(_DECADES)
-    out[:, 5] = _TAILS[tail.ravel()]
+    out[:, 3] = _TAILS[tail.ravel()]
     if slow.size:
-        out[slow, :5] = _text_words([_field_text(x) for x in v[slow].tolist()], 40)
+        out[slow, :3] = _text_words([_field_text(x) for x in v[slow].tolist()], 24)
     if prefix is not None:
         out = np.hstack([prefix, out.reshape(len(block), -1)])
     return out.tobytes().translate(None, b"\0")
@@ -454,10 +484,12 @@ def emit_dat(table: ErrorTable, columns: Sequence[str], path: str | Path) -> Non
     the decade d comes from log10, |v| * 10^(16 - d) is formed exactly as
     a double-double (Dekker's product with an exact power of ten), and
     its round-half-even integer gives the 17 digits.  Each piece of the
-    text comes from a table and has a fixed byte among six NUL-padded
-    words, whose NULs are deleted as a block is written; no text is
-    shifted.  Values outside 1e-6..1e17, specials, and values whose
-    decade estimate missed are spelled by _field_text itself.
+    text comes from a table and has a fixed byte among four NUL-padded
+    words, whose NULs are deleted as a block is written.  Only where
+    10 <= |v| < 1e17 and a fraction follows are bytes moved: the
+    integer part's digits after the first, one byte down, to make room
+    for the point.  Values outside 1e-6..1e17, specials, and values
+    whose decade estimate missed are spelled by _field_text itself.
     """
     if len(columns) != 1 + len(table.values):
         raise ValueError(f"{len(columns)} column names for {1 + len(table.values)} columns")
@@ -493,10 +525,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # before the header; its blocks are printed as they are made.
     blocks = lanes.enumerate_values(fmt, args.raw)
     print("bits value log10" if isinstance(fmt, SliFormat) else "bits value")
-    for bits, *columns in blocks:  # each row after its bits and a space
-        words = _text_words([f"{b:0{fmt.width}b} " for b in bits.tolist()],
-                            8 * (fmt.width // 8 + 1))
-        sys.stdout.write(_spell(np.column_stack(columns), words).decode("ascii"))
+    # Each row after its bits, MSB first, and a space, NUL-padded to
+    # whole text words.
+    shifts = np.arange(fmt.width - 1, -1, -1)
+    for bits, *columns in blocks:
+        text = np.zeros((bits.size, 8 * (fmt.width // 8 + 1)), np.uint8)
+        text[:, :fmt.width] = (bits[:, None] >> shifts & 1) + ord("0")
+        text[:, fmt.width] = ord(" ")
+        sys.stdout.write(_spell(np.column_stack(columns), text.view("<u8")).decode("ascii"))
     return 0
 
 

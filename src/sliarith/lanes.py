@@ -145,9 +145,14 @@ def decode(lanes, fmt: SliFormat | FloatFormat) -> np.ndarray:
     # each distinct magnitude is decoded once and spread back.
     keys, inverse = np.unique(np.abs(lanes), return_inverse=True)
     zero, _, reciprocal, _, zeta = _key_fields(keys, fmt)
-    # _peel per magnitude: the exact index of zeta, exponentiated once per
-    # level, and inf past the guard as in phi.  Zero, read as one, skips
-    # that and keeps its index 0 as the value.
+    return np.where(lanes < 0, -1, 1) * _magnitudes(fmt, zero, reciprocal, zeta)[inverse]
+
+
+def _magnitudes(fmt: SliFormat, zero, reciprocal, zeta) -> np.ndarray:
+    """decode's |value| per lane of the zero flags, reciprocal flags and
+    zetas: _peel's steps, the exact index of zeta exponentiated once per
+    level and inf past the guard as in phi.  A zero lane skips that and
+    keeps its index 0 as the value."""
     level = zeta.astype(np.int64)
     mag = zeta - level
     live = np.flatnonzero(~zero)
@@ -159,7 +164,7 @@ def decode(lanes, fmt: SliFormat | FloatFormat) -> np.ndarray:
         mag[live] = _lane_map(math.exp, mag[live])
     below = reciprocal < 0
     mag[below] = 1.0 / mag[below]  # 1/inf is 0.0, as in decode
-    return np.where(lanes < 0, -1, 1) * mag[inverse]
+    return mag
 
 
 def add(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
@@ -315,12 +320,14 @@ def _log(values: np.ndarray, err) -> tuple[np.ndarray, np.ndarray]:
 def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarray, ...]:
     sign, reciprocal, level, index_k = word_fields(bits, fmt)
     zero = (not raw) & (reciprocal < 0) & (level == 1) & (index_k == 0)
-    # The raw all-zeros word, 1/phi(1), has the key of one, and its
-    # log10, -0.0 from its literal r = -1, gets one's 0.0 from the + 0.0.
-    keys = np.where(zero, 0, _key_of(fmt, sign, reciprocal, level, index_k))
-    lg = _lane_map(log_phi10, level + index_k / fmt.index_scale) * reciprocal + 0.0
+    zeta = level + index_k / fmt.index_scale
+    # The raw all-zeros word, 1/phi(1), decodes as one, and its log10,
+    # -0.0 from its literal r = -1, gets one's 0.0 from the + 0.0.  Both
+    # zero words read as +1/1 and decode as +0.0, as key 0 does.
+    lg = _lane_map(log_phi10, zeta) * reciprocal + 0.0
     lg[zero] = -math.inf
-    return bits, decode(keys, fmt), lg
+    sign[zero] = reciprocal[zero] = 1
+    return bits, sign * _magnitudes(fmt, zero, reciprocal, zeta), lg
 
 
 def _float_values(bits: np.ndarray, fmt: FloatFormat) -> np.ndarray:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -492,6 +493,31 @@ class TestDatFiles:
         path = tmp_path / "t.dat"
         emit_dat(ErrorTable(values, {}), ["x"], path)
         assert path.read_text() == "x\n" + "".join(f"{_field_text(x)}\n" for x in values)
+
+    def test_interior_points_spelled_as_field_text(self, tmp_path, monkeypatch):
+        # Points inside the digits: per decade 1..16, integer parts
+        # plus a fraction of every length the 17 digits leave, exact in
+        # binary64 as an odd multiple of 2^-f; 1/2^f puts zeros next to
+        # the point.  Then inexact values with zeros beside it, and the
+        # longest texts, 24 characters each.
+        monkeypatch.setattr(experiments, "_SPELL_VALUES", 6)
+        texts = []
+        for d in range(1, 17):
+            for n in (int("12345678912345678"[:d + 1]), int("10203040506070808"[:d + 1])):
+                for f in range(1, 17 - d):
+                    for k in (1, 2**f - 1):
+                        texts.append(str(n + Decimal(k) / 2**f))
+        texts += ["-" + t for t in texts]
+        values = [float(t) for t in texts]
+        assert [_field_text(x) for x in values] == texts  # every value is exact
+        longest = [-2.2250738585072014e-308, -1.7976931348623157e+308, -4.9406564584124654e-324]
+        assert {len(_field_text(x)) for x in longest} == {24}
+        values += [1000.5, 10.05, 120.000001, -10.05] + longest
+        errs = [abs(x) for x in reversed(values)]
+        path = tmp_path / "t.dat"
+        emit_dat(ErrorTable(values, {"a": errs}), ["x", "a"], path)
+        assert path.read_text() == "x a\n" + "".join(
+            f"{_field_text(x)} {_field_text(e)}\n" for x, e in zip(values, errs))
 
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.dat"
