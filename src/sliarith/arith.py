@@ -23,15 +23,19 @@ floats w >= 0 where the described magnitude is phi(w), so w >= 1 reads
 as a level-index pair and w < 1 is the magnitude itself.  That makes
 small residuals, operands below one, and the multiply reduction
 (shift both levels down by one, add, shift back) uniform.
+
+The kernel arithmetic, up to the unrounded zeta and reciprocal flag
+that _materialize rounds, is compiled from one C source, _kernel.c,
+which sliarith.lanes runs over arrays too.  li_add_sub and li_mul_div
+are its checked entries, one value at a time or over arrays.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import SliFormat, SliNumber, _U, _key, _materialize, psi
+from ._kernel import lib as _lib
+from .core import SliFormat, SliNumber, _key, _materialize
 
 __all__ = [
     "li_add_sub",
@@ -46,10 +50,8 @@ __all__ = [
 ]
 
 
-def li_add_sub(
-    zeta_x: float, zeta_y: float, subtract: bool = False, *, err=(0.0, 0.0),
-    reciprocal_y: bool = False,
-) -> float:
+def li_add_sub(zeta_x: float, zeta_y: float, subtract: bool = False, *,
+               reciprocal_y: bool = False) -> float:
     """Magnitude add/subtract on generalized descriptors.
 
     Needs finite zeta_x >= zeta_y >= 0, i.e. the caller puts the larger
@@ -60,84 +62,26 @@ def li_add_sub(
     With reciprocal_y, Y is 1/phi(zeta_y) instead, for finite zeta_x >= 1
     and zeta_y > 1, so Y < 1 <= X: the kernel feeds Y as the raw
     descriptor a_0 = 1/phi(zeta_y), the foot of Y's own reciprocal ladder.
+    Descriptors of 2**52 and more are refused (ValueError), as are those
+    outside these rules.
 
     zeta_x and zeta_y may also be 1-D float64 arrays of one length, with
-    subtract, reciprocal_y and each err term a scalar or an array of that
-    length (any other shape raises ValueError), the route of
-    sliarith.lanes: then the call returns the descriptors and per element
-    the bound lanes describes on their distance from the scalar call's
-    (inf where the kernel has none), given err bounding the inputs' own
-    distances.
+    subtract and reciprocal_y each a scalar or an array of that length
+    (any other shape raises ValueError), the route of sliarith.lanes:
+    then the call returns the descriptors, the scalar call's per element.
     """
     if isinstance(zeta_x, np.ndarray):
-        return lanes._li_add_sub_lanes(zeta_x, zeta_y, subtract, err, reciprocal_y)
-    if reciprocal_y:
-        if not (1.0 <= zeta_x < math.inf and 1.0 < zeta_y < math.inf):
-            raise ValueError(
-                f"need finite descriptors zeta_x >= 1, zeta_y > 1, got {zeta_x}, {zeta_y}")
-        zeta_y = _ladder(zeta_y, 0.0)[0][0]
-    elif not 0.0 <= zeta_y <= zeta_x < math.inf:
-        raise ValueError(
-            f"need finite descriptors zeta_x >= zeta_y >= 0, got {zeta_x}, {zeta_y}"
-        )
-    if subtract and zeta_x == zeta_y:
-        # The ladder computes b_0 = 1 only up to roundoff; equal
-        # descriptors must cancel exactly, so short-circuit.
-        return 0.0
-    lev = int(zeta_x)
-    f = zeta_x - lev
-
-    if lev == 0:
-        # Both magnitudes are raw values below one.
-        return psi(zeta_x - zeta_y if subtract else zeta_x + zeta_y)
-
-    a, b = _ladder(zeta_x, zeta_y)
-    c = 1.0 - b if subtract else 1.0 + b
-    for j, a_j in enumerate(a):
-        if j:
-            c = 1.0 + a_j * log_c
-        if c <= 0.0:
-            # The result magnitude is phi(j) on the nose (or full
-            # cancellation at j = 0); roundoff cannot sit below this.
-            return float(j)
-        if c < a_j:
-            # phi(zeta_z - j) = c/a_j < 1: result level is j.
-            return j + c / a_j
-        log_c = math.log(c)
-
-    h = f + log_c
-    if h < 0.0:  # roundoff below the a_{l-1} <= c guarantee
-        h = 0.0
-    # psi(h), inline: h < 1 + ln 2 (c <= 2), so it takes at most one log.
-    return lev + (h if h < 1.0 else 1.0 + math.log(h))
+        return lanes._li_add_sub_lanes(zeta_x, zeta_y, subtract, reciprocal_y)
+    w = _lib.li_add_sub(zeta_x, zeta_y, subtract, reciprocal_y)
+    if w != w:
+        raise _refused(zeta_x, zeta_y, reciprocal_y)
+    return w
 
 
-def _ladder(zeta_x: float, zeta_y: float) -> tuple[list[float], float]:
-    """The ladders of li_add_sub, for zeta_x >= 1 and 0 <= zeta_y <= zeta_x:
-    the reciprocals a_j = 1/phi(zeta_x - j) below the level of X, and
-    b_0 = phi(zeta_y)/phi(zeta_x)."""
-    lev = int(zeta_x)
-    # Reciprocal ladder of X, top level down to a_0 = 1/phi(zeta_x).
-    a = [0.0] * lev
-    a_j = a[lev - 1] = math.exp(-(zeta_x - lev))
-    for j in range(lev - 2, -1, -1):
-        a_j = a[j] = math.exp(-1.0 / a_j) if a_j > 0.0 else 0.0
-
-    # Ratio ladder of Y against X, down to b_0 = |Y|/|X|.
-    m = int(zeta_y)
-    g = zeta_y - m
-    if m == 0:
-        return a, a[0] * g
-    b = a[m - 1] * math.exp(g)
-    for j in range(m - 1, 0, -1):
-        d = 1.0 - b
-        if d <= 0.0:
-            b = 1.0
-        elif a[j] <= 0.0:
-            b = 0.0
-        else:
-            b = math.exp(-d / a[j])
-    return a, b
+def _refused(zeta_x: float, zeta_y: float, reciprocal_y) -> ValueError:
+    """The error of a descriptor pair outside li_add_sub's domain."""
+    rule = "zeta_x >= 1, zeta_y > 1" if reciprocal_y else "zeta_x >= zeta_y >= 0"
+    return ValueError(f"need finite descriptors {rule}, below 2**52, got {zeta_x}, {zeta_y}")
 
 
 def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[float, bool]:
@@ -150,19 +94,21 @@ def li_mul_div(zeta_x: float, zeta_y: float, divide: bool = False) -> tuple[floa
     >= 1; flipped is True when the division came out below one, i.e.
     the caller must flip the reciprocal sign.  Equal operands divide to
     exactly (1.0, False): their shifted descriptors cancel in the kernel.
-    li_add_sub checks the shifted pair, so its ValueError, naming that
-    pair, refuses a descriptor that is not finite and >= 1.
+    li_add_sub's rule on the shifted pair, larger first, is this
+    kernel's, and its ValueError names that pair: a descriptor that is
+    not finite and >= 1 is refused.
 
     Takes 1-D float64 arrays of one length too, with divide a scalar or
     an array of that length, the route of sliarith.lanes, and then
-    returns three arrays: the descriptors, the flipped flags
-    (the scalar results' own) and li_add_sub's bounds on the descriptors.
+    returns two arrays: the descriptors and the flipped flags.
     """
     if isinstance(zeta_x, np.ndarray):
         return lanes._li_mul_div_lanes(zeta_x, zeta_y, divide)
-    if zeta_x < zeta_y:
-        return li_add_sub(zeta_y - 1.0, zeta_x - 1.0, divide) + 1.0, divide
-    return li_add_sub(zeta_x - 1.0, zeta_y - 1.0, divide) + 1.0, False
+    w = _lib.li_mul_div(zeta_x, zeta_y, divide)
+    if w != w:
+        big, small = (zeta_y, zeta_x) if zeta_x < zeta_y else (zeta_x, zeta_y)
+        raise _refused(big - 1.0, small - 1.0, False)
+    return w, zeta_x < zeta_y and divide
 
 
 def _require_same_format(x: SliNumber, y: SliNumber) -> SliFormat:
@@ -177,22 +123,20 @@ def _mag_add_sub(fmt: SliFormat, rb: int, zb: float, rs: int, zs: float, subtrac
     |small| = phi(zs)**rs (greater to subtract)."""
     if rb > 0:
         # A small operand below one goes in as a reciprocal Y.  A raw
-        # result w is wrapped as 1 + psi(-ln w), the descriptor of 1/w;
-        # the kernel never emits one below about 2**-53.
+        # result w is wrapped as 1 + psi(-ln w), the descriptor of 1/w and
+        # the zeta encode gives w; the kernel never emits one below about
+        # 2**-53.
         w = li_add_sub(zb, zs, subtract, reciprocal_y=rs < 0)
         if 0.0 < w < 1.0:
-            return _materialize(fmt, sign, -1, 1.0 + psi(-math.log(w)))
+            return _materialize(fmt, sign, -1, _lib.encode_zeta(w))
         return _materialize(fmt, sign, 1, w)
     # Both below one, so zb <= zs for the descriptors of big and small,
     # and r = phi(zb)/phi(zs) is the b_0 of zb against zs.  Then
     # |big| +/- |small| = (1 +/- r)/phi(zb), whose reciprocal has the log
     # phi(zb - 1) -/+ ln(1 +/- r), the descriptor w of which one kernel run
-    # gives: the result's zeta is 1 + w, and that log's sign is the
-    # reciprocal flag's.
-    r = _ladder(zs, zb)[1]
-    # Distinct words give r below 1 - 5e-8 up to 24 index bits, but keep
-    # 1 - r > 0, so that a difference is never zero.
-    t = psi(-math.log1p(-min(r, 1.0 - _U)) if subtract else math.log1p(r))
+    # gives from t = psi(|ln(1 +/- r)|): the result's zeta is 1 + w, and
+    # that log's sign is the reciprocal flag's.
+    t = _lib.ratio_log(zb, zs, subtract)
     u = zb - 1.0
     w = li_add_sub(max(u, t), min(u, t), not subtract)
     # A sum can reach one or more.

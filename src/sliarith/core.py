@@ -23,6 +23,10 @@ A format "sli<p_l>.<p_i>" packs, from the most significant bit down:
 an optional sign bit (0 = +), the reciprocal bit (1 means r = +1),
 the level minus one in p_l bits, and the index scaled by 2**p_i in
 p_i bits.  The all-zeros word is zero by convention.
+
+phi, psi, log_phi10 and encode's zeta run in the compiled kernel
+(_kernel.c), the one source of the arithmetic's exp and log steps;
+the functions here check their arguments and round.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from ._kernel import lib as _lib
 
 __all__ = [
     "SliFormat",
@@ -51,12 +57,6 @@ __all__ = [
     "spacing",
 ]
 
-# math.exp overflows binary64 just above this argument.
-_EXP_MAX_ARG = 709.782712893384
-_LN_LN10 = math.log(math.log(10.0))
-# Unit roundoff of binary64, the bound on one rounding's relative error.
-_U = 2.0 ** -53
-
 # Widest accepted index.  Against an 80-digit oracle the binary64 add/sub
 # kernel lands several ranks off from 26 bits on; at 24 bits it stays
 # within one rank, missing by one on about 4 in 10 000 sampled ops (half
@@ -65,28 +65,16 @@ _U = 2.0 ** -53
 MAX_INDEX_BITS = 24
 
 
-def _peel(zeta: float) -> tuple[float, int]:
-    """phi(zeta) as v raised through levels_left more exps: the index of
-    zeta, exact in binary64, exponentiated once per level while the
-    argument stays at or below _EXP_MAX_ARG."""
-    levels = int(zeta)
-    v = zeta - levels
-    while levels and v <= _EXP_MAX_ARG:
-        v = math.exp(v)
-        levels -= 1
-    return v, levels
-
-
 def phi(zeta: float) -> float:
     """Generalized exponential: phi(z) = z on [0, 1), else exp(phi(z - 1)).
 
     Defined for finite z >= 0.  Returns math.inf once the tower
     overflows binary64; phi itself is finite for every finite argument.
     """
-    if not 0.0 <= zeta < math.inf:
+    v = _lib.phi(zeta)
+    if v != v:
         raise ValueError(f"phi is defined for finite zeta >= 0, got {zeta}")
-    v, levels_left = _peel(zeta)
-    return math.inf if levels_left else v
+    return v
 
 
 def psi(value: float) -> float:
@@ -94,33 +82,22 @@ def psi(value: float) -> float:
 
     Defined for v >= 0 and finite.  psi(1) = 1 (level 1, index 0).
     """
-    if not 0.0 <= value < math.inf:
+    z = _lib.psi(value)
+    if z != z:
         raise ValueError(f"psi needs a finite value >= 0, got {value}")
-    level = 0.0
-    while value >= 1.0:
-        value = math.log(value)
-        level += 1.0
-    return level + value
+    return z
 
 
 def log_phi10(zeta: float) -> float:
     """Base-10 logarithm of phi(zeta), usable far beyond binary64 range.
 
-    Peels exponentiations as phi does; with one level left, phi is e**v
-    and its log10 is v / ln 10, and with two it is e**(e**v), whose
-    log10 e**v / ln 10 = e**(v - ln ln 10) is finite just past exp's
-    range.  Returns -inf for zeta = 0 and math.inf once the log10 itself
-    leaves binary64.
+    Returns -inf for zeta = 0 and math.inf once the log10 itself leaves
+    binary64, for finite zeta >= 0.
     """
-    if not 0.0 <= zeta < math.inf:
+    lg = _lib.log_phi10(zeta)
+    if lg != lg:
         raise ValueError(f"log_phi10 is defined for finite zeta >= 0, got {zeta}")
-    v, levels_left = _peel(zeta)
-    if levels_left == 0:
-        return math.log10(v) if v else -math.inf
-    if levels_left == 1:
-        return v / math.log(10.0)
-    w = v - _LN_LN10
-    return math.exp(w) if levels_left == 2 and w <= _EXP_MAX_ARG else math.inf
+    return lg
 
 
 _NAME_RE = re.compile(r"^sli([1-9][0-9]*)\.([1-9][0-9]*)(u?)$")
@@ -448,14 +425,7 @@ def encode(value: float, fmt: SliFormat | None = None) -> SliNumber:
     if sign < 0 and not fmt.signed:
         raise ValueError(f"cannot encode negative value in unsigned {fmt.name}")
     a = abs(value)
-    if a >= 1.0:
-        reciprocal = 1
-        zeta = psi(a)
-    else:
-        reciprocal = -1
-        # psi(1/a) without forming 1/a, which overflows for subnormal a.
-        zeta = 1.0 + psi(-math.log(a))
-    return _materialize(fmt, sign, reciprocal, zeta)
+    return _materialize(fmt, sign, 1 if a >= 1.0 else -1, _lib.encode_zeta(a))
 
 
 def _materialize(fmt: SliFormat, sign: int, reciprocal: int, zeta: float) -> SliNumber:

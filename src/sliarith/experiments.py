@@ -46,7 +46,7 @@ SLI_COLUMN = "level-index"
 # Largest matrix dimension the matvec experiment accepts.  The simulated
 # product keeps one lane per row of every dimension of a group but still
 # walks the columns one after another in Python; at n = 4000, a group of
-# its own, the run takes 11-16 s on a 2-core Xeon VM.
+# its own, the run takes about 10 s on a 2-core Xeon VM.
 # n = 5000 leaves room past binary16's overflow at n ~ 2620 for entries
 # from uniform(0, 100).
 MAX_DIM = 5000
@@ -56,16 +56,6 @@ MAX_DIM = 5000
 # 2**24 points against two systems peak at 450 MB RSS and take 10-12 s
 # (2-core Xeon VM), against 57 MB for the default 799 001 points.
 MAX_GRID = 1 << 24
-
-# Products simulated per batch: the products of consecutive column
-# steps of a matvec group, one lane per row still summing at each step,
-# as many steps as fit in this many lanes (at least one).  On the
-# matrices of n = 50 to 200 of the matvec-wide benchmark, the sli2.12
-# product took a median of 0.192-0.198 s at 1024 lanes, 0.163-0.173 s at
-# 2048 and 0.165-0.169 s at 4096 (24 interleaved runs at each of two
-# seeds, 2-core Xeon VM); whole-matrix batches were slower and took
-# 11 MB more peak RSS.
-_LANE_BUDGET = 2048
 
 # Rows of |A| summed at a time for the matvec's norm, grid points rounded
 # at a time by the sweep, and entries of A held by one matvec group
@@ -207,38 +197,25 @@ def _simulate_matvec(
     sliarith.lanes, stacked in the group's order; both systems take the
     same path.  As n ascends, the rows still summing at column j, those
     of the problems with n > j, are a suffix of the lanes, which one
-    lanes.add per column updates.  Every lane op gives the number the
-    scalar op (encode, mul, add, decode; fl, fl_op) gives.
+    lanes.mul and one lanes.add per column update.  Every lane op gives
+    the number the scalar op (encode, mul, add, decode; fl, fl_op) gives.
     """
     dims = [len(x) for _, x in problems]
     offsets = np.cumsum([0, *dims])  # each problem's first lane, then the end
     # first[j]: the first problem, and start[j] the first lane, still
-    # summing at column j; width[j] lanes sum from there on.
+    # summing at column j.
     first = np.searchsorted(dims, np.arange(dims[-1]), side="right").tolist()
     start = offsets[first].tolist()
-    width = [int(offsets[-1]) - s for s in start]
     # x is stacked like the rows, so x_j of a row's problem sits j lanes
     # past that problem's first lane.
     row_x = np.repeat(offsets[:-1], dims)
     xr = lanes.encode(np.concatenate([x for _, x in problems]), fmt)
     acc = lanes.encode(np.zeros(offsets[-1]), fmt)
-    j0 = 0
-    while j0 < dims[-1]:
-        j1, used = j0 + 1, width[j0]
-        while j1 < dims[-1] and used + width[j1] <= _LANE_BUDGET:
-            used += width[j1]
-            j1 += 1
-        # The products of column steps j0..j1-1, one step after another:
-        # each row's entry j times its x_j.
-        steps = range(j0, j1)
-        entries = np.concatenate([a[:, j] for j in steps for a, _ in problems[first[j]:]])
-        prods = lanes.mul(lanes.encode(entries, fmt),
-                          xr[np.concatenate([row_x[start[j]:] + j for j in steps])], fmt)
-        p = 0
-        for j in steps:
-            acc[start[j]:] = lanes.add(acc[start[j]:], prods[p:p + width[j]], fmt)
-            p += width[j]
-        j0 = j1
+    for j in range(dims[-1]):
+        # Each row's entry j times its x_j, added to the row's sum.
+        entries = np.concatenate([a[:, j] for a, _ in problems[first[j]:]])
+        prods = lanes.mul(lanes.encode(entries, fmt), xr[row_x[start[j]:] + j], fmt)
+        acc[start[j]:] = lanes.add(acc[start[j]:], prods, fmt)
     return np.split(lanes.decode(acc, fmt), offsets[1:-1])
 
 

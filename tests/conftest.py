@@ -42,6 +42,8 @@ class _PerturbedNumpy:
 
 @pytest.fixture(params=["up", "down", "random"])
 def perturbed_numpy(request, monkeypatch):
-    """lanes' numpy with its transcendentals moved four ulps, the
-    difference from libm that lanes._TRANS allows for."""
+    """lanes' numpy with its transcendentals moved four ulps, past any
+    difference from libm that numpy's accuracy tests allow (one ulp each
+    way): the lanes, which take exp and log from the compiled kernel
+    only, must give the same words under it."""
     monkeypatch.setattr(lanes, "np", _PerturbedNumpy(4, request.param))

@@ -1,8 +1,11 @@
 """tools/bench_pairs.py: usage errors, which must come before any tree is
-unpacked, and the summary's verdicts, on synthetic runs."""
+unpacked, the kernel build in each tree before the pairs, and the
+summary's verdicts, on synthetic runs."""
 
+import importlib.machinery
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +41,22 @@ def _tool():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
+
+
+def test_the_kernel_is_built_in_each_tree_that_has_one(tmp_path):
+    # A tree of this source gets its kernel build before any bench child
+    # runs; a parent tree without the kernel's source is not imported at
+    # all, as its failing import would show.
+    new, old = tmp_path / "new" / "src" / "sliarith", tmp_path / "old" / "src" / "sliarith"
+    shutil.copytree(ROOT / "src" / "sliarith", new,
+                    ignore=shutil.ignore_patterns("_kernel_*", "__pycache__"))
+    old.mkdir(parents=True)
+    (old / "__init__.py").write_text("raise SystemExit(3)\n")
+    tool = _tool()
+    for tree in (tmp_path / "new", tmp_path / "old"):
+        tool._build_kernel(tree)
+    assert len(list(new.glob("_kernel_*" + importlib.machinery.EXTENSION_SUFFIXES[0]))) == 1
+    assert [p.name for p in old.iterdir()] == ["__init__.py"]
 
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -138,7 +138,7 @@ class TestNearTies:
     """The near-tie corpus of tests/near_ties.txt: sli2.20 and sli2.24
     add/sub pairs whose unrounded result lies within 1e-11 of a rounding
     tie, found by tools/near_ties.py in 10**7 seeded pairs of each
-    format.  There a lane must not settle on the wrong side of the tie."""
+    format.  There a lane must give the scalar op's word."""
 
     PATH = Path(__file__).with_name("near_ties.txt")
 
@@ -163,23 +163,15 @@ class TestNearTies:
 
     def test_corpus_shape(self, corpus):
         assert {name: (x.size, len(pinned)) for name, (_, x, _, _, pinned) in corpus.items()} == {
-            "sli2.20": (160, 3), "sli2.24": (2394, 172)}
+            "sli2.20": (162, 3), "sli2.24": (2488, 213)}
 
-    def test_lanes_give_the_scalar_ops(self, corpus, perturbed_numpy, monkeypatch):
+    def test_lanes_give_the_scalar_ops(self, corpus, perturbed_numpy):
         # Under a numpy 4 ulps off libm, every lane is the scalar op's,
-        # settled or redone; some near ties are too close to settle.
-        redone = []
-        redo = lanes._redo
-
-        def spy(keys, mask, op):
-            redone.append(np.count_nonzero(mask))
-            return redo(keys, mask, op)
-
-        monkeypatch.setattr(lanes, "_redo", spy)
+        # those within 1e-11 of a tie included: the lanes take no exp or
+        # log from numpy.
         for name, (fmt, x, y, want, _) in corpus.items():
             bad = np.flatnonzero(lanes.add(x, y, fmt) != want)
             assert not bad.size, f"{name}: {bad.size} lanes differ, first x={x[bad[0]]} y={y[bad[0]]}"
-        assert sum(redone) > 0
 
     def test_scalar_misses_are_pinned(self, corpus):
         # The scalar add against the oracle: a miss off the pin is a

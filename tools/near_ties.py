@@ -8,16 +8,15 @@ chunks: half are two uniform words, half a uniform word against a
 neighbour 1-3 ranks away, each with a random sign, so sums and
 differences (x - y is x + (-y)) of near and exact neighbours are both
 drawn.  A spy on lanes._materialize_lanes takes the unrounded zeta of
-every lane.  Each lane within NEAR of a tie, level + (k + 1/2) / 2**index_bits
-below the last (past which every zeta saturates), is run once more
-through the scalar add with a spy on core._materialize, as arith binds
-it, and kept if the scalar op's own zeta is within NEAR of a tie too.
+every lane, which is the scalar add's (both run the compiled kernel),
+and each lane within NEAR of a tie, level + (k + 1/2) / 2**index_bits
+below the last (past which every zeta saturates), is kept.
 
 The pairs are written to tests/near_ties.txt, one "format x y" line of
 lane keys (core._key) each, which tests/test_oracle.py reads.  A line
 ends in "miss" where the scalar add is not the word bench/oracle.py
 rounds, so the misses are pinned and a correction can only remove them.  On a
-2-core Xeon the search takes about 20 s and finds 160 sli2.20 and 2 394
+2-core Xeon the search takes about 11 s and finds 162 sli2.20 and 2 488
 sli2.24 pairs: a third of the uniform pairs are absorbed onto the grid.
 """
 
@@ -77,7 +76,7 @@ def lane_zeta(x: np.ndarray, y: np.ndarray, fmt: SliFormat) -> np.ndarray:
     seen = []
     materialize = lanes._materialize_lanes
 
-    def spy(fmt, sign, reciprocal, zeta, err, op):
+    def spy(fmt, sign, reciprocal, zeta):
         seen.append(zeta.copy())
         return np.zeros(zeta.shape, np.int64)
 
@@ -90,33 +89,14 @@ def lane_zeta(x: np.ndarray, y: np.ndarray, fmt: SliFormat) -> np.ndarray:
     return zeta
 
 
-def scalar_zeta(x: int, y: int, fmt: SliFormat) -> float:
-    """The zeta the scalar add of keys x and y rounds, nan if it rounds none."""
-    seen = []
-    materialize = arith._materialize
-
-    def spy(fmt, sign, reciprocal, zeta):
-        seen.append(zeta)
-        return materialize(fmt, sign, reciprocal, zeta)
-
-    arith._materialize = spy
-    try:
-        arith.add(_from_key(fmt, x), _from_key(fmt, y))
-    finally:
-        arith._materialize = materialize
-    return seen[0] if seen else float("nan")
-
-
 def search(name: str, seed: int) -> list[tuple[int, int]]:
     fmt = SliFormat.from_name(name)
     rng = np.random.default_rng(seed)
     found = []
     for _ in range(PAIRS // CHUNK):
         x, y = draw(rng, fmt, CHUNK)
-        for i in np.flatnonzero(tie_distance(lane_zeta(x, y, fmt), fmt) <= NEAR).tolist():
-            pair = int(x[i]), int(y[i])
-            if tie_distance(np.array([scalar_zeta(*pair, fmt)]), fmt)[0] <= NEAR:
-                found.append(pair)
+        near = np.flatnonzero(tie_distance(lane_zeta(x, y, fmt), fmt) <= NEAR).tolist()
+        found += [(int(x[i]), int(y[i])) for i in near]
     return found
 
 
