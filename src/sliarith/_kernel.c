@@ -2,18 +2,23 @@
  * unrounded zeta that core._materialize and lanes._materialize_lanes
  * round.  One source for the scalar ops, which call it one value at a
  * time, and for sliarith.lanes, which call the *_lanes loops over
- * contiguous arrays.  Built by sliarith._kernel with -ffp-contract=off
+ * contiguous arrays: the kernels', and the loops around them that turn
+ * lane keys into kernel operands, kernel results into unrounded zetas, and
+ * those into keys.  Built by sliarith._kernel with -ffp-contract=off
  * and against the libm that Python's math module calls, so each
  * function gives the binary64 of the same steps written with math.exp
  * and math.log, bit for bit.
  *
  * A function whose input is outside its domain returns NaN, which no
  * valid input produces; the Python callers turn it into ValueError.  A
- * lane loop stops at such a lane and returns its index, else -1.
+ * lane loop that returns an index stops at such a lane, or at an operand
+ * its op refuses (a key off its format's ladder, a value encode refuses),
+ * and returns its index, else -1.
  */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
 /* math.exp overflows binary64 just above this argument. */
 #define EXP_MAX_ARG 709.782712893384
@@ -217,6 +222,40 @@ double ratio_log(double zeta_b, double zeta_s, int subtract)
     return psi(subtract ? -log1p(-fmin(r, 1.0 - U)) : log1p(r));
 }
 
+/* The lane loops.  SLI lanes are the int64 keys of core._key_of: a
+ * nonzero key is sign * (2**(level_bits + index_bits) + r m), with the
+ * reciprocal flag r and m = (level - 1) * 2**index_bits + index_k, so the
+ * offset r m orders magnitudes and zeta = 1 + m / 2**index_bits, exact.
+ * Key 0 is zero.  A key is on a format's ladder when |key| is below
+ * twice 2**(level_bits + index_bits) and, in an unsigned format, key >= 0. */
+
+static int off_ladder(int64_t key, int64_t one, int is_signed)
+{
+    return key >= 2 * one || key <= (is_signed ? -2 * one : -1);
+}
+
+/* r m of a key; 0, one's, for key 0. */
+static int64_t key_offset(int64_t key, int64_t one)
+{
+    return key == 0 ? 0 : (key < 0 ? -key : key) - one;
+}
+
+static double offset_zeta(int64_t offset, double scale)
+{
+    return 1.0 + (double)(offset < 0 ? -offset : offset) / scale;
+}
+
+/* The first of n keys off a format's ladder, else -1. */
+ptrdiff_t ladder_lanes(size_t n, int level_bits, int index_bits, int is_signed,
+                       const int64_t *key)
+{
+    int64_t one = (int64_t)1 << (level_bits + index_bits);
+    for (size_t i = 0; i < n; i++)
+        if (off_ladder(key[i], one, is_signed))
+            return (ptrdiff_t)i;
+    return -1;
+}
+
 void phi_lanes(size_t n, const double *zeta, double *out)
 {
     for (size_t i = 0; i < n; i++)
@@ -229,17 +268,164 @@ void log_phi10_lanes(size_t n, const double *zeta, double *out)
         out[i] = log_phi10(zeta[i]);
 }
 
-void encode_zeta_lanes(size_t n, const double *a, double *out)
+/* lanes.encode's unrounded lanes, as core.encode forms them: per finite
+ * value its sign, the reciprocal flag (-1 below one) and encode's zeta of
+ * its magnitude (0 for zero).  Returns the first lane encode refuses, not
+ * finite or negative in an unsigned format, else -1. */
+ptrdiff_t encode_lanes(size_t n, int is_signed, const double *value, int64_t *sign,
+                       int64_t *reciprocal, double *zeta)
 {
-    for (size_t i = 0; i < n; i++)
-        out[i] = encode_zeta(a[i]);
+    for (size_t i = 0; i < n; i++) {
+        double v = value[i], a = fabs(v);
+        if (!isfinite(v) || (!is_signed && v < 0.0))
+            return (ptrdiff_t)i;
+        sign[i] = v < 0.0 ? -1 : 1;
+        reciprocal[i] = a >= 1.0 ? 1 : -1;
+        zeta[i] = encode_zeta(a);
+    }
+    return -1;
 }
 
-void ratio_log_lanes(size_t n, const double *zeta_b, const double *zeta_s,
-                     const _Bool *subtract, double *out)
+/* lanes.add's kernel operands, per lane of keys x and y, as arith's
+ * _add_signed and _mag_add_sub form them: big, the larger magnitude by
+ * offset, and small, added or, for unlike signs, subtracted.  Where big
+ * is at least one, zeta_x and zeta_y are their zetas, small's a
+ * reciprocal Y where it is below one; where both are below one, they are
+ * max and min of u = zb - 1 and t = ratio_log(zb, zs), with the other
+ * operation, and reciprocal is the result's flag (-1 for a difference or
+ * u >= t); elsewhere it is 0, left to add_results_lanes.  Equal opposites
+ * take the first form, whose equal descriptors cancel to 0.0.  sign is
+ * big's.  A lane with a zero operand runs 0 + 0.  Returns the first lane
+ * with a key off the ladder, else -1. */
+ptrdiff_t add_operands_lanes(size_t n, int level_bits, int index_bits, int is_signed,
+                             const int64_t *x, const int64_t *y, double *zeta_x,
+                             double *zeta_y, _Bool *subtract, _Bool *reciprocal_y,
+                             int64_t *sign, int64_t *reciprocal)
 {
-    for (size_t i = 0; i < n; i++)
-        out[i] = ratio_log(zeta_b[i], zeta_s[i], subtract[i]);
+    int64_t one = (int64_t)1 << (level_bits + index_bits);
+    double scale = ldexp(1.0, index_bits);
+    for (size_t i = 0; i < n; i++) {
+        if (off_ladder(x[i], one, is_signed) || off_ladder(y[i], one, is_signed))
+            return (ptrdiff_t)i;
+        int64_t ox = key_offset(x[i], one), oy = key_offset(y[i], one);
+        int swap = ox < oy, sub = (x[i] < 0) != (y[i] < 0);
+        int64_t ob = swap ? oy : ox, os = swap ? ox : oy;
+        double zb = offset_zeta(ob, scale), zs = offset_zeta(os, scale);
+        sign[i] = (swap ? y[i] : x[i]) < 0 ? -1 : 1;
+        reciprocal[i] = 0;
+        if (x[i] == 0 || y[i] == 0) {
+            zeta_x[i] = zeta_y[i] = 0.0;
+            subtract[i] = reciprocal_y[i] = 0;
+        } else if (ob >= 0 || (sub && zb == zs)) {
+            zeta_x[i] = zb;
+            zeta_y[i] = zs;
+            subtract[i] = sub;
+            reciprocal_y[i] = ob >= 0 && os < 0;
+        } else {
+            double u = zb - 1.0, t = ratio_log(zb, zs, sub);
+            zeta_x[i] = fmax(u, t);
+            zeta_y[i] = fmin(u, t);
+            subtract[i] = !sub;
+            reciprocal_y[i] = 0;
+            reciprocal[i] = sub || u >= t ? -1 : 1;
+        }
+    }
+    return -1;
+}
+
+/* lanes.add's unrounded results, in place of li_add_sub's w on the
+ * operands of add_operands_lanes and its sign and reciprocal.  Both below
+ * one, the zeta is 1 + w.  Else a raw w in (0, 1) is wrapped as the
+ * descriptor 1 + psi(-ln w) of 1/w, encode's zeta of w, with reciprocal
+ * -1, and any other w is the zeta, with reciprocal 1.  A lane with a zero
+ * operand takes the other one's exact zeta, sign and flag, which round to
+ * its own key (0 for zero). */
+void add_results_lanes(size_t n, int level_bits, int index_bits, const int64_t *x,
+                       const int64_t *y, double *zeta, int64_t *sign, int64_t *reciprocal)
+{
+    int64_t one = (int64_t)1 << (level_bits + index_bits);
+    double scale = ldexp(1.0, index_bits);
+    for (size_t i = 0; i < n; i++) {
+        if (x[i] == 0 || y[i] == 0) {
+            int64_t key = x[i] == 0 ? y[i] : x[i], offset = key_offset(key, one);
+            zeta[i] = key == 0 ? 0.0 : offset_zeta(offset, scale);
+            sign[i] = key < 0 ? -1 : 1;
+            reciprocal[i] = offset < 0 ? -1 : 1;
+        } else if (reciprocal[i] != 0) {
+            zeta[i] += 1.0;
+        } else if (zeta[i] > 0.0 && zeta[i] < 1.0) {
+            zeta[i] = encode_zeta(zeta[i]);
+            reciprocal[i] = -1;
+        } else {
+            reciprocal[i] = 1;
+        }
+    }
+}
+
+/* lanes.mul's kernel operands, per lane of keys x and y, as arith's
+ * _mul_signed forms them: their zetas, divide where their reciprocal flags
+ * differ, the result's sign and x's reciprocal flag.  A zero key reads as
+ * one.  Returns the first lane with a key off the ladder, else -1. */
+ptrdiff_t mul_operands_lanes(size_t n, int level_bits, int index_bits, int is_signed,
+                             const int64_t *x, const int64_t *y, double *zeta_x,
+                             double *zeta_y, _Bool *divide, int64_t *sign, int64_t *reciprocal)
+{
+    int64_t one = (int64_t)1 << (level_bits + index_bits);
+    double scale = ldexp(1.0, index_bits);
+    for (size_t i = 0; i < n; i++) {
+        if (off_ladder(x[i], one, is_signed) || off_ladder(y[i], one, is_signed))
+            return (ptrdiff_t)i;
+        int64_t ox = key_offset(x[i], one), oy = key_offset(y[i], one);
+        zeta_x[i] = offset_zeta(ox, scale);
+        zeta_y[i] = offset_zeta(oy, scale);
+        divide[i] = (ox < 0) != (oy < 0);
+        sign[i] = (x[i] < 0) != (y[i] < 0) ? -1 : 1;
+        reciprocal[i] = ox < 0 ? -1 : 1;
+    }
+    return -1;
+}
+
+/* lanes.mul's unrounded results, in place of li_mul_div's descriptors and
+ * x's reciprocal flag: the flag flipped where li_mul_div flipped, and
+ * zeta 0, zero, where an operand is zero. */
+void mul_results_lanes(size_t n, const int64_t *x, const int64_t *y, const _Bool *flipped,
+                       double *zeta, int64_t *reciprocal)
+{
+    for (size_t i = 0; i < n; i++) {
+        if (x[i] == 0 || y[i] == 0)
+            zeta[i] = 0.0;
+        else if (flipped[i])
+            reciprocal[i] = -reciprocal[i];
+    }
+}
+
+/* lanes._materialize_lanes: per lane the key of core._materialize's
+ * rounding, for zeta <= 0 (zero), zeta >= 1 or inf.  t = zeta *
+ * 2**index_bits, exact like _materialize's scaled fraction, carries the
+ * level in its integer part, so the rounded t splits into level and
+ * index, and a carry past the last index moves up a level by itself.
+ * t - floor(t) is exact, and t rounds up, ties away, where it is at least
+ * 1/2.  zeta is clamped at the top level + 1, and the rounded t at the
+ * top level's last index, which saturates.  Level 1 and the index counted
+ * from it give the key of the rounded level and index, and a reciprocal
+ * 1/1 the key of one. */
+void round_lanes(size_t n, int level_bits, int index_bits, const int64_t *sign,
+                 const int64_t *reciprocal, const double *zeta, int64_t *key)
+{
+    int64_t one = (int64_t)1 << (level_bits + index_bits), scale = (int64_t)1 << index_bits;
+    double cap = ldexp(1.0, level_bits) + 1.0;
+    int64_t last = ((int64_t)1 << level_bits) * scale + scale - 1;
+    for (size_t i = 0; i < n; i++) {
+        if (zeta[i] <= 0.0) {
+            key[i] = 0;
+            continue;
+        }
+        /* t >= scale here, so its truncation is its floor. */
+        double t = (zeta[i] < cap ? zeta[i] : cap) * (double)scale;
+        int64_t r = (int64_t)t;
+        r += t - (double)r >= 0.5;
+        key[i] = sign[i] * (one + reciprocal[i] * ((r < last ? r : last) - scale));
+    }
 }
 
 ptrdiff_t li_add_sub_lanes(size_t n, const double *zeta_x, const double *zeta_y,
@@ -253,11 +439,14 @@ ptrdiff_t li_add_sub_lanes(size_t n, const double *zeta_x, const double *zeta_y,
     return -1;
 }
 
+/* li_mul_div per lane: the descriptors, and flipped where the quotient
+ * came out below one. */
 ptrdiff_t li_mul_div_lanes(size_t n, const double *zeta_x, const double *zeta_y,
-                           const _Bool *divide, double *out)
+                           const _Bool *divide, double *out, _Bool *flipped)
 {
     for (size_t i = 0; i < n; i++) {
         out[i] = li_mul_div(zeta_x[i], zeta_y[i], divide[i]);
+        flipped[i] = divide[i] && zeta_x[i] < zeta_y[i];
         if (isnan(out[i]))
             return (ptrdiff_t)i;
     }

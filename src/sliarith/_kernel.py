@@ -35,15 +35,29 @@ double encode_zeta(double a);
 double li_add_sub(double zeta_x, double zeta_y, int subtract, int reciprocal_y);
 double li_mul_div(double zeta_x, double zeta_y, int divide);
 double ratio_log(double zeta_b, double zeta_s, int subtract);
+ptrdiff_t ladder_lanes(size_t n, int level_bits, int index_bits, int is_signed,
+                       const int64_t *key);
 void phi_lanes(size_t n, const double *zeta, double *out);
 void log_phi10_lanes(size_t n, const double *zeta, double *out);
-void encode_zeta_lanes(size_t n, const double *a, double *out);
-void ratio_log_lanes(size_t n, const double *zeta_b, const double *zeta_s,
-                     const _Bool *subtract, double *out);
+ptrdiff_t encode_lanes(size_t n, int is_signed, const double *value, int64_t *sign,
+                       int64_t *reciprocal, double *zeta);
+ptrdiff_t add_operands_lanes(size_t n, int level_bits, int index_bits, int is_signed,
+                             const int64_t *x, const int64_t *y, double *zeta_x,
+                             double *zeta_y, _Bool *subtract, _Bool *reciprocal_y,
+                             int64_t *sign, int64_t *reciprocal);
+void add_results_lanes(size_t n, int level_bits, int index_bits, const int64_t *x,
+                       const int64_t *y, double *zeta, int64_t *sign, int64_t *reciprocal);
+ptrdiff_t mul_operands_lanes(size_t n, int level_bits, int index_bits, int is_signed,
+                             const int64_t *x, const int64_t *y, double *zeta_x,
+                             double *zeta_y, _Bool *divide, int64_t *sign, int64_t *reciprocal);
+void mul_results_lanes(size_t n, const int64_t *x, const int64_t *y, const _Bool *flipped,
+                       double *zeta, int64_t *reciprocal);
+void round_lanes(size_t n, int level_bits, int index_bits, const int64_t *sign,
+                 const int64_t *reciprocal, const double *zeta, int64_t *key);
 ptrdiff_t li_add_sub_lanes(size_t n, const double *zeta_x, const double *zeta_y,
                            const _Bool *subtract, const _Bool *reciprocal_y, double *out);
 ptrdiff_t li_mul_div_lanes(size_t n, const double *zeta_x, const double *zeta_y,
-                           const _Bool *divide, double *out);
+                           const _Bool *divide, double *out, _Bool *flipped);
 """
 # Run in a child: argv is the module name, the declarations, the C
 # source and the file to write the binding module's C into.

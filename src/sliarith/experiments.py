@@ -12,10 +12,12 @@ be split or extended without changing any numbers.
 from __future__ import annotations
 
 import argparse
+import bisect
 import errno
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,9 +46,10 @@ __all__ = [
 SLI_COLUMN = "level-index"
 
 # Largest matrix dimension the matvec experiment accepts.  The simulated
-# product keeps one lane per row of every dimension of a group but still
-# walks the columns one after another in Python; at n = 4000, a group of
-# its own, the run takes about 10 s on a 2-core Xeon VM.
+# product keeps one lane per row of every dimension of a group and forms
+# the products a block of columns at a time, but still adds the columns
+# one after another in Python; at n = 4000, a group of its own, the run
+# takes about 2.7 s on a 2-core AMD EPYC VM.
 # n = 5000 leaves room past binary16's overflow at n ~ 2620 for entries
 # from uniform(0, 100).
 MAX_DIM = 5000
@@ -64,6 +67,13 @@ MAX_GRID = 1 << 24
 _ROW_BLOCK = 256
 _CHUNK_ROWS = 1 << 16
 _GROUP_ENTRIES = 1 << 20
+# Products of a matvec group encoded and multiplied at a time: those of as
+# many consecutive columns as fit, one lane per row still summing at each,
+# and at least one column.  On the matvec-wide benchmark's matrices
+# (n = 50 to 200, both systems) blocks of 2**13 lanes ran as fast as
+# 2**14 and 3% faster than 2**12, and raised peak RSS by about 0.25 MB,
+# against 1.2 MB for 2**14 (2-core AMD EPYC VM).
+_PRODUCT_LANES = 1 << 13
 
 
 def resolve_system(name: str) -> SliFormat | FloatFormat:
@@ -197,8 +207,10 @@ def _simulate_matvec(
     sliarith.lanes, stacked in the group's order; both systems take the
     same path.  As n ascends, the rows still summing at column j, those
     of the problems with n > j, are a suffix of the lanes, which one
-    lanes.mul and one lanes.add per column update.  Every lane op gives
-    the number the scalar op (encode, mul, add, decode; fl, fl_op) gives.
+    lanes.add per column updates.  The products do not depend on the
+    sums, so those of consecutive columns, up to _PRODUCT_LANES lanes,
+    take one lanes.encode and one lanes.mul.  Every lane op gives the
+    number the scalar op (encode, mul, add, decode; fl, fl_op) gives.
     """
     dims = [len(x) for _, x in problems]
     offsets = np.cumsum([0, *dims])  # each problem's first lane, then the end
@@ -206,16 +218,25 @@ def _simulate_matvec(
     # summing at column j.
     first = np.searchsorted(dims, np.arange(dims[-1]), side="right").tolist()
     start = offsets[first].tolist()
+    # Column j's products are bounds[j]:bounds[j + 1] of all the columns'.
+    bounds = [0, *np.cumsum(offsets[-1] - offsets[first]).tolist()]
     # x is stacked like the rows, so x_j of a row's problem sits j lanes
     # past that problem's first lane.
     row_x = np.repeat(offsets[:-1], dims)
     xr = lanes.encode(np.concatenate([x for _, x in problems]), fmt)
     acc = lanes.encode(np.zeros(offsets[-1]), fmt)
-    for j in range(dims[-1]):
-        # Each row's entry j times its x_j, added to the row's sum.
-        entries = np.concatenate([a[:, j] for a, _ in problems[first[j]:]])
-        prods = lanes.mul(lanes.encode(entries, fmt), xr[row_x[start[j]:] + j], fmt)
-        acc[start[j]:] = lanes.add(acc[start[j]:], prods, fmt)
+    j0 = 0
+    while j0 < dims[-1]:
+        # The products of columns j0..j1-1: each row's entry j times its x_j.
+        base = bounds[j0]
+        j1 = max(j0 + 1, bisect.bisect_right(bounds, base + _PRODUCT_LANES) - 1)
+        entries = np.concatenate([a[:, j] for j in range(j0, j1) for a, _ in problems[first[j]:]])
+        x_j = xr[np.concatenate([row_x[start[j]:] + j for j in range(j0, j1)])]
+        prods = lanes.mul(lanes.encode(entries, fmt), x_j, fmt)
+        for j in range(j0, j1):  # each added to its row's sum
+            acc[start[j]:] = lanes.add(
+                acc[start[j]:], prods[bounds[j] - base:bounds[j + 1] - base], fmt)
+        j0 = j1
     return np.split(lanes.decode(acc, fmt), offsets[1:-1])
 
 
@@ -467,15 +488,27 @@ def emit_dat(table: ErrorTable, columns: Sequence[str], path: str | Path) -> Non
     integer part's digits after the first, one byte down, to make room
     for the point.  Values outside 1e-6..1e17, specials, and values
     whose decade estimate missed are spelled by _field_text itself.
+
+    An existing file is written over in place and then, if it is a
+    regular file, cut to the bytes written, also when the writing fails,
+    so no tail of the old file is left.  Truncating at the open instead
+    makes ext4 wait for the writeback of the old contents, 50-260 ms for
+    a file of 300 bytes to 4 MB written just before (on a 2-core VM); in
+    place, only a file that shrinks waits.
     """
     if len(columns) != 1 + len(table.values):
         raise ValueError(f"{len(columns)} column names for {1 + len(table.values)} columns")
     cells = [table.key, *table.values.values()]
     rows = max(1, _SPELL_VALUES // len(cells))
-    with open(path, "wb") as f:
-        f.write((" ".join(columns) + "\n").encode("ascii"))
-        for r0 in range(0, len(table), rows):
-            f.write(_spell(np.column_stack([c[r0:r0 + rows] for c in cells])))
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        try:
+            f.write((" ".join(columns) + "\n").encode("ascii"))
+            for r0 in range(0, len(table), rows):
+                f.write(_spell(np.column_stack([c[r0:r0 + rows] for c in cells])))
+            f.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                os.ftruncate(f.fileno(), f.raw.tell())
 
 
 def read_dat(path: str | Path) -> tuple[list[str], list[list[float]]]:

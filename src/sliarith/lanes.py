@@ -14,11 +14,14 @@ the value tables.
 The SLI lanes run the scalar ops' own kernel arithmetic: the loops of
 the compiled kernel (_kernel.c) that the scalar ops call one value at a
 time, here once over contiguous arrays, so every unrounded lane result
-is the scalar op's binary64.  The lanes' numpy code only orders, selects
-and rounds, all of it exact.  Each add and mul call is one kernel run
-over all its lanes.  Where add's small operand is below one and its big
-one is not, the kernel takes the small one as a reciprocal Y
-(li_add_sub's reciprocal_y).
+is the scalar op's binary64.  Each SLI call is a fixed handful of
+compiled loops over all its lanes: keys or values to kernel operands,
+one kernel run (add and mul reach it through arith's li_add_sub and
+li_mul_div), its results to unrounded zetas, and the rounding to keys.
+The case split of the scalar op is made per lane in those loops; where
+add's small operand is below one and its big one is not, the kernel
+takes the small one as a reciprocal Y (li_add_sub's reciprocal_y).  The
+lanes' numpy code only checks, gathers and spreads.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import arith
 from ._kernel import ffi as _ffi, lib as _lib
-from .core import SliFormat, _key_fields, _key_of, word_fields
+from .core import SliFormat, _key_fields, word_fields
 from .minifloat import FloatFormat
 
 __all__ = ["encode", "decode", "add", "mul", "enumerate_values"]
@@ -43,20 +46,26 @@ _TABLE_BLOCK = 1 << 11  # words per block of an enumeration
 
 
 def _checked(fmt: SliFormat | FloatFormat | None, *arrays) -> list[np.ndarray]:
-    """The arrays, checked to be 1-D and of one length: int64 keys of an
-    SLI fmt, else binary64 values."""
+    """The arrays, checked to be 1-D and of one length, as contiguous
+    arrays: int64 keys of an SLI fmt, else binary64 values.  The keys'
+    ladder is checked by the compiled loops that read them, or by
+    _ladder."""
     sli = isinstance(fmt, SliFormat)
     out = [np.asarray(a) if sli else np.asarray(a, dtype=np.float64) for a in arrays]
     if any(a.ndim != 1 for a in out) or len({a.size for a in out}) != 1:
         raise ValueError(f"lanes must be 1-D arrays of one length, got {[a.shape for a in out]}")
-    end = 2 << (fmt.level_bits + fmt.index_bits) if sli else 0  # past the top key
     for keys in out if sli else ():
         if keys.dtype != np.int64:
             raise ValueError(f"{fmt.name} lanes must be int64 keys, got {keys.dtype}")
-        off = (keys >= end) | (keys <= (-end if fmt.signed else -1))
-        if np.count_nonzero(off):
-            raise ValueError(f"key {keys[off][0]} outside the {fmt.name} ladder")
-    return out
+    return [np.ascontiguousarray(a) for a in out]
+
+
+def _ladder(fmt: SliFormat, *keys: np.ndarray) -> None:
+    """Refuse the first key of keys, in their order, off fmt's ladder."""
+    for k in keys:
+        (bad,) = _loop(_lib.ladder_lanes, fmt.level_bits, fmt.index_bits, fmt.signed, k)
+        if bad >= 0:
+            raise ValueError(f"key {k[bad]} outside the {fmt.name} ladder")
 
 
 def encode(values, fmt: SliFormat | FloatFormat) -> np.ndarray:
@@ -79,16 +88,13 @@ def encode(values, fmt: SliFormat | FloatFormat) -> np.ndarray:
         if not fmt.signed:
             out[values == 0.0] = 0.0  # no -0.0, as in fl
         return out
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"cannot encode non-finite value {values[bad][0]}")
-    negative = values < 0.0
-    if not fmt.signed and negative.any():
+    sign, reciprocal, zeta, bad = _loop(_lib.encode_lanes, fmt.signed, values)
+    if bad >= 0:
+        nonfinite = ~np.isfinite(values)
+        if nonfinite.any():
+            raise ValueError(f"cannot encode non-finite value {values[nonfinite][0]}")
         raise ValueError(f"cannot encode negative value in unsigned {fmt.name}")
-    a = np.abs(values)
-    # encode's zeta per lane; a zero lane's is 0, which rounds to zero.
-    zeta = _loop(_lib.encode_zeta_lanes, (a,))[0]
-    return _materialize_lanes(fmt, np.where(negative, -1, 1), np.where(a >= 1.0, 1, -1), zeta)
+    return _materialize_lanes(fmt, sign, reciprocal, zeta)
 
 
 def decode(lanes, fmt: SliFormat | FloatFormat) -> np.ndarray:
@@ -96,6 +102,7 @@ def decode(lanes, fmt: SliFormat | FloatFormat) -> np.ndarray:
     (lanes,) = _checked(fmt, lanes)
     if isinstance(fmt, FloatFormat):
         return lanes.copy()
+    _ladder(fmt, lanes)
     # Lanes repeat words (a sweep's points share their nearest values), so
     # each distinct magnitude is decoded once and spread back.
     keys, inverse = np.unique(np.abs(lanes), return_inverse=True)
@@ -107,7 +114,7 @@ def _magnitudes(zero, reciprocal, zeta) -> np.ndarray:
     """decode's |value| per lane of the zero flags, reciprocal flags and
     zetas: phi of zeta, inverted below one (1/inf is 0.0, as in decode),
     and 0.0 for a zero lane."""
-    mag = _loop(_lib.phi_lanes, (zeta,))[0]
+    mag, _ = _loop(_lib.phi_lanes, zeta)
     mag[zero] = 0.0
     below = reciprocal < 0
     mag[below] = 1.0 / mag[below]
@@ -116,54 +123,19 @@ def _magnitudes(zero, reciprocal, zeta) -> np.ndarray:
 
 def add(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
     """add, or fl_op's "+", per lane of x and y: one kernel run for all
-    SLI lanes, zero lanes included (they read as one)."""
+    SLI lanes."""
     x, y = _checked(fmt, x, y)
     if isinstance(fmt, FloatFormat):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in fl_op
             return encode(x + y, fmt)
-    # Row 0 of each field is x's, row 1 y's.
-    zero, sign, rec, m, z = _key_fields(np.array((x, y)), fmt)
-    # r m orders magnitudes as the keys do; big is y where swap, else x,
-    # and small the other one.
-    order = rec * m
-    swap = order[0] < order[1]
-    bz, sz = np.where(swap, z[::-1], z)
-    big_rec, small_rec = np.where(swap, rec[::-1], rec)
-    up = big_rec > 0
-    subtract = sign[0] != sign[1]
-    # Both below one: the kernel takes u = zb - 1 and t from ratio_log, in
-    # order, as in _mag_add_sub.  Equal opposites are left out: their
-    # equal descriptors cancel to exactly 0.0 in the kernel.
-    down = ~up & ~(subtract & (bz == sz))
-    n_down = np.count_nonzero(down)
-    kx, ky, k_sub = bz, sz, subtract
-    if n_down:
-        sub_d = subtract[down]
-        u = bz[down] - 1.0
-        t = _loop(_lib.ratio_log_lanes, (bz[down], sz[down]), (sub_d,))[0]
-        first = u >= t
-        kx, ky, k_sub = bz.copy(), sz.copy(), subtract.copy()
-        kx[down], ky[down], k_sub[down] = np.maximum(u, t), np.minimum(u, t), ~sub_d
-    zeta = arith.li_add_sub(kx, ky, k_sub, reciprocal_y=up & (small_rec < 0))
-    # A raw w of big at least one is wrapped as the descriptor
-    # 1 + psi(-ln w) of 1/w, encode's zeta of w.
-    raw = up & (zeta > 0.0) & (zeta < 1.0)
-    if np.count_nonzero(raw):
-        zeta[raw] = _loop(_lib.encode_zeta_lanes, (zeta[raw],))[0]
-    reciprocal = np.where(raw, -1, 1)
-    if n_down:
-        zeta[down] += 1.0
-        reciprocal[down] = np.where(sub_d | first, -1, 1)
-    # A lane with a zero operand is rounded as zero, then takes the other.
-    x_zero, y_zero = zero
-    zero = x_zero | y_zero
-    n_zero = np.count_nonzero(zero)
-    if n_zero:
-        zeta[zero] = 0.0
-    out = _materialize_lanes(fmt, np.where(swap, sign[1], sign[0]), reciprocal, zeta)
-    if n_zero:
-        out = np.where(x_zero, y, np.where(y_zero, x, out))
-    return out
+    bits = fmt.level_bits, fmt.index_bits
+    zx, zy, subtract, reciprocal_y, sign, reciprocal, bad = _loop(
+        _lib.add_operands_lanes, *bits, fmt.signed, x, y)
+    if bad >= 0:
+        _ladder(fmt, x, y)
+    zeta = arith.li_add_sub(zx, zy, subtract, reciprocal_y=reciprocal_y)
+    _loop(_lib.add_results_lanes, *bits, x, y, zeta, sign, reciprocal)
+    return _materialize_lanes(fmt, sign, reciprocal, zeta)
 
 
 def mul(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
@@ -172,12 +144,13 @@ def mul(x, y, fmt: SliFormat | FloatFormat) -> np.ndarray:
     if isinstance(fmt, FloatFormat):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in fl_op
             return encode(x * y, fmt)
-    (x_zero, y_zero), (x_sign, y_sign), (x_rec, y_rec), _, (zx, zy) = _key_fields(
-        np.array((x, y)), fmt)
-    # The kernel run of _mul_signed, whose comment has the case split.
-    w, flipped = arith.li_mul_div(zx, zy, x_rec != y_rec)
-    w[x_zero | y_zero] = 0.0
-    return _materialize_lanes(fmt, x_sign * y_sign, np.where(flipped, -x_rec, x_rec), w)
+    zx, zy, divide, sign, reciprocal, bad = _loop(
+        _lib.mul_operands_lanes, fmt.level_bits, fmt.index_bits, fmt.signed, x, y)
+    if bad >= 0:
+        _ladder(fmt, x, y)
+    w, flipped = arith.li_mul_div(zx, zy, divide)
+    _loop(_lib.mul_results_lanes, x, y, flipped, w, reciprocal)
+    return _materialize_lanes(fmt, sign, reciprocal, w)
 
 
 def enumerate_values(fmt: SliFormat | FloatFormat,
@@ -211,24 +184,43 @@ def enumerate_values(fmt: SliFormat | FloatFormat,
 # ---------------------------------------------------------------------------
 # Below the public functions: the kernel's lane loops, the word
 # listings, the rounding, and the kernels per lane.  add and mul enter
-# those through arith's public kernels, whose names the benchmark
-# counts, once per call.
+# the kernels through arith's public li_add_sub and li_mul_div, whose
+# names the benchmark counts, once per call.
 
 
-def _loop(loop, values, flags=()):
-    """loop, one of the compiled kernel's lane loops, over 1-D float64
-    value arrays and then bool flags (a scalar flag is spread over the
-    lanes), all of one length, into a new float64 array: that array and
-    what loop returns."""
-    n = values[0].size
-    arrays = [np.ascontiguousarray(v, np.float64) for v in values]
-    arrays += [np.full(n, f, np.bool_) if np.ndim(f) == 0 else np.ascontiguousarray(f, np.bool_)
-               for f in flags]
-    if any(a.shape != (n,) for a in arrays):  # the loop reads n lanes of each
-        raise ValueError(f"kernel lanes of unequal lengths {[a.shape for a in arrays]}")
-    out = np.empty(n)
-    args = [_ffi.from_buffer("_Bool[]" if a.dtype == np.bool_ else "double[]", a) for a in arrays]
-    return out, loop(n, *args, _ffi.from_buffer("double[]", out))
+# Per lane loop of the compiled kernel, its parameters after the lane
+# count: the cffi type of each and, for an array, the dtype of its lanes.
+_DTYPES = {"double": np.float64, "int64_t": np.int64, "_Bool": np.bool_}
+_LOOP_PARAMS = {
+    loop: tuple((p, np.dtype(_DTYPES[p.item.cname]) if p.kind == "pointer" else None)
+                for p in _ffi.typeof(loop).args[1:])
+    for loop in (getattr(_lib, name) for name in dir(_lib) if name.endswith("_lanes"))}
+
+
+def _loop(loop, *args):
+    """Run loop, one of the compiled kernel's lane loops, as
+    loop(n, *args, *outputs), and return the outputs, then what loop
+    returns.  args are its leading parameters: numbers, and for its array
+    parameters 1-D contiguous arrays of n lanes of the parameter's
+    dtype, which the loop may write in place; the outputs are new arrays
+    of n lanes for its parameters after args."""
+    params = _LOOP_PARAMS[loop]
+    n = next(a.size for a in args if isinstance(a, np.ndarray))
+    outputs = [np.empty(n, dtype) for _, dtype in params[len(args):]]
+    c_args = []
+    for (ctype, dtype), a in zip(params, (*args, *outputs)):
+        if dtype is not None:
+            if a.shape != (n,) or a.dtype != dtype:  # the loop reads n lanes of dtype
+                raise ValueError(f"{loop.__name__} takes arrays of {n} lanes of its types")
+            a = _ffi.from_buffer(ctype, a)
+        c_args.append(a)
+    return (*outputs, loop(n, *c_args))
+
+
+def _spread(v, n: int, dtype) -> np.ndarray:
+    """v as a contiguous array of n lanes of dtype, a scalar spread over
+    them."""
+    return np.full(n, v, dtype) if np.ndim(v) == 0 else np.ascontiguousarray(v, dtype)
 
 
 def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarray, ...]:
@@ -238,7 +230,7 @@ def _value_block(bits: np.ndarray, fmt: SliFormat, raw: bool) -> tuple[np.ndarra
     # The raw all-zeros word, 1/phi(1), decodes as one, and its log10,
     # -0.0 from its literal r = -1, gets one's 0.0 from the + 0.0.  Both
     # zero words read as +1/1 and decode as +0.0, as key 0 does.
-    lg = _loop(_lib.log_phi10_lanes, (zeta,))[0] * reciprocal + 0.0
+    lg = _loop(_lib.log_phi10_lanes, zeta)[0] * reciprocal + 0.0
     lg[zero] = -math.inf
     sign[zero] = reciprocal[zero] = 1
     return bits, sign * _magnitudes(zero, reciprocal, zeta), lg
@@ -264,28 +256,14 @@ def _float_values(bits: np.ndarray, fmt: FloatFormat) -> np.ndarray:
 
 def _materialize_lanes(fmt: SliFormat, sign, reciprocal, zeta: np.ndarray) -> np.ndarray:
     """_materialize per lane, as keys, for zeta <= 0 (zero), zeta >= 1 or
-    inf.  No caller has a raw zeta in (0, 1), which _materialize alone
-    rounds as level 1.
-
-    One pass over t = zeta * 2**index_bits, exact like _materialize's
-    scaled fraction: the integer part of t carries the level, so the
-    rounded t splits into level and index, and a carry past the last
-    index moves up a level by itself.  t - floor(t) is exact, and t
-    rounds up, ties away, where it is at least 1/2.  zeta is clamped at
-    the top level + 1, which saturates.
-    """
-    scale = fmt.index_scale
-    top = fmt.max_level
-    t = np.minimum(zeta, top + 1)
-    t *= scale  # exact: a power-of-two scaling
-    r = np.floor(t)
-    t -= r
-    r += t >= 0.5
-    # Level 1 and the index counted from it give the same key as the
-    # rounded level and index.
-    index_k = np.minimum(r, (top + 1) * scale - 1).astype(np.int64) - scale  # saturate
-    del t, r  # freed before the keys' temporaries, which set the peak memory
-    return np.where(zeta <= 0.0, 0, _key_of(fmt, sign, reciprocal, 1, index_k))
+    inf: the compiled round_lanes, whose comment has the method.  sign
+    and reciprocal are ints or int arrays of zeta's length.  No caller
+    has a raw zeta in (0, 1), which _materialize alone rounds as level 1."""
+    zeta = np.ascontiguousarray(zeta, np.float64)
+    key, _ = _loop(_lib.round_lanes, fmt.level_bits, fmt.index_bits,
+                   _spread(sign, zeta.size, np.int64), _spread(reciprocal, zeta.size, np.int64),
+                   zeta)
+    return key
 
 
 def _kernel_shapes(zeta_x: np.ndarray, zeta_y, *terms) -> None:
@@ -309,7 +287,9 @@ def _li_add_sub_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, subtract,
     """li_add_sub per lane.  The first lane outside its domain is refused
     by its own scalar call."""
     _kernel_shapes(zeta_x, zeta_y, subtract, reciprocal_y)
-    out, bad = _loop(_lib.li_add_sub_lanes, (zeta_x, zeta_y), (subtract, reciprocal_y))
+    n = zeta_x.size
+    out, bad = _loop(_lib.li_add_sub_lanes, *(_spread(v, n, np.float64) for v in (zeta_x, zeta_y)),
+                     *(_spread(f, n, np.bool_) for f in (subtract, reciprocal_y)))
     if bad >= 0:
         subtract, reciprocal_y = (np.broadcast_to(f, out.shape)[bad].item()
                                   for f in (subtract, reciprocal_y))
@@ -322,9 +302,11 @@ def _li_mul_div_lanes(zeta_x: np.ndarray, zeta_y: np.ndarray, divide):
     """li_mul_div per lane: the descriptors and the flipped flags.  The
     first lane outside its domain is refused by its own scalar call."""
     _kernel_shapes(zeta_x, zeta_y, divide)
-    w, bad = _loop(_lib.li_mul_div_lanes, (zeta_x, zeta_y), (divide,))
+    n = zeta_x.size
+    w, flipped, bad = _loop(_lib.li_mul_div_lanes, _spread(zeta_x, n, np.float64),
+                            _spread(zeta_y, n, np.float64), _spread(divide, n, np.bool_))
     if bad >= 0:
         arith.li_mul_div(zeta_x[bad].item(), zeta_y[bad].item(),
                          np.broadcast_to(divide, w.shape)[bad].item())
-    return w, (zeta_x < zeta_y) & divide
+    return w, flipped
 

@@ -266,6 +266,12 @@ class TestRoundIndex:
                                      zip(sign.tolist(), reciprocal.tolist(), zeta.tolist())]
             t = np.minimum(zeta, f.max_level + 1) * f.index_scale
             assert np.count_nonzero(t - np.floor(t) == 0.5) > 0
+            # A scalar sign or flag, an int or an int64, is spread over the lanes.
+            for s, r in ((-1, 1), (np.int64(1), np.int64(-1))):
+                spread = _materialize_lanes(f, np.full(zeta.size, s), np.full(zeta.size, r), zeta)
+                assert _materialize_lanes(f, s, r, zeta).tolist() == spread.tolist()
+                assert _materialize_lanes(f, s, reciprocal, zeta).tolist() == (
+                    _materialize_lanes(f, np.full(zeta.size, s), reciprocal, zeta).tolist())
 
 
 class TestEncodeDecode:
@@ -306,6 +312,9 @@ class TestEncodeDecode:
             lanes.encode(np.array([1.0, math.nan]), F212)
         with pytest.raises(ValueError, match="unsigned"):
             lanes.encode(np.array([1.0, -2.0]), F22U)
+        # A non-finite value is named before an earlier negative lane.
+        with pytest.raises(ValueError, match="^cannot encode non-finite value -inf$"):
+            lanes.encode(np.array([-2.0, -math.inf]), F22U)
 
     def test_pi_level_and_index(self):
         n = encode(math.pi, F212)

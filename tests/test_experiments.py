@@ -264,6 +264,29 @@ class TestSimulateMatvec:
         for got, want in zip(_simulate_matvec(fmt, problems), wants, strict=True):
             assert list(map(float.hex, got)) == list(map(float.hex, want))
 
+    @pytest.mark.parametrize("system", ["sli2.12", "binary16"])
+    @pytest.mark.parametrize("block, muls", [(1, 14), (40, 11), (300, 2)])
+    def test_blocked_products_match_scalar_ops(self, system, block, muls, monkeypatch):
+        # Blocks of products smaller than a column (one column each), of a
+        # column or two, and of most of the columns, each ending inside
+        # the problems' columns: the rows still match the scalar ops.  The
+        # columns are 36 lanes wide at j < 3, 33 at j < 5, 23 at j < 9,
+        # then 14.
+        monkeypatch.setattr(experiments, "_PRODUCT_LANES", block)
+        mul, sizes = lanes.mul, []
+
+        def spy(x, y, fmt):
+            sizes.append(len(x))
+            return mul(x, y, fmt)
+
+        monkeypatch.setattr(lanes, "mul", spy)
+        fmt = resolve_system(system)
+        problems = [_matvec_problem(n, 0.0, 100.0, 8) for n in (3, 5, 5, 9, 14)]
+        got = _simulate_matvec(fmt, problems)
+        assert len(sizes) == muls and sum(sizes) == sum(n * n for n in (3, 5, 5, 9, 14))
+        for y, (a, x) in zip(got, problems, strict=True):
+            assert list(map(float.hex, y)) == list(map(float.hex, _matvec_by_rows(fmt, a, x)))
+
     @pytest.mark.parametrize("system", ["sli2.12u", "toy5"])
     def test_unsigned_rejects_negative_entries(self, system):
         a = np.array([[1.0, 2.0], [3.0, -4.0]])
@@ -373,6 +396,30 @@ class TestDatFiles:
         assert path.read_text() == "x a\n"
         header, rows = read_dat(path)
         assert header == ["x", "a"] and rows == []
+
+    def test_shorter_table_overwrites_a_longer_file(self, tmp_path):
+        path = tmp_path / "t.dat"
+        emit_dat(ErrorTable(np.arange(1.0, 3000.0), {"a": np.full(2999, 0.125)}), ["x", "a"],
+                 path)
+        emit_dat(ErrorTable([2.5], {"a": [0.5]}), ["x", "a"], path)
+        assert path.read_bytes() == b"x a\n2.5 0.5\n"
+
+    def test_failed_write_leaves_no_tail_of_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.dat"
+        emit_dat(ErrorTable(np.arange(1.0, 3000.0), {}), ["x"], path)
+        spell, spelled = experiments._spell, []
+
+        def second_fails(block):
+            if spelled:
+                raise RuntimeError("spelling failed")
+            spelled.append(block)
+            return spell(block)
+
+        monkeypatch.setattr(experiments, "_SPELL_VALUES", 2)
+        monkeypatch.setattr(experiments, "_spell", second_fails)
+        with pytest.raises(RuntimeError, match="spelling failed"):
+            emit_dat(ErrorTable([2.5, 3.5, 4.5], {}), ["x"], path)
+        assert path.read_bytes() == b"x\n2.5\n3.5\n"
 
     def test_column_count_must_match(self, tmp_path):
         path = tmp_path / "t.dat"
@@ -619,6 +666,11 @@ class TestCliCommands:
         header, rows = read_dat(out)
         assert header == ["n", "binary16", SLI_COLUMN]
         assert [r[0] for r in rows] == [2.0, 3.0]
+
+    def test_out_may_be_a_device(self, capsys):
+        # Only a regular file is cut to the bytes written.
+        assert cli(["matvec", "--dims", "2,3", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == f"wrote 2 records to {os.devnull}\n"
 
     @pytest.mark.parametrize("argv, sha256", [
         (["sweep-repr", "--step", "1e-3"],

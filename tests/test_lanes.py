@@ -70,11 +70,15 @@ class TestBoundaryChecks:
         ok = np.array([16385, 19223])
         for bad in (1 << 15, -(1 << 15), 1 << 20, np.iinfo(np.int64).min):
             keys = np.array([16385, bad])
-            with pytest.raises(ValueError, match="outside"):
+            text = f"^key {bad} outside the sli2.12 ladder$"
+            with pytest.raises(ValueError, match=text):
                 lanes.decode(keys, F212)
             for fn in (lanes.add, lanes.mul):
-                with pytest.raises(ValueError, match="outside"):
+                with pytest.raises(ValueError, match=text):
                     fn(ok, keys, F212)
+                # x's first key off the ladder is named, before an earlier lane of y's.
+                with pytest.raises(ValueError, match=text):
+                    fn(keys, np.array([1 << 16, 16385]), F212)
 
     def test_negative_keys_in_unsigned_formats_are_refused(self):
         keys = lanes.encode(np.array([0.0, 2.0]), F212U)
@@ -107,6 +111,21 @@ class TestBoundaryChecks:
         for reciprocal_y in (np.zeros(1, bool), np.zeros((2, 2), bool)):
             with pytest.raises(ValueError, match="1-D descriptor arrays of one length"):
                 li_add_sub(zx, zy, reciprocal_y=reciprocal_y)
+
+    @pytest.mark.parametrize("fmt", [F212, F212U, BINARY16], ids=str)
+    def test_strided_views_give_the_lanes_of_copies(self, fmt):
+        rng = np.random.default_rng(8)
+        values = rng.uniform(0.0, 100.0, 400) * 10.0 ** rng.integers(-3, 3, 400)
+        values[::7] = 0.0
+        if fmt.signed:
+            values *= rng.choice([-1.0, 1.0], 400)
+        view = values[::2]
+        assert not view.flags.c_contiguous
+        assert lanes.encode(view, fmt).tobytes() == lanes.encode(view.copy(), fmt).tobytes()
+        keys = lanes.encode(values, fmt)
+        x, y = keys[::2], keys[1::2]
+        for fn in (lanes.add, lanes.mul):
+            assert fn(x, y, fmt).tobytes() == fn(x.copy(), y.copy(), fmt).tobytes()
 
     def test_sli_lanes_must_be_int64_keys(self):
         with pytest.raises(ValueError, match="int64"):

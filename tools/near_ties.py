@@ -16,7 +16,7 @@ The pairs are written to tests/near_ties.txt, one "format x y" line of
 lane keys (core._key) each, which tests/test_oracle.py reads.  A line
 ends in "miss" where the scalar add is not the word bench/oracle.py
 rounds, so the misses are pinned and a correction can only remove them.  On a
-2-core Xeon the search takes about 11 s and finds 162 sli2.20 and 2 488
+2-core AMD EPYC VM the search takes about 3 s and finds 162 sli2.20 and 2 488
 sli2.24 pairs: a third of the uniform pairs are absorbed onto the grid.
 """
 
